@@ -37,8 +37,10 @@ from .orlicz import (
     Delta2Report,
     DegenerateOrliczError,
     OrliczFunction,
+    ScaleSolverError,
     delta2_constant,
     luxemburg_norm,
+    solve_scale,
     validate_on_grid,
 )
 from .summability import (

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 check failure
-(verification suite), 4 numeric range abort.  Set GEOSEQ_LOG_LEVEL to
+(verification suite), 4 numeric range abort (also a scale solver
+invariant failure).  Set GEOSEQ_LOG_LEVEL to
 error/warn/info/debug to control logging.
 """
 
@@ -22,7 +23,7 @@ from .fileio import (
     parse_sequence_file,
     write_sequence_file,
 )
-from .geometric import GeoRangeError, GeoScalar
+from .geometric import GeoScalar
 from .harness import run_suite
 from .statconv import stat_converges, stat_density
 from .summability import classify_membership, paranorm
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"geoseq: input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except GeoRangeError as exc:
+    except ArithmeticError as exc:  # GeoRangeError, ScaleSolverError, overflow
         print(f"geoseq: numeric range abort: {exc}", file=sys.stderr)
         return RANGE_ABORT
     except ValueError as exc:

@@ -19,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
@@ -262,6 +263,21 @@ def load_config(path: Union[str, Path]) -> RunConfig:
     return config_from_dict(doc, str(path))
 
 
+def _check_table(points) -> None:
+    """Require positive, non-decreasing segment slopes, compared exactly.
+
+    That makes M convex, non-decreasing from the knot (0, 0) and positive
+    for t > 0.
+    """
+    pts = [(Fraction(t), Fraction(m)) for t, m in points]
+    slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
+    if slopes[0] <= 0 or any(b < a for a, b in zip(slopes, slopes[1:])):
+        raise ValueError(
+            "table Orlicz function must be convex with M(t) > 0 for t > 0: segment "
+            f"slopes must be positive and non-decreasing, got {[float(v) for v in slopes]}"
+        )
+
+
 def config_from_dict(doc: dict, where: str = "config") -> RunConfig:
     known = {
         "lambda",
@@ -283,6 +299,8 @@ def config_from_dict(doc: dict, where: str = "config") -> RunConfig:
             cfg.lam = LambdaSequence.from_config(doc["lambda"])
         if "orlicz" in doc:
             cfg.orlicz = OrliczFunction.from_config(doc["orlicz"])
+            if cfg.orlicz.kind == "table":
+                _check_table(cfg.orlicz.points)
         if "exponents" in doc:
             cfg.exponents = Exponents.from_config(doc["exponents"])
         if "variant" in doc:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .fibonacci import fib
 from .geometric import GeoScalar, GeoSequence
 from .orlicz import Delta2Report, OrliczFunction, delta2_constant, small_argument_threshold
-from .statconv import modular_density_bound, stat_converges, stat_density
+from .statconv import stat_converges, stat_density
 from .summability import (
     CONVERGING,
     Exponents,
@@ -32,7 +32,9 @@ from .summability import (
     SpaceSpec,
     Tolerances,
     classify_membership,
-    modular_mean,
+    modular_trace,
+    window_sums,
+    window_trace,
     windowed_logs,
 )
 
@@ -174,6 +176,26 @@ class CheckOutcome:
     detail: Optional[str] = None
 
 
+def _scan_windows(
+    name: str, lhs: Sequence[float], rhs: Sequence[float], slack: float, upper: bool = True
+) -> CheckOutcome:
+    """Check lhs <= rhs (``upper``) or lhs >= rhs on every window.
+
+    ``slack`` is relative to max(1, |rhs|).  The outcome names the first
+    failing window and carries the worst violation seen up to it.
+    """
+    worst = 0.0
+    for n, (l, r) in enumerate(zip(lhs, rhs), 1):
+        violation = l - r if upper else r - l
+        if violation > worst:
+            worst = violation
+        if violation > slack * max(1.0, abs(r)):
+            return CheckOutcome(
+                name, False, worst, f"window {n}: {l} {'>' if upper else '<'} {r}"
+            )
+    return CheckOutcome(name, True, worst)
+
+
 def check_linear_combination(
     x: GeoSequence,
     y: GeoSequence,
@@ -200,28 +222,15 @@ def check_linear_combination(
     z3 = [a * p + b * q for p, q in zip(zx, zy)]
     rho3 = max(2.0 * abs(a) * rho1, 2.0 * abs(b) * rho2)
     B = spec.exponents.B
-    worst = 0.0
-    m = len(zx)
-    for n in range(1, m + 1):
-        if rho3 == 0.0:
-            lhs = 0.0  # both scalars vanish: the combination is the geometric zero
-        else:
-            lhs = modular_mean(z3, spec.lam, spec.orlicz, spec.exponents, rho3, n)
-        s1 = modular_mean(zx, spec.lam, spec.orlicz, spec.exponents, rho1, n)
-        s2 = modular_mean(zy, spec.lam, spec.orlicz, spec.exponents, rho2, n)
-        rhs = B * (s1 + s2)
-        violation = lhs - rhs
-        margin = slack * max(1.0, abs(rhs))
-        if violation > worst:
-            worst = violation
-        if violation > margin:
-            return CheckOutcome(
-                "linear_combination",
-                False,
-                worst,
-                f"window {n}: {lhs} > {rhs}",
-            )
-    return CheckOutcome("linear_combination", True, worst)
+    lam, M, exps = spec.lam, spec.orlicz, spec.exponents
+    if rho3 == 0.0:
+        lhs = [0.0] * len(z3)  # both scalars vanish: the combination is the geometric zero
+    else:
+        lhs = modular_trace(z3, lam, M, exps, rho3)
+    s1 = modular_trace(zx, lam, M, exps, rho1)
+    s2 = modular_trace(zy, lam, M, exps, rho2)
+    rhs = [B * (a1 + a2) for a1, a2 in zip(s1, s2)]
+    return _scan_windows("linear_combination", lhs, rhs, slack)
 
 
 def check_solidity(
@@ -248,16 +257,9 @@ def check_solidity(
             )
         a.append(alpha.log)
     scaled = [ai * zi for ai, zi in zip(a, z)]
-    worst = 0.0
-    for n in range(1, len(z) + 1):
-        lhs = modular_mean(scaled, spec.lam, spec.orlicz, spec.exponents, spec.rho, n)
-        rhs = modular_mean(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, n)
-        violation = lhs - rhs
-        if violation > worst:
-            worst = violation
-        if violation > slack * max(1.0, abs(rhs)):
-            return CheckOutcome("solidity", False, worst, f"window {n}: {lhs} > {rhs}")
-    return CheckOutcome("solidity", True, worst)
+    lhs = modular_trace(scaled, spec.lam, spec.orlicz, spec.exponents, spec.rho)
+    rhs = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho)
+    return _scan_windows("solidity", lhs, rhs, slack)
 
 
 def check_delta2_inclusion(
@@ -300,18 +302,12 @@ def check_delta2_inclusion(
     raw = OrliczFunction.power(1.0)
     K = delta2.K
     factor = K * orlicz.eval(2.0) / delta
-    worst = 0.0
-    for n in range(1, len(z) + 1):
-        lhs = modular_mean(z, spec.lam, orlicz, unit, spec.rho, n, center)
-        s_raw = modular_mean(z, spec.lam, raw, unit, spec.rho, n, center)
-        rhs = epsilon + factor * s_raw
-        violation = lhs - rhs
-        if violation > worst:
-            worst = violation
-        if violation > slack * max(1.0, abs(rhs)):
-            return CheckOutcome(
-                "delta2_inclusion", False, worst, f"window {n}: {lhs} > {rhs}"
-            )
+    lhs = modular_trace(z, spec.lam, orlicz, unit, spec.rho, center)
+    s_raw = modular_trace(z, spec.lam, raw, unit, spec.rho, center)
+    rhs = [epsilon + factor * s for s in s_raw]
+    outcome = _scan_windows("delta2_inclusion", lhs, rhs, slack)
+    if not outcome.passed:
+        return outcome
 
     variant = spec.variant if spec.variant != "bounded" else "zero"
     raw_spec = replace(spec, orlicz=raw, exponents=unit, variant=variant)
@@ -319,13 +315,9 @@ def check_delta2_inclusion(
     raw_verdict = classify_membership(x, raw_spec, tols).verdict
     m_verdict = classify_membership(x, m_spec, tols).verdict
     if raw_verdict == CONVERGING and m_verdict != CONVERGING:
-        return CheckOutcome(
-            "delta2_inclusion",
-            False,
-            worst,
-            f"end-to-end: raw verdict {raw_verdict} but M-modular verdict {m_verdict}",
-        )
-    return CheckOutcome("delta2_inclusion", True, worst)
+        detail = f"end-to-end: raw verdict {raw_verdict} but M-modular verdict {m_verdict}"
+        return replace(outcome, passed=False, detail=detail)
+    return outcome
 
 
 def check_exponent_inclusion(
@@ -355,41 +347,29 @@ def check_exponent_inclusion(
             raise ValueError(f"need 0 < p <= q at every index; index {k}: {pk} > {qk}")
     mu = min(1.0, max(1e-3, min(mus)))
 
-    worst = 0.0
     lam, M, rho = spec.lam, spec.orlicz, spec.rho
-    for n in range(1, m + 1):
-        lam_n = lam.at(n)
-        lhs_sum = 0.0
-        t_sum = 0.0
-        v_sum = 0.0
-        for k in lam.window(n):
-            t = M.eval(abs(z[k - 1] - center) / rho) ** q.at(k)
-            lhs_sum += t ** mus[k - 1]
-            t_sum += t
-            if t < 1.0:
-                v_sum += t
-        lhs = lhs_sum / lam_n
-        rhs = t_sum / lam_n + (v_sum / lam_n) ** mu
-        violation = lhs - rhs
-        if violation > worst:
-            worst = violation
-        if violation > slack * max(1.0, abs(rhs)):
-            return CheckOutcome(
-                "exponent_inclusion", False, worst, f"window {n}: {lhs} > {rhs}"
-            )
+    t = [M.eval(abs(v - center) / rho) ** q.at(k) for k, v in enumerate(z, 1)]
+    lhs_sums = window_sums([tk ** mu_k for tk, mu_k in zip(t, mus)], lam)
+    t_sums = window_sums(t, lam)
+    v_sums = window_sums([tk if tk < 1.0 else 0.0 for tk in t], lam)
+    lam_values = [lam.at(n) for n in range(1, m + 1)]
+    lhs = [s / lam_n for s, lam_n in zip(lhs_sums, lam_values)]
+    rhs = [
+        ts / lam_n + (vs / lam_n) ** mu
+        for ts, vs, lam_n in zip(t_sums, v_sums, lam_values)
+    ]
+    outcome = _scan_windows("exponent_inclusion", lhs, rhs, slack)
+    if not outcome.passed:
+        return outcome
 
     q_spec = replace(spec, exponents=q)
     p_spec = replace(spec, exponents=p)
     q_verdict = classify_membership(x, q_spec, tols).verdict
     p_verdict = classify_membership(x, p_spec, tols).verdict
     if q_verdict == CONVERGING and p_verdict != CONVERGING:
-        return CheckOutcome(
-            "exponent_inclusion",
-            False,
-            worst,
-            f"end-to-end: q-verdict {q_verdict} but p-verdict {p_verdict}",
-        )
-    return CheckOutcome("exponent_inclusion", True, worst)
+        detail = f"end-to-end: q-verdict {q_verdict} but p-verdict {p_verdict}"
+        return replace(outcome, passed=False, detail=detail)
+    return outcome
 
 
 @dataclass
@@ -466,6 +446,9 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         checks.append(SuiteCheck(name, config.trials, failures, worst, None, first))
 
     profiles = _p_profiles()
+    density_spec = replace(
+        spec, exponents=Exponents.constant(1.0), variant="limit", transform="fhat"
+    )
 
     def linear(trial: int) -> CheckOutcome:
         rng = _rng(config.seed, "linear_combination", trial)
@@ -540,18 +523,11 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         x = GeoSequence.from_log([rng.uniform(-3.0, 3.0) for _ in range(N)])
         ell = GeoScalar.from_log(rng.uniform(-1.0, 1.0))
         epsilon = GeoScalar.from_log(rng.uniform(0.1, 2.0))
-        worst = 0.0
-        m = len(windowed_logs(x, "fhat"))
-        for n in range(1, m + 1):
-            lhs, rhs = modular_density_bound(x, spec, ell, epsilon, n)
-            violation = rhs - lhs
-            if violation > worst:
-                worst = violation
-            if violation > slack * max(1.0, abs(rhs)):
-                return CheckOutcome(
-                    "density_bound", False, worst, f"window {n}: {lhs} < {rhs}"
-                )
-        return CheckOutcome("density_bound", True, worst)
+        # statconv.modular_density_bound on every window at once
+        lhs = window_trace(x, density_spec, ell)
+        m_eps = spec.orlicz.eval(epsilon.log / spec.rho)
+        rhs = [m_eps * d for d in stat_density(x, spec.lam, ell, epsilon).densities]
+        return _scan_windows("density_bound", lhs, rhs, slack, upper=False)
 
     def consistency(trial: int) -> CheckOutcome:
         sample = generate_member(

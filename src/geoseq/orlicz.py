@@ -19,17 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = [
     "OrliczFunction",
     "OrliczDiagnostics",
     "Delta2Report",
     "DegenerateOrliczError",
+    "ScaleSolverError",
     "log_grid",
     "validate_on_grid",
     "delta2_constant",
     "luxemburg_norm",
+    "solve_scale",
     "small_argument_threshold",
 ]
 
@@ -38,7 +40,11 @@ class DegenerateOrliczError(ValueError):
     """M vanishes on positive arguments where a positive value is required."""
 
 
-def _pow(base: float, exponent: float) -> float:
+class ScaleSolverError(ArithmeticError):
+    """A scale constraint map increased with the scale during a solve."""
+
+
+def _pow_sat(base: float, exponent: float) -> float:
     try:
         return base ** exponent
     except OverflowError:
@@ -89,7 +95,7 @@ class OrliczFunction:
         if t == 0.0:
             return 0.0
         if self.kind == "power":
-            return _pow(t, self.p)
+            return _pow_sat(t, self.p)
         if self.kind == "exp_minus_one":
             try:
                 return math.expm1(t)
@@ -286,13 +292,59 @@ def delta2_constant(
     )
 
 
-def _assert_non_increasing(g_left: float, g_right: float) -> None:
-    # constraint map must not increase with the scale parameter
-    slack = 1e-12 * max(1.0, abs(g_right))
-    if math.isfinite(g_right) and not math.isinf(g_left):
-        assert g_left >= g_right - slack, (
-            f"constraint map increased: {g_left} -> {g_right}"
-        )
+def _check_non_increasing(g_small: float, g_large: float) -> None:
+    # constraint values at a smaller and a larger scale
+    slack = 1e-12 * max(1.0, abs(g_large))
+    if math.isfinite(g_large) and not math.isinf(g_small):
+        if not g_small >= g_large - slack:
+            raise ScaleSolverError(f"constraint map increased: {g_small} -> {g_large}")
+
+
+def solve_scale(
+    constraint: Callable[[float], float], rel_tol: float, max_iter: int = 200
+) -> float:
+    """inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
+
+    Brackets by doubling up from r = 1 and halving down, then bisects to
+    ``rel_tol``; returns the bracket's upper end, ``inf`` when no scale up
+    to 2**max_iter is admissible, or 0.0 when every scale down to 1e-300
+    is.  Monotonicity is checked at every probe (raises
+    :class:`ScaleSolverError`).
+    """
+    hi = 1.0
+    g_hi = constraint(hi)
+    for _ in range(max_iter):
+        if g_hi <= 1.0:
+            break
+        prev = g_hi
+        hi *= 2.0
+        g_hi = constraint(hi)
+        _check_non_increasing(prev, g_hi)
+    else:
+        return math.inf
+
+    lo = hi
+    g_lo = g_hi
+    while g_lo <= 1.0:
+        if lo < 1e-300:
+            return 0.0
+        prev = g_lo
+        lo *= 0.5
+        g_lo = constraint(lo)
+        _check_non_increasing(g_lo, prev)
+
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        g_mid = constraint(mid)
+        _check_non_increasing(g_lo, g_mid)
+        _check_non_increasing(g_mid, g_hi)
+        if g_mid <= 1.0:
+            hi, g_hi = mid, g_mid
+        else:
+            lo, g_lo = mid, g_mid
+    return hi
 
 
 def luxemburg_norm(
@@ -301,11 +353,11 @@ def luxemburg_norm(
     rel_tol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """inf{rho > 0 : sum M(|x_k| / rho) <= 1}, by monotone bisection.
+    """inf{rho > 0 : sum M(|x_k| / rho) <= 1}, by :func:`solve_scale`.
 
     The constraint map is non-increasing in rho because M is
-    non-decreasing; that monotonicity is asserted at every probe.
-    Returns 0 for the zero sequence.
+    non-decreasing; that monotonicity is checked at every probe (raises
+    :class:`ScaleSolverError`).  Returns 0 for the zero sequence.
     """
     mags = [abs(float(v)) for v in x]
     for i, m in enumerate(mags):
@@ -317,41 +369,10 @@ def luxemburg_norm(
     def constraint(rho: float) -> float:
         return math.fsum(M.eval(m / rho) for m in mags)
 
-    hi = 1.0
-    g_hi = constraint(hi)
-    for _ in range(max_iter):
-        if g_hi <= 1.0:
-            break
-        prev = g_hi
-        hi *= 2.0
-        g_hi = constraint(hi)
-        _assert_non_increasing(prev, g_hi)
-    else:
+    rho = solve_scale(constraint, rel_tol, max_iter)
+    if math.isinf(rho):
         raise ArithmeticError("no admissible scale found while doubling upward")
-
-    lo = hi
-    g_lo = g_hi
-    while g_lo <= 1.0:
-        if lo < 1e-300:
-            # constraint never exceeds 1: flat-zero M; infimum is 0
-            return 0.0
-        prev = g_lo
-        lo *= 0.5
-        g_lo = constraint(lo)
-        _assert_non_increasing(g_lo, prev)
-
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = constraint(mid)
-        _assert_non_increasing(g_lo, g_mid)
-        _assert_non_increasing(g_mid, g_hi)
-        if g_mid <= 1.0:
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-    return hi
+    return rho
 
 
 def small_argument_threshold(

@@ -26,8 +26,10 @@ from .summability import (
     LambdaSequence,
     SpaceSpec,
     Tolerances,
+    _FLAT_SLOPE,
     _tail_slope,
     modular_mean,
+    window_sums,
     windowed_logs,
 )
 
@@ -37,9 +39,6 @@ __all__ = [
     "stat_converges",
     "modular_density_bound",
 ]
-
-_FLAT_SLOPE = -0.05
-
 
 @dataclass
 class DensityTrace:
@@ -79,16 +78,9 @@ def stat_density(
         )
     z = windowed_logs(x, "fhat")
     center = ell.log
-    m = len(z)
-    counts = []
-    densities = []
-    lam_values = []
-    for n in range(1, m + 1):
-        c = sum(1 for k in lam.window(n) if abs(z[k - 1] - center) >= eps_c)
-        lam_n = lam.at(n)
-        counts.append(c)
-        densities.append(c / lam_n)
-        lam_values.append(lam_n)
+    counts = window_sums([int(abs(v - center) >= eps_c) for v in z], lam)
+    lam_values = [lam.at(n) for n in range(1, len(z) + 1)]
+    densities = [c / lam_n for c, lam_n in zip(counts, lam_values)]
     return DensityTrace(
         counts=counts,
         densities=densities,

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .fibonacci import difference_transform_log
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
-from .orlicz import OrliczFunction
+from .orlicz import OrliczFunction, _pow_sat, solve_scale
 
 __all__ = [
     "LambdaSequence",
@@ -46,7 +46,9 @@ __all__ = [
     "window",
     "vp_mean",
     "windowed_logs",
+    "window_sums",
     "modular_mean",
+    "modular_trace",
     "modular_window",
     "window_trace",
     "classify_membership",
@@ -391,11 +393,20 @@ def windowed_logs(x: GeoSequence, transform: str) -> list:
     raise ValueError(f"unknown transform {transform!r}")
 
 
-def _pow_sat(base: float, exponent: float) -> float:
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
+def window_sums(values: Sequence, lam: LambdaSequence) -> list:
+    """Sum of ``values[k-1]`` over I(n) for every window n = 1..len(values).
+
+    Each window is summed in ascending k from 0 with a plain ``+=``, the
+    order the single-window forms use, so sums agree with them bit for
+    bit; integer values give integer sums.
+    """
+    sums = []
+    for n in range(1, len(values) + 1):
+        total = 0
+        for k in lam.window(n):
+            total += values[k - 1]
+        sums.append(total)
+    return sums
 
 
 def modular_mean(
@@ -424,6 +435,27 @@ def modular_mean(
     return total / lam.at(n)
 
 
+def modular_trace(
+    z: Sequence[float],
+    lam: LambdaSequence,
+    orlicz: OrliczFunction,
+    exponents: Exponents,
+    scale: float,
+    center: float = 0.0,
+) -> list:
+    """:func:`modular_mean` for every window n = 1..len(z), bit for bit.
+
+    M is evaluated once per term, not once per term per window.
+    """
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    terms = [
+        _pow_sat(orlicz.eval(abs(v - center) / scale), exponents.at(k))
+        for k, v in enumerate(z, 1)
+    ]
+    return [s / lam.at(n) for n, s in enumerate(window_sums(terms, lam), 1)]
+
+
 def modular_window(
     x: GeoSequence, spec: SpaceSpec, n: int, ell: Optional[GeoScalar] = None
 ) -> float:
@@ -443,10 +475,7 @@ def window_trace(
     """S(n) for every computable window n = 1..len(windowed view)."""
     z = windowed_logs(x, spec.transform)
     center = ell.log if (spec.variant == "limit" and ell is not None) else 0.0
-    return [
-        modular_mean(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, n, center)
-        for n in range(1, len(z) + 1)
-    ]
+    return modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, center)
 
 
 def _tail_slope(values: Sequence[float]) -> float:
@@ -560,10 +589,7 @@ def classify_membership(
         center = _estimate_limit(z, spec)
         ell = GeoScalar.from_log(center)
 
-    values = [
-        modular_mean(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, n, center)
-        for n in range(1, m + 1)
-    ]
+    values = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, center)
 
     if spec.variant == "bounded":
         slope = _tail_slope(values)
@@ -599,9 +625,10 @@ def paranorm(
     """Luxemburg-style paranorm of the vanishing-variant space.
 
     rho_star = inf{r > 0 : sup_n (S_n(r))**(1/H) <= 1} over the windows
-    computable on the truncation, found by bisection (the constraint is
-    non-increasing in r, asserted at every probe); g = rho_star**(pbar/H)
-    with pbar = inf p; g_geo = e**g.  The zero sequence gets g = 0.
+    computable on the truncation, found by :func:`solve_scale`.  The
+    constraint is non-increasing in r; that is checked at every probe
+    (raises :class:`ScaleSolverError`).  g = rho_star**(pbar/H) with
+    pbar = inf p; g_geo = e**g.  The zero sequence gets g = 0.
     """
     if spec.variant != "zero":
         raise ValueError("paranorm is defined on the vanishing variant")
@@ -614,57 +641,11 @@ def paranorm(
         return ParanormResult(rho_star=0.0, g=0.0, g_geo=GEO_ZERO)
 
     def sup_constraint(r: float) -> float:
-        worst = 0.0
-        for n in range(1, m + 1):
-            s = modular_mean(z, spec.lam, spec.orlicz, spec.exponents, r, n)
-            s = _pow_sat(s, 1.0 / H)
-            if s > worst:
-                worst = s
-                if math.isinf(worst):
-                    break
-        return worst
+        trace = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, r)
+        return max([0.0] + [_pow_sat(s, 1.0 / H) for s in trace])
 
-    def check_monotone(r_small_val: float, r_large_val: float) -> None:
-        slack = 1e-12 * max(1.0, abs(r_large_val))
-        if math.isfinite(r_large_val) and not math.isinf(r_small_val):
-            assert r_small_val >= r_large_val - slack, (
-                f"paranorm constraint increased with the scale: "
-                f"{r_small_val} -> {r_large_val}"
-            )
-
-    hi = 1.0
-    c_hi = sup_constraint(hi)
-    for _ in range(max_iter):
-        if c_hi <= 1.0:
-            break
-        prev = c_hi
-        hi *= 2.0
-        c_hi = sup_constraint(hi)
-        check_monotone(prev, c_hi)
-    else:
+    rho_star = solve_scale(sup_constraint, rel_tol, max_iter)
+    if math.isinf(rho_star):
         return ParanormResult(rho_star=math.inf, g=math.inf, g_geo=None)
-
-    lo = hi
-    c_lo = c_hi
-    while c_lo <= 1.0:
-        if lo < 1e-300:
-            return ParanormResult(rho_star=0.0, g=0.0, g_geo=GEO_ZERO)
-        prev = c_lo
-        lo *= 0.5
-        c_lo = sup_constraint(lo)
-        check_monotone(c_lo, prev)
-
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        c_mid = sup_constraint(mid)
-        check_monotone(c_lo, c_mid)
-        check_monotone(c_mid, c_hi)
-        if c_mid <= 1.0:
-            hi, c_hi = mid, c_mid
-        else:
-            lo, c_lo = mid, c_mid
-
-    g = hi ** (p_bar / H)
-    return ParanormResult(rho_star=hi, g=g, g_geo=GeoScalar.from_log(g))
+    g = rho_star ** (p_bar / H)
+    return ParanormResult(rho_star=rho_star, g=g, g_geo=GeoScalar.from_log(g))

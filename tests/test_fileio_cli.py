@@ -2,16 +2,20 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import geoseq
 from geoseq import (
     GEO_ZERO,
     GeoScalar,
     InputError,
     LambdaSequence,
+    ScaleSolverError,
     TrialConfig,
     emit_report,
     from_log,
@@ -25,6 +29,12 @@ from geoseq import (
 from geoseq.cli import main
 from geoseq.fileio import config_from_dict, density_report_dict, render_json
 from geoseq.summability import classify_membership, paranorm
+
+
+def _env_with_package_path():
+    # the child interpreter imports geoseq from wherever this process did
+    src = str(Path(geoseq.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def write(path, text):
@@ -366,13 +376,53 @@ class TestCli:
         monkeypatch.setenv("GEOSEQ_LOG_LEVEL", "debug")
         assert main(["fib", "--n", "2"]) == 0
 
+    @pytest.mark.parametrize(
+        "points, command",
+        [
+            ([[0, 0], [1, 0.5], [2, 5], [3, 0.2], [4, 6]], "paranorm"),  # not convex
+            ([[0, 0], [1, 0], [2, 1]], "verify"),  # M = 0 on (0, 1]
+        ],
+    )
+    def test_invalid_table_is_input_error(self, tmp_path, capsys, points, command):
+        cfg = write(
+            tmp_path / "table.json",
+            json.dumps(
+                {
+                    "lambda": {"kind": "identity"},
+                    "orlicz": {"kind": "table", "points": points},
+                    "transform": "identity",
+                }
+            ),
+        )
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": [2.7] * 4}))
+        argv = [command, "--config", cfg] + (["--in", seq] if command == "paranorm" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "table" in err
+        assert "Traceback" not in err
+
+    def test_convex_table_accepted(self):
+        points = [[0.0, 0.0], [0.5, 0.2], [1.0, 1.0], [2.0, 3.5], [4.0, 10.0]]
+        cfg = config_from_dict({"orlicz": {"kind": "table", "points": points}})
+        assert cfg.orlicz.kind == "table"
+
+    def test_solver_invariant_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ScaleSolverError("constraint map increased with the scale")
+
+        monkeypatch.setattr("geoseq.cli.paranorm", failing)
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": [1.0] * 4}))
+        cfg = write(tmp_path / "c.json", json.dumps({"transform": "identity"}))
+        assert main(["paranorm", "--in", seq, "--config", cfg]) == 4
+        assert "numeric range abort" in capsys.readouterr().err
+
     def test_module_entry_point(self, config_path, constant_sequence_path):
         proc = subprocess.run(
             [
                 sys.executable, "-m", "geoseq",
                 "analyze", "--in", constant_sequence_path, "--config", config_path,
             ],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_env_with_package_path(),
         )
         assert proc.returncode == 0
         assert "verdict: converging" in proc.stdout

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from geoseq import (
     DegenerateOrliczError,
     OrliczFunction,
+    ScaleSolverError,
     delta2_constant,
     luxemburg_norm,
+    solve_scale,
     validate_on_grid,
 )
 from geoseq.orlicz import log_grid, small_argument_threshold
@@ -186,11 +188,32 @@ class TestLuxemburgNorm:
 
     def test_flat_zero_table_norm(self):
         # M = max(0, t - 1): norm is max|x| / (1 + 1/sum-ish); just check
-        # admissibility and monotone asserts stay quiet
+        # admissibility and that the monotonicity checks stay quiet
         M = OrliczFunction.table([(0, 0), (1, 0), (2, 1)])
         rho = luxemburg_norm([2.0, 3.0], M)
         assert rho > 0
         assert math.fsum(M.eval(abs(v) / rho) for v in [2.0, 3.0]) <= 1.0 + 1e-9
+
+    def test_non_monotone_table_raises(self):
+        # M(2.7) = 1.64 at rho = 1 but M(1.35) = 2.075 at rho = 2
+        M = OrliczFunction.table([(0, 0), (1, 0.5), (2, 5), (3, 0.2), (4, 6)])
+        with pytest.raises(ScaleSolverError):
+            luxemburg_norm([2.7], M)
+
+
+class TestSolveScale:
+    def test_bisects_to_the_infimum(self):
+        assert solve_scale(lambda r: 3.0 / r, 1e-12) == pytest.approx(3.0, rel=1e-12)
+
+    def test_no_admissible_scale_is_inf(self):
+        assert solve_scale(lambda r: 2.0, 1e-12, max_iter=20) == math.inf
+
+    def test_every_scale_admissible_is_zero(self):
+        assert solve_scale(lambda r: 0.5, 1e-12) == 0.0
+
+    def test_increasing_constraint_raises(self):
+        with pytest.raises(ScaleSolverError):
+            solve_scale(lambda r: r, 1e-12)
 
 
 class TestSmallArgumentThreshold:

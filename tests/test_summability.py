@@ -1,10 +1,17 @@
 """Windows, windowed means, modulars, membership verdicts, paranorm."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
+import geoseq
 from geoseq import (
     BOUNDED,
     CONVERGING,
@@ -15,17 +22,20 @@ from geoseq import (
     GeoScalar,
     LambdaSequence,
     OrliczFunction,
+    ScaleSolverError,
     SpaceSpec,
     classify_membership,
     from_log,
     kernel_log_sequence,
     modular_window,
     paranorm,
+    stat_density,
     vp_mean,
     window,
     window_trace,
     windowed_logs,
 )
+from geoseq.summability import modular_mean, modular_trace, window_sums
 
 P1 = OrliczFunction.power(1.0)
 P2 = OrliczFunction.power(2.0)
@@ -364,3 +374,122 @@ class TestParanorm:
         s = spec(p=Exponents.constant(2.0), M=P1)
         res = paranorm(x, s)
         assert res.g == pytest.approx(res.rho_star ** (2.0 / 2.0), rel=1e-12)
+
+
+# a table whose constraint map rises with the scale between r = 1 and r = 2
+NON_MONOTONE_TABLE = [[0, 0], [1, 0.5], [2, 5], [3, 0.2], [4, 6]]
+
+
+class TestScaleSolverInvariant:
+    def test_paranorm_raises(self):
+        with pytest.raises(ScaleSolverError):
+            paranorm(from_log([2.7] * 4), spec(M=OrliczFunction.table(NON_MONOTONE_TABLE)))
+
+    def test_raises_under_optimisation(self):
+        # python -O strips assert statements; the invariant must survive it
+        code = textwrap.dedent(
+            f"""
+            from geoseq import OrliczFunction, ScaleSolverError, luxemburg_norm, paranorm
+            from geoseq import Exponents, LambdaSequence, SpaceSpec, from_log
+            M = OrliczFunction.table({NON_MONOTONE_TABLE!r})
+            s = SpaceSpec(LambdaSequence.identity(), M, Exponents.constant(1.0),
+                          variant="zero", transform="identity")
+            print(__debug__)
+            for call in (lambda: paranorm(from_log([2.7] * 4), s),
+                         lambda: luxemburg_norm([2.7], M)):
+                try:
+                    call()
+                except ScaleSolverError:
+                    print("raised")
+            """
+        )
+        src = str(Path(geoseq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "raised", "raised"]
+
+
+def _custom_lambda(m):
+    # non-integer admissible values: lam(n) = 1 + 0.4 (n - 1)
+    return LambdaSequence.custom([1.0 + 0.4 * (n - 1) for n in range(1, m + 1)])
+
+
+class TestSharedTrace:
+    M_KINDS = [
+        OrliczFunction.power(1.5),
+        OrliczFunction.exp_minus_one(),
+        OrliczFunction.x_log1p(),
+        OrliczFunction.table([(0, 0), (0.5, 0.2), (1, 1), (2, 3.5), (4, 10)]),
+    ]
+
+    @pytest.mark.parametrize("lam_kind", ["identity", "half", "sqrt", "custom"])
+    @pytest.mark.parametrize("M", M_KINDS, ids=lambda M: M.kind)
+    def test_trace_matches_single_window_form(self, lam_kind, M):
+        m = 45
+        rng = random.Random(f"trace:{lam_kind}:{M.kind}")
+        z = [rng.uniform(-2.5, 2.5) for _ in range(m)]
+        lam = _custom_lambda(m) if lam_kind == "custom" else getattr(LambdaSequence, lam_kind)()
+        exponent_kinds = [
+            Exponents.constant(1.25),
+            Exponents.from_list([rng.uniform(0.5, 3.0) for _ in range(m)]),
+            Exponents.formula(1.0, 0.75),
+        ]
+        for p in exponent_kinds:
+            for center in (0.0, 0.3):
+                for scale in (0.7, 2.0):
+                    got = modular_trace(z, lam, M, p, scale, center)
+                    want = [
+                        modular_mean(z, lam, M, p, scale, n, center)
+                        for n in range(1, m + 1)
+                    ]
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_window_sums_keep_integers(self):
+        lam = LambdaSequence.half()
+        sums = window_sums([1, 0, 1, 1, 0, 1], lam)
+        assert sums == [1, 0, 1, 2, 2, 2]
+        assert all(type(v) is int for v in sums)
+
+    def test_stat_density_counts_stay_int(self):
+        rng = random.Random(31)
+        x = from_log([rng.uniform(-3, 3) for _ in range(60)])
+        trace = stat_density(x, LambdaSequence.half(), GEO_ZERO, GeoScalar.from_log(0.5))
+        assert all(type(c) is int for c in trace.counts)
+        assert 0 < sum(trace.counts)
+
+
+@dataclass(frozen=True)
+class CountingOrlicz(OrliczFunction):
+    """OrliczFunction that counts its evaluations."""
+
+    calls: list = field(default_factory=lambda: [0], compare=False, repr=False)
+
+    def eval(self, t: float) -> float:
+        self.calls[0] += 1
+        return OrliczFunction.eval(self, t)
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("lam", ["identity", "half", "sqrt"])
+    def test_trace_evaluates_each_term_once(self, lam):
+        m = 60
+        M = CountingOrlicz("power", 2.0)
+        s = spec(lam=lam, M=M)
+        rng = random.Random(41)
+        window_trace(from_log([rng.uniform(-2, 2) for _ in range(m)]), s)
+        assert M.calls[0] == m
+
+    @pytest.mark.parametrize(
+        "kind, p", [("power", 2.0), ("x_log1p", None), ("exp_minus_one", None)]
+    )
+    def test_paranorm_probes_evaluate_whole_passes(self, kind, p):
+        m = 31
+        M = CountingOrlicz(kind, p)
+        s = spec(lam="half", M=M, p=Exponents.formula(1.0, 1.0))
+        rng = random.Random(43)
+        paranorm(from_log([rng.uniform(-3, 3) for _ in range(m)]), s)
+        assert M.calls[0] > 0
+        assert M.calls[0] % m == 0
