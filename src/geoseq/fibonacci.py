@@ -8,7 +8,12 @@ never look at that boundary row (see :mod:`geoseq.summability`).
 
 Values are arbitrary-precision integers; float ratios are produced by
 exact integer division, which CPython rounds correctly and which cannot
-overflow (the quotients lie in (0, 2]).
+overflow (the quotients lie in (0, 2]).  The ratios are convergents of
+the golden ratio: they alternate around their limit and each lies
+between the two before it.  Rounding to nearest is monotone, so once two
+consecutive ratios round to the same double, every later one does too.
+The rounded ratios are therefore tabulated once up to that index and
+frozen beyond it; no ratio needs a big integer.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometric import GeoSequence, gscale, gsub
+from .geometric import GeoRangeError, GeoSequence, gscale, gsub
 
 __all__ = [
     "FibonacciCache",
@@ -39,8 +44,33 @@ __all__ = [
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _rounded_ratios(inverse: bool) -> tuple:
+    """Correctly rounded f(k)/f(k+1) (or f(k+1)/f(k)) for k = 0..K.
+
+    K is the first index whose ratio rounds to the same double as the
+    next one; every ratio beyond K rounds to the entry at K (module
+    docstring).
+    """
+    a, b = 1, 1  # f(k), f(k+1)
+    table = []
+    while True:
+        r = b / a if inverse else a / b
+        if table and table[-1] == r:
+            return tuple(table)
+        table.append(r)
+        a, b = b, a + b
+
+
+_RATIOS = _rounded_ratios(inverse=False)
+_INVERSE_RATIOS = _rounded_ratios(inverse=True)
+
+
 class FibonacciCache:
-    """Grow-only cache of exact Fibonacci numbers and their float ratios."""
+    """Grow-only cache of exact Fibonacci numbers.
+
+    The float ratios come from tables derived once from the exact
+    integers, so asking for a ratio never grows the cache.
+    """
 
     def __init__(self):
         self._values = [1, 1]
@@ -61,13 +91,15 @@ class FibonacciCache:
 
     def ratio(self, k: int) -> float:
         """f(k) / f(k+1), correctly rounded; lies in (0, 1]."""
-        self._ensure(k + 1)
-        return self._values[k] / self._values[k + 1]
+        if k < 0:
+            raise ValueError(f"index must be >= 0, got {k}")
+        return _RATIOS[min(k, len(_RATIOS) - 1)]
 
     def inverse_ratio(self, k: int) -> float:
         """f(k+1) / f(k), correctly rounded; lies in [1, 2]."""
-        self._ensure(k + 1)
-        return self._values[k + 1] / self._values[k]
+        if k < 0:
+            raise ValueError(f"index must be >= 0, got {k}")
+        return _INVERSE_RATIOS[min(k, len(_INVERSE_RATIOS) - 1)]
 
     def ratio_exact(self, k: int) -> Fraction:
         self._ensure(k + 1)
@@ -181,7 +213,16 @@ def kernel_log_sequence(n_terms: int, cache: Optional[FibonacciCache] = None) ->
     Exact telescoping, u(k) = u(k-1) * (f(k+1)/f(k))**2, makes every
     transformed term vanish for k >= 1 while u itself is far from the
     constant-one sequence: the standard witness that the windowed
-    paranorm is not total.
+    paranorm is not total.  Raises :class:`GeoRangeError` naming the
+    first k whose f(k+1)**2 leaves double range.
     """
     c = cache or _CACHE
-    return [float(c.value(k + 1) ** 2) for k in range(n_terms)]
+    out = []
+    for k in range(n_terms):
+        try:
+            out.append(float(c.value(k + 1) ** 2))
+        except OverflowError:
+            raise GeoRangeError(
+                f"kernel term u({k}) = f({k + 1})**2 leaves double range"
+            ) from None
+    return out

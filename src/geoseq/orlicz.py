@@ -51,6 +51,14 @@ def _pow_sat(base: float, exponent: float) -> float:
         return math.inf
 
 
+def _fsum_sat(terms) -> float:
+    """``math.fsum`` of non-negative terms, saturating to ``inf`` on overflow."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class OrliczFunction:
     """Descriptor plus evaluator for an Orlicz function."""
@@ -357,7 +365,9 @@ def luxemburg_norm(
 
     The constraint map is non-increasing in rho because M is
     non-decreasing; that monotonicity is checked at every probe (raises
-    :class:`ScaleSolverError`).  Returns 0 for the zero sequence.
+    :class:`ScaleSolverError`).  A sum beyond double range saturates to
+    ``inf``.  Returns 0 for the zero sequence; raises ``ArithmeticError``
+    when no scale up to 2**max_iter is admissible.
     """
     mags = [abs(float(v)) for v in x]
     for i, m in enumerate(mags):
@@ -367,7 +377,7 @@ def luxemburg_norm(
         return 0.0
 
     def constraint(rho: float) -> float:
-        return math.fsum(M.eval(m / rho) for m in mags)
+        return _fsum_sat(M.eval(m / rho) for m in mags)
 
     rho = solve_scale(constraint, rel_tol, max_iter)
     if math.isinf(rho):

@@ -30,11 +30,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .fibonacci import difference_transform_log
-from .geometric import GEO_ZERO, GeoScalar, GeoSequence
-from .orlicz import OrliczFunction, _pow_sat, solve_scale
+from .geometric import GEO_ZERO, GeoRangeError, GeoScalar, GeoSequence
+from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, solve_scale
 
 __all__ = [
     "LambdaSequence",
@@ -384,28 +385,96 @@ def windowed_logs(x: GeoSequence, transform: str) -> list:
 
     identity: the whole log-view (first stored term is z(1));
     fhat: rows 1.. of the banded difference transform (boundary row 0
-    excluded -- windows can never reach it).
+    excluded -- windows can never reach it).  A row that leaves double
+    range raises :class:`GeoRangeError` naming the first such row.
     """
     if transform == "identity":
         return x.to_log()
     if transform == "fhat":
-        return difference_transform_log(x.to_log())[1:]
+        rows = difference_transform_log(x.to_log())[1:]
+        if not all(map(math.isfinite, rows)):
+            k = next(k for k, v in enumerate(rows, 1) if not math.isfinite(v))
+            raise GeoRangeError(
+                f"transformed row {k} left double range ({rows[k - 1]!r})"
+            )
+        return rows
     raise ValueError(f"unknown transform {transform!r}")
+
+
+def _exact_terms(values: Sequence) -> tuple:
+    """(ints, s, pos, neg): exact integer images of the terms at one scale.
+
+    Every finite term equals ``ints[i] / 2**s`` exactly; ``s`` comes from
+    the smallest binary exponent among the nonzero finite terms, clamped
+    to [0, 1074] (2**1074 makes every double an integer).  An infinite
+    term contributes 0 to ``ints`` and is flagged 1 in ``pos`` (+inf) or
+    ``neg`` (-inf); both are None when every term is finite.  A NaN term
+    raises ``ValueError``.
+    """
+    xs = list(map(float, values))
+    mags = list(map(abs, xs))
+    pos = neg = None
+    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, xs)):
+        for i, v in enumerate(xs, 1):
+            if math.isnan(v):
+                raise ValueError(f"window_sums: term {i} is NaN")
+        pos = [int(v == math.inf) for v in xs]
+        neg = [int(v == -math.inf) for v in xs]
+        xs = [v if math.isfinite(v) else 0.0 for v in xs]
+        mags = list(map(abs, xs))
+    lo = min(filter(None, mags), default=0.0)
+    if lo == 0.0:
+        return [0] * len(xs), 0, pos, neg
+    s = min(1074, max(0, 53 - math.frexp(lo)[1]))
+    if math.frexp(max(mags))[1] + s <= 1024:
+        ints = list(map(int, map(math.ldexp, xs, repeat(s))))
+    else:  # the scaled largest term would overflow a double
+        ints = [(num << s) // den for num, den in map(float.as_integer_ratio, xs)]
+    return ints, s, pos, neg
+
+
+def _differences(terms: list, windows: list) -> list:
+    """Exact sum of ``terms`` over each window, from prefix sums."""
+    prefix = list(accumulate(terms, initial=0))
+    return [prefix[w.stop - 1] - prefix[w.start - 1] for w in windows]
+
+
+def _rounded(totals: list, denom: int) -> list:
+    """Each ``totals[i] / denom`` correctly rounded; ``inf`` beyond range."""
+    out = []
+    for t in totals:
+        try:
+            out.append(t / denom)
+        except OverflowError:
+            out.append(math.inf if t > 0 else -math.inf)
+    return out
 
 
 def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     """Sum of ``values[k-1]`` over I(n) for every window n = 1..len(values).
 
-    Each window is summed in ascending k from 0 with a plain ``+=``, the
-    order the single-window forms use, so sums agree with them bit for
-    bit; integer values give integer sums.
+    Exact and O(m): every term is read once and turned into an exact
+    integer (floats scaled by one power of two), so each window sum is
+    the difference of two exact prefix sums, rounded once.  A float
+    window sum therefore equals ``math.fsum`` over that window bit for
+    bit; where the exact sum leaves double range it is ``inf`` (with its
+    sign).  A window holding an infinite term sums to that infinity, one
+    holding both ``inf`` and ``-inf`` or any NaN raises ``ValueError``.
+    All-integer input gives exact ``int`` sums.  ``lam.window(n)`` is
+    called once per window.
     """
-    sums = []
-    for n in range(1, len(values) + 1):
-        total = 0
-        for k in lam.window(n):
-            total += values[k - 1]
-        sums.append(total)
+    windows = list(map(lam.window, range(1, len(values) + 1)))
+    if all(isinstance(v, int) for v in values):
+        return _differences(values, windows)
+    ints, s, pos, neg = _exact_terms(values)
+    sums = _rounded(_differences(ints, windows), 1 << s)
+    if pos is not None:
+        up, down = _differences(pos, windows), _differences(neg, windows)
+        for n, (u, d) in enumerate(zip(up, down), 1):
+            if u and d:
+                raise ValueError(f"window_sums: window {n} holds both inf and -inf")
+            if u or d:
+                sums[n - 1] = math.inf if u else -math.inf
     return sums
 
 
@@ -420,19 +489,19 @@ def modular_mean(
 ) -> float:
     """(1/lam(n)) * sum over I(n) of [M(|z_k - center| / scale)]**p_k.
 
-    ``z`` is the 1-indexed windowed view (``z[k-1]`` is term k); the
-    summation order over the window is fixed ascending, so results are
-    reproducible bit for bit.
+    ``z`` is the 1-indexed windowed view (``z[k-1]`` is term k).  The
+    window sum is ``math.fsum``, exact and rounded once (``inf`` when it
+    leaves double range), so it equals :func:`modular_trace` bit for bit.
     """
     if n < 1 or n > len(z):
         raise ValueError(f"window index {n} out of range for {len(z)} terms")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    total = 0.0
-    for k in lam.window(n):
-        t = abs(z[k - 1] - center) / scale
-        total += _pow_sat(orlicz.eval(t), exponents.at(k))
-    return total / lam.at(n)
+    terms = [
+        _pow_sat(orlicz.eval(abs(z[k - 1] - center) / scale), exponents.at(k))
+        for k in lam.window(n)
+    ]
+    return _fsum_sat(terms) / lam.at(n)
 
 
 def modular_trace(
@@ -445,7 +514,8 @@ def modular_trace(
 ) -> list:
     """:func:`modular_mean` for every window n = 1..len(z), bit for bit.
 
-    M is evaluated once per term, not once per term per window.
+    M is evaluated once per term, not once per term per window, and the
+    window sums come from :func:`window_sums`: exact, rounded once, O(m).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
@@ -519,7 +589,8 @@ def _estimate_limit(
     """Estimated log-limit: tail median refined on the final window.
 
     The refinement golden-sections the final-window modular, which is
-    convex in the center for exponents >= 1.
+    convex in the center for exponents >= 1.  The window's terms and
+    exponents are read once; each probe is the :func:`modular_mean` sum.
     """
     m = len(z)
     tail = list(z[-max(1, math.ceil(m / 4)) :])
@@ -529,9 +600,15 @@ def _estimate_limit(
         return center0
     lo = center0 - span
     hi = center0 + span
+    ks = spec.lam.window(m)
+    zs = [z[k - 1] for k in ks]
+    ps = [spec.exponents.at(k) for k in ks]
+    lam_m = spec.lam.at(m)
+    M, r = spec.orlicz, spec.rho
 
     def h(center: float) -> float:
-        return modular_mean(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, m, center)
+        terms = [_pow_sat(M.eval(abs(v - center) / r), p) for v, p in zip(zs, ps)]
+        return _fsum_sat(terms) / lam_m
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

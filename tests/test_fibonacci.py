@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from geoseq import (
+    GeoRangeError,
     fib,
     fib_inverse_ratio,
     fib_ratio,
@@ -113,6 +114,50 @@ class TestRatios:
         assert abs(d300 - d100) <= 1e-12
 
 
+def _freeze_index(inverse):
+    """First k whose correctly rounded ratio equals the one at k + 1."""
+    f = exact_fib(200)
+    k = 0
+    while True:
+        r0 = f[k + 1] / f[k] if inverse else f[k] / f[k + 1]
+        r1 = f[k + 2] / f[k + 1] if inverse else f[k + 1] / f[k + 2]
+        if r0 == r1:
+            return k
+        k += 1
+
+
+class TestFrozenRatios:
+    def test_freeze_indices(self):
+        assert _freeze_index(inverse=False) == 42
+        assert _freeze_index(inverse=True) == 39
+
+    def test_ratios_equal_exact_division(self):
+        f = exact_fib(3002)
+        c = FibonacciCache()
+        for k in range(3001):
+            assert c.ratio(k) == f[k] / f[k + 1]
+            assert c.inverse_ratio(k) == f[k + 1] / f[k]
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            FibonacciCache().ratio(-1)
+        with pytest.raises(ValueError):
+            FibonacciCache().inverse_ratio(-1)
+
+    def test_long_transform_keeps_the_cache_small(self):
+        rng = random.Random(5)
+        u = [rng.uniform(-2.0, 2.0) for _ in range(32000)]
+        c = FibonacciCache()
+        assert len(difference_transform_log(u, c)) == 32000
+        K = max(_freeze_index(inverse=False), _freeze_index(inverse=True))
+        assert len(c._values) <= K + 2
+
+    def test_values_still_grow_on_demand(self):
+        c = FibonacciCache()
+        assert c.value(300) == exact_fib(300)[300]
+        assert len(c._values) == 301
+
+
 class TestEntries:
     def test_entry_examples(self):
         assert difference_entry(2, 1) == -1.5
@@ -168,6 +213,13 @@ class TestLogTransform:
         exact = exact_transform([Fraction(int(v)) for v in u])
         assert exact[0] == 1
         assert all(v == 0 for v in exact[1:])
+
+    def test_kernel_range_error_names_first_index(self):
+        f = exact_fib(802)
+        first = next(k for k in range(800) if f[k + 1] ** 2 >= 2**1024)
+        assert kernel_log_sequence(first)[-1] == float(f[first] ** 2)
+        with pytest.raises(GeoRangeError, match=rf"u\({first}\)"):
+            kernel_log_sequence(800)
 
     def test_kernel_telescoping_relation(self):
         f = exact_fib(30)

@@ -416,6 +416,18 @@ class TestCli:
         assert main(["paranorm", "--in", seq, "--config", cfg]) == 4
         assert "numeric range abort" in capsys.readouterr().err
 
+    def test_transformed_row_out_of_range_exits_4(self, tmp_path, config_path):
+        # a valid log-view whose difference transform overflows double range
+        values = [1e308 if k % 2 == 0 else -1e308 for k in range(60)]
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": values}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", "analyze", "--in", seq, "--config", config_path],
+            capture_output=True, text=True, env=_env_with_package_path(),
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "numeric range abort: transformed row 1 left double range" in proc.stderr
+
     def test_module_entry_point(self, config_path, constant_sequence_path):
         proc = subprocess.run(
             [

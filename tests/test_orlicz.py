@@ -194,6 +194,21 @@ class TestLuxemburgNorm:
         assert rho > 0
         assert math.fsum(M.eval(abs(v) / rho) for v in [2.0, 3.0]) <= 1.0 + 1e-9
 
+    def test_sum_beyond_double_range_saturates(self):
+        # each term is finite at rho = 1 but their sum is not
+        x = [10**38.5] * 4
+        assert luxemburg_norm(x, OrliczFunction.power(8.0)) == pytest.approx(
+            10**38.5 * 4 ** (1 / 8), rel=1e-10
+        )
+        assert luxemburg_norm(x, OrliczFunction.power(8.0)) == pytest.approx(
+            3.7606e38, rel=1e-4
+        )
+
+    def test_no_admissible_scale_raises(self):
+        # needs rho >= 4e308: beyond the solver's 2**200 doubling range
+        with pytest.raises(ArithmeticError, match="no admissible scale"):
+            luxemburg_norm([1e308] * 4, OrliczFunction.power(1.0))
+
     def test_non_monotone_table_raises(self):
         # M(2.7) = 1.64 at rho = 1 but M(1.35) = 2.075 at rho = 2
         M = OrliczFunction.table([(0, 0), (1, 0.5), (2, 5), (3, 0.2), (4, 6)])

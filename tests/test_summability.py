@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from geoseq import (
     DIVERGING,
     GEO_ZERO,
     INCONCLUSIVE,
+    GeoRangeError,
     Exponents,
     GeoScalar,
     LambdaSequence,
@@ -205,6 +208,12 @@ class TestWindowedView:
         u = [1.0, 2.0, 3.0, 4.0]
         full = difference_transform_log(u)
         assert windowed_logs(from_log(u), "fhat") == full[1:]
+
+
+    def test_transform_view_out_of_range_names_first_row(self):
+        x = from_log([1.0, 1.0, 1e308, -1e308, 1e308])
+        with pytest.raises(GeoRangeError, match=r"row 3 left double range"):
+            windowed_logs(x, "fhat")
 
 
 class TestModularWindow:
@@ -447,10 +456,23 @@ class TestSharedTrace:
                     ]
                     assert [v.hex() for v in got] == [v.hex() for v in want]
 
+    def test_overflowing_windows_agree_with_single_window_form(self):
+        z = [1e308, 1.5e308, 1e308, 2.0]
+        lam = LambdaSequence.half()
+        got = modular_trace(z, lam, P1, E1, 1.0)
+        want = [modular_mean(z, lam, P1, E1, 1.0, n) for n in range(1, 5)]
+        assert got == want == [1e308, 1.5e308, math.inf, 5e307]
+
     def test_window_sums_keep_integers(self):
         lam = LambdaSequence.half()
         sums = window_sums([1, 0, 1, 1, 0, 1], lam)
         assert sums == [1, 0, 1, 2, 2, 2]
+        assert all(type(v) is int for v in sums)
+
+    def test_window_sums_keep_large_integers_exact(self):
+        big = 10**30
+        sums = window_sums([big, 1, -big, 3], LambdaSequence.identity())
+        assert sums == [big, big + 1, 1, 4]
         assert all(type(v) is int for v in sums)
 
     def test_stat_density_counts_stay_int(self):
@@ -493,3 +515,155 @@ class TestEvaluationCounts:
         paranorm(from_log([rng.uniform(-3, 3) for _ in range(m)]), s)
         assert M.calls[0] > 0
         assert M.calls[0] % m == 0
+
+
+def _lambda_of(kind, m):
+    return _custom_lambda(m) if kind == "custom" else getattr(LambdaSequence, kind)()
+
+
+def _fsum_window(values, lam, n):
+    """Reference window sum: math.fsum, or the exact sum where fsum overflows."""
+    w = [values[k - 1] for k in lam.window(n)]
+    try:
+        return math.fsum(w)
+    except OverflowError:
+        exact = sum(map(Fraction, w))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
+def _naive_window(values, lam, n):
+    """Ascending ``+=`` over the window: the summation the exact sums replace."""
+    total = 0.0
+    for k in lam.window(n):
+        total += values[k - 1]
+    return total
+
+
+def _mixed_terms(rng, m, signed=True):
+    """Zeros, subnormals and magnitudes from 1e-300 to 1e300."""
+    out = []
+    for _ in range(m):
+        r = rng.random()
+        if r < 0.1:
+            v = 0.0
+        elif r < 0.2:
+            v = rng.choice([5e-324, 2.5e-320, 1.1e-310])
+        else:
+            v = 10.0 ** rng.uniform(-300, 300)
+        out.append(-v if signed and rng.random() < 0.5 else v)
+    return out
+
+
+class CountingTerms(Sequence):
+    """Read-only sequence that counts its element reads."""
+
+    def __init__(self, data):
+        self.data = list(data)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, i):
+        v = self.data[i]
+        self.reads += 1
+        return v
+
+
+class CountingWindows(LambdaSequence):
+    def __init__(self, base):
+        super().__init__(base.kind, base.values)
+        self.calls = 0
+
+    def window(self, n):
+        self.calls += 1
+        return LambdaSequence.window(self, n)
+
+
+class TestExactWindowSums:
+    LAMBDAS = ["identity", "half", "sqrt", "custom"]
+
+    def _check(self, values, lam):
+        got = window_sums(values, lam)
+        want = [_fsum_window(values, lam, n) for n in range(1, len(values) + 1)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        return got
+
+    @pytest.mark.parametrize("lam_kind", LAMBDAS)
+    def test_equals_fsum_over_mixed_magnitudes(self, lam_kind):
+        m = 80
+        lam = _lambda_of(lam_kind, m)
+        for seed in range(5):
+            rng = random.Random(f"exact:{lam_kind}:{seed}")
+            self._check(_mixed_terms(rng, m), lam)
+            self._check(_mixed_terms(rng, m, signed=False), lam)
+            self._check([rng.uniform(0.0, 1.0) ** 4 for _ in range(m)], lam)
+
+    @pytest.mark.parametrize("lam_kind", LAMBDAS)
+    def test_zeros_and_subnormals_only(self, lam_kind):
+        m = 40
+        lam = _lambda_of(lam_kind, m)
+        assert self._check([0.0] * m, lam) == [0.0] * m
+        rng = random.Random(f"tiny:{lam_kind}")
+        self._check([rng.choice([0.0, 5e-324, -5e-324, 3e-322]) for _ in range(m)], lam)
+
+    @pytest.mark.parametrize("lam_kind", LAMBDAS)
+    def test_infinite_terms(self, lam_kind):
+        m = 50
+        lam = _lambda_of(lam_kind, m)
+        rng = random.Random(f"inf:{lam_kind}")
+        values = _mixed_terms(rng, m, signed=False)
+        values[10] = values[33] = math.inf
+        got = self._check(values, lam)
+        for n in range(1, m + 1):
+            ks = lam.window(n)
+            assert math.isinf(got[n - 1]) == (11 in ks or 34 in ks)
+        self._check([-v for v in values], lam)
+
+    @pytest.mark.parametrize("lam_kind", LAMBDAS)
+    def test_overflowing_windows_saturate(self, lam_kind):
+        m = 30
+        lam = _lambda_of(lam_kind, m)
+        rng = random.Random(f"huge:{lam_kind}")
+        values = [rng.uniform(0.9, 1.7) * 1e308 for _ in range(m)]
+        values[5] = 1e-300
+        got = self._check(values, lam)
+        for n in range(1, m + 1):
+            huge = sum(1 for k in lam.window(n) if k != 6)
+            assert (got[n - 1] == math.inf) == (huge >= 2)
+        self._check([-v for v in values], lam)
+        # mixed signs: the exact sum stays in range although a running sum does not
+        alternating = [v if k % 2 else -v for k, v in enumerate(values)]
+        self._check(alternating, lam)
+
+    def test_nan_and_opposite_infinities_raise(self):
+        lam = LambdaSequence.identity()
+        with pytest.raises(ValueError, match="NaN"):
+            window_sums([1.0, math.nan, 2.0], lam)
+        with pytest.raises(ValueError, match="inf"):
+            window_sums([math.inf, -math.inf, 1.0], lam)
+
+    @pytest.mark.parametrize("lam_kind", LAMBDAS)
+    def test_naive_running_sum_stays_within_its_bound(self, lam_kind):
+        m = 120
+        lam = _lambda_of(lam_kind, m)
+        rng = random.Random(f"naive:{lam_kind}")
+        values = [rng.uniform(0.0, 3.0) ** 3 for _ in range(m)]
+        exact = window_sums(values, lam)
+        for n in range(1, m + 1):
+            size = len(lam.window(n))
+            naive = _naive_window(values, lam, n)
+            assert abs(naive - exact[n - 1]) <= size * 2.0**-53 * exact[n - 1]
+
+    @pytest.mark.parametrize("values", [[0.25, 1.5, 3.0] * 100, [1, 0, 2] * 100])
+    def test_reads_each_term_a_bounded_number_of_times(self, values):
+        m = len(values)
+        terms = CountingTerms(values)
+        lam = CountingWindows(LambdaSequence.identity())
+        sums = window_sums(terms, lam)
+        assert sums[-1] == sum(values)
+        assert terms.reads <= 2 * m
+        assert lam.calls == m
