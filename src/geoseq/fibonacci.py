@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .geometric import GeoRangeError, GeoSequence, gscale, gsub
@@ -174,16 +175,19 @@ def difference_transform_log(
     """Apply the difference matrix to a real (log-domain) sequence.
 
     y(0) = (f(0)/f(1)) u(0); y(n) = (f(n)/f(n+1)) u(n) - (f(n+1)/f(n)) u(n-1).
-    Length is preserved.
+    Length is preserved.  The ratios are read from the frozen tables,
+    extended by their last entry, in one pass; they never depend on the
+    cache (see :class:`FibonacciCache`), so ``cache`` is accepted only for
+    symmetry with :func:`difference_transform`.
     """
-    c = cache or _CACHE
     u = [float(v) for v in u]
     if not u:
         return []
-    out = [c.ratio(0) * u[0]]
-    for n in range(1, len(u)):
-        out.append(c.ratio(n) * u[n] - c.inverse_ratio(n) * u[n - 1])
-    return out
+    ratios = chain(_RATIOS[1:], repeat(_RATIOS[-1]))
+    inverse = chain(_INVERSE_RATIOS[1:], repeat(_INVERSE_RATIOS[-1]))
+    return [_RATIOS[0] * u[0]] + [
+        r * b - ri * a for r, ri, a, b in zip(ratios, inverse, u, u[1:])
+    ]
 
 
 def difference_transform(

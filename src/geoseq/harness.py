@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .fibonacci import fib
+from .fibonacci import fib_ratio
 from .geometric import GeoScalar, GeoSequence
 from .orlicz import Delta2Report, OrliczFunction, delta2_constant, small_argument_threshold
 from .statconv import stat_converges, stat_density
@@ -31,6 +31,8 @@ from .summability import (
     LambdaSequence,
     SpaceSpec,
     Tolerances,
+    _exponent_values,
+    _modular_terms,
     classify_membership,
     modular_trace,
     window_sums,
@@ -117,7 +119,7 @@ def _reconstruct_logs(target: Sequence[float], transform: str, anchor: float) ->
     u = [0.0] * n_terms
     u[n_terms - 1] = anchor
     for k in range(n_terms - 1, 0, -1):
-        r_k = fib(k) / fib(k + 1)
+        r_k = fib_ratio(k)
         # solve target[k-1] = r_k u[k] - u[k-1]/r_k for u[k-1]
         u[k - 1] = r_k * (r_k * u[k] - target[k - 1])
     return u
@@ -348,11 +350,11 @@ def check_exponent_inclusion(
     mu = min(1.0, max(1e-3, min(mus)))
 
     lam, M, rho = spec.lam, spec.orlicz, spec.rho
-    t = [M.eval(abs(v - center) / rho) ** q.at(k) for k, v in enumerate(z, 1)]
+    t = _modular_terms(z, _exponent_values(q, range(1, m + 1)), M, rho, center)
     lhs_sums = window_sums([tk ** mu_k for tk, mu_k in zip(t, mus)], lam)
     t_sums = window_sums(t, lam)
     v_sums = window_sums([tk if tk < 1.0 else 0.0 for tk in t], lam)
-    lam_values = [lam.at(n) for n in range(1, m + 1)]
+    lam_values = lam.head(m)
     lhs = [s / lam_n for s, lam_n in zip(lhs_sums, lam_values)]
     rhs = [
         ts / lam_n + (vs / lam_n) ** mu

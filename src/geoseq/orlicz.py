@@ -117,6 +117,30 @@ class OrliczFunction:
 
     __call__ = eval
 
+    def eval_many(self, ts: Sequence[float]) -> list:
+        """``[self.eval(t) for t in ts]`` for floats t >= 0, bit for bit.
+
+        One dispatch on ``kind`` per list instead of one per term.  A list
+        that overflows somewhere is redone through :meth:`eval`, which
+        saturates to ``inf``.  ``table`` functions, and subclasses that
+        override :meth:`eval`, are evaluated term by term through
+        ``self.eval``, so a batch never bypasses an overriding ``eval``.
+        """
+        if self.kind == "table" or type(self).eval is not OrliczFunction.eval:
+            return list(map(self.eval, ts))
+        try:
+            if self.kind == "power":
+                p = self.p
+                return list(ts) if p == 1.0 else [t ** p for t in ts]
+            if self.kind == "x_log1p":
+                log1p = math.log1p
+                return [t * log1p(t) for t in ts]
+            if self.kind == "exp_minus_one":
+                return list(map(math.expm1, ts))
+        except OverflowError:
+            pass
+        return list(map(self.eval, ts))
+
     def _eval_table(self, t: float) -> float:
         pts = self.points
         if t >= pts[-1][0]:
@@ -377,7 +401,7 @@ def luxemburg_norm(
         return 0.0
 
     def constraint(rho: float) -> float:
-        return _fsum_sat(M.eval(m / rho) for m in mags)
+        return _fsum_sat(M.eval_many([m / rho for m in mags]))
 
     rho = solve_scale(constraint, rel_tol, max_iter)
     if math.isinf(rho):

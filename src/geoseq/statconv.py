@@ -79,7 +79,7 @@ def stat_density(
     z = windowed_logs(x, "fhat")
     center = ell.log
     counts = window_sums([int(abs(v - center) >= eps_c) for v in z], lam)
-    lam_values = [lam.at(n) for n in range(1, len(z) + 1)]
+    lam_values = lam.head(len(z))
     densities = [c / lam_n for c, lam_n in zip(counts, lam_values)]
     return DensityTrace(
         counts=counts,

@@ -150,6 +150,48 @@ class LambdaSequence:
         lo = max(0, math.ceil(n - lam_n + 1.0 - 1e-12))
         return range(lo, n + 1)
 
+    def _builtin(self, *methods: str) -> bool:
+        # a formula kind whose named methods are not overridden
+        return self.kind != "custom" and all(
+            getattr(type(self), name) is getattr(LambdaSequence, name)
+            for name in methods
+        )
+
+    def head(self, m: int) -> list:
+        """[lam(1), ..., lam(m)]: one pass for the built-in formula kinds.
+
+        ``custom`` lambdas, and subclasses that override :meth:`at`, are
+        asked once per n.
+        """
+        ns = range(1, m + 1)
+        if not self._builtin("at"):
+            return list(map(self.at, ns))
+        if self.kind == "identity":
+            return list(map(float, ns))
+        if self.kind == "half":
+            return [float((n + 1) // 2) for n in ns]
+        isqrt = math.isqrt
+        return [float(isqrt(n - 1) + 1) for n in ns]
+
+    def windows(self, m: int) -> list:
+        """[I(1), ..., I(m)], equal to :meth:`window` for each n.
+
+        The built-in kinds have integer lam(n) <= n, so I(n) starts at
+        n - lam(n) + 1, and all windows come from one pass over the
+        formula of :meth:`at`.  ``custom`` lambdas, and subclasses that
+        override :meth:`window` or :meth:`at`, call :meth:`window` once
+        per n.
+        """
+        ns = range(1, m + 1)
+        if not self._builtin("at", "window"):
+            return list(map(self.window, ns))
+        if self.kind == "identity":
+            return [range(1, n + 1) for n in ns]
+        if self.kind == "half":  # n - (n + 1) // 2 + 1 == n // 2 + 1
+            return [range(n // 2 + 1, n + 1) for n in ns]
+        isqrt = math.isqrt
+        return [range(n - isqrt(n - 1), n + 1) for n in ns]
+
     def describe(self) -> dict:
         d = {"kind": self.kind}
         if self.values is not None:
@@ -450,6 +492,38 @@ def _rounded(totals: list, denom: int) -> list:
     return out
 
 
+def _exponent_values(exponents: Exponents, ks: range):
+    """p_k for k in ks: one float for constant exponents, else a list."""
+    if exponents.kind == "constant":
+        return exponents.value
+    return list(map(exponents.at, ks))
+
+
+def _modular_terms(
+    zs: Sequence[float], ps, orlicz: OrliczFunction, scale: float, center: float
+) -> list:
+    """[M(|z - center| / scale) ** p] over aligned ``zs`` and ``ps``.
+
+    ``ps`` is a list of exponents or one float for all terms (see
+    :func:`_exponent_values`).  M is evaluated by one ``eval_many`` call;
+    the power is skipped for the exponent 1.0 (``m ** 1.0 == m`` for
+    every float), and a list whose power overflows is redone with the
+    saturating form, so a term beyond double range is ``inf``.
+    """
+    if scale == 1.0:  # t / 1.0 == t for every float
+        ms = orlicz.eval_many([abs(v - center) for v in zs])
+    else:
+        ms = orlicz.eval_many([abs(v - center) / scale for v in zs])
+    if isinstance(ps, float):
+        if ps == 1.0:
+            return ms
+        ps = [ps] * len(ms)
+    try:
+        return [m ** p for m, p in zip(ms, ps)]
+    except OverflowError:
+        return list(map(_pow_sat, ms, ps))
+
+
 def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     """Sum of ``values[k-1]`` over I(n) for every window n = 1..len(values).
 
@@ -460,10 +534,12 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     bit; where the exact sum leaves double range it is ``inf`` (with its
     sign).  A window holding an infinite term sums to that infinity, one
     holding both ``inf`` and ``-inf`` or any NaN raises ``ValueError``.
-    All-integer input gives exact ``int`` sums.  ``lam.window(n)`` is
-    called once per window.
+    All-integer input gives exact ``int`` sums.  The windows come from
+    :meth:`LambdaSequence.windows`, so ``lam.window(n)`` is called once per
+    window only for ``custom`` lambdas and for subclasses that override
+    ``window`` or ``at``; the built-in kinds build them in one pass.
     """
-    windows = list(map(lam.window, range(1, len(values) + 1)))
+    windows = lam.windows(len(values))
     if all(isinstance(v, int) for v in values):
         return _differences(values, windows)
     ints, s, pos, neg = _exact_terms(values)
@@ -497,10 +573,9 @@ def modular_mean(
         raise ValueError(f"window index {n} out of range for {len(z)} terms")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    terms = [
-        _pow_sat(orlicz.eval(abs(z[k - 1] - center) / scale), exponents.at(k))
-        for k in lam.window(n)
-    ]
+    ks = lam.window(n)
+    zs = [z[k - 1] for k in ks]
+    terms = _modular_terms(zs, _exponent_values(exponents, ks), orlicz, scale, center)
     return _fsum_sat(terms) / lam.at(n)
 
 
@@ -519,11 +594,10 @@ def modular_trace(
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    terms = [
-        _pow_sat(orlicz.eval(abs(v - center) / scale), exponents.at(k))
-        for k, v in enumerate(z, 1)
-    ]
-    return [s / lam.at(n) for n, s in enumerate(window_sums(terms, lam), 1)]
+    m = len(z)
+    ps = _exponent_values(exponents, range(1, m + 1))
+    terms = _modular_terms(z, ps, orlicz, scale, center)
+    return [s / lam_n for s, lam_n in zip(window_sums(terms, lam), lam.head(m))]
 
 
 def modular_window(
@@ -602,13 +676,12 @@ def _estimate_limit(
     hi = center0 + span
     ks = spec.lam.window(m)
     zs = [z[k - 1] for k in ks]
-    ps = [spec.exponents.at(k) for k in ks]
+    ps = _exponent_values(spec.exponents, ks)
     lam_m = spec.lam.at(m)
     M, r = spec.orlicz, spec.rho
 
     def h(center: float) -> float:
-        terms = [_pow_sat(M.eval(abs(v - center) / r), p) for v, p in zip(zs, ps)]
-        return _fsum_sat(terms) / lam_m
+        return _fsum_sat(_modular_terms(zs, ps, M, r, center)) / lam_m
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -658,7 +731,7 @@ def classify_membership(
                 f" = {4 * tols.window_count}"
             ),
         )
-    lam_values = [spec.lam.at(n) for n in range(1, m + 1)]
+    lam_values = spec.lam.head(m)
 
     ell = None
     center = 0.0

@@ -152,6 +152,19 @@ class TestFrozenRatios:
         K = max(_freeze_index(inverse=False), _freeze_index(inverse=True))
         assert len(c._values) <= K + 2
 
+    def test_transform_equals_per_row_form_bit_for_bit(self):
+        # rows well past both freeze indices, with magnitudes up to 1e300
+        rng = random.Random(6)
+        u = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300) for _ in range(400)]
+        f = exact_fib(402)
+        want = [(f[0] / f[1]) * u[0]] + [
+            (f[n] / f[n + 1]) * u[n] - (f[n + 1] / f[n]) * u[n - 1]
+            for n in range(1, len(u))
+        ]
+        got = difference_transform_log(u)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert difference_transform_log(u[:1]) == [u[0]]
+
     def test_values_still_grow_on_demand(self):
         c = FibonacciCache()
         assert c.value(300) == exact_fib(300)[300]

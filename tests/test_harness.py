@@ -1,6 +1,8 @@
 """Member generation and the randomised inequality/inclusion checks."""
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +22,7 @@ from geoseq import (
     from_log,
     generate_member,
     run_suite,
+    window_trace,
     windowed_logs,
 )
 from geoseq.harness import _default_spec
@@ -27,10 +30,7 @@ from geoseq.orlicz import small_argument_threshold
 
 
 def base_spec(**over):
-    s = _default_spec()
-    from dataclasses import replace
-
-    return replace(s, **over)
+    return replace(_default_spec(), **over)
 
 
 class TestGenerateMember:
@@ -235,6 +235,17 @@ class TestExponentInclusion:
                 sample = generate_member(base_spec(exponents=q), 17, 56, "pq2", trial)
                 out = check_exponent_inclusion(sample.sequence, p, q, s)
                 assert out.passed, out.detail
+
+    def test_overflowing_term_saturates_instead_of_raising(self):
+        # M(1e100) = 1e200 is finite, its square is not: the term saturates
+        # to inf, as it does in the window trace, instead of raising
+        s = base_spec(transform="identity")
+        x = from_log([1e100] + [0.5] * 59)
+        q = Exponents.constant(2.0)
+        assert window_trace(x, replace(s, exponents=q))[0] == math.inf
+        out = check_exponent_inclusion(x, Exponents.constant(1.0), q, s)
+        assert out.name == "exponent_inclusion"
+        assert out.passed, out.detail  # inf <= inf on the one window holding it
 
     def test_precondition_rejected(self):
         s = base_spec()

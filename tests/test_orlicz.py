@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,53 @@ class TestEval:
     def test_config_round_trip(self):
         for M in (POWER2, EXPM1, XLOG, OrliczFunction.table([(0, 0), (1, 2)])):
             assert OrliczFunction.from_config(M.describe()) == M
+
+
+# zeros, subnormals and 1e-300..1e300, plus values that overflow some kinds
+_BATCH_INPUTS = (
+    [0.0, 5e-324, 2.5e-320, 1e-300, 1e-30, 0.5, 1.0, 2.0, 700.0, 709.7, 710.0]
+    + [10.0 ** e for e in range(-300, 301, 25)]
+    + [1e200, 800.0, 1e300]
+)
+_TABLE = OrliczFunction.table([(0, 0), (0.5, 0.2), (1, 1), (2, 3.5), (4, 10)])
+
+
+@dataclass(frozen=True)
+class ShiftedOrlicz(OrliczFunction):
+    """A user subclass whose ``eval`` differs from the built-in family."""
+
+    calls: list = field(default_factory=lambda: [0], compare=False, repr=False)
+
+    def eval(self, t: float) -> float:
+        self.calls[0] += 1
+        return 2.0 * OrliczFunction.eval(self, t)
+
+
+class TestEvalMany:
+    @pytest.mark.parametrize(
+        "M",
+        [POWER2, OrliczFunction.power(1.0), OrliczFunction.power(2.5), EXPM1, XLOG, _TABLE],
+        ids=lambda M: f"{M.kind}{M.p or ''}",
+    )
+    def test_equals_per_term_eval_bit_for_bit(self, M):
+        got = M.eval_many(_BATCH_INPUTS)
+        want = [M.eval(t) for t in _BATCH_INPUTS]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_overflow_saturates_like_eval(self):
+        assert POWER2.eval_many([1.0, 1e200, 3.0]) == [1.0, math.inf, 9.0]
+        assert EXPM1.eval_many([0.0, 800.0]) == [0.0, math.inf]
+
+    def test_empty(self):
+        for M in (POWER2, EXPM1, XLOG, _TABLE):
+            assert M.eval_many([]) == []
+
+    @pytest.mark.parametrize("kind, p", [("power", 2.0), ("power", 1.0), ("exp_minus_one", None)])
+    def test_overriding_eval_is_called_once_per_term(self, kind, p):
+        M = ShiftedOrlicz(kind, p)
+        ts = [0.0, 0.5, 1.5, 1e200]
+        assert M.eval_many(ts) == [2.0 * OrliczFunction(kind, p).eval(t) for t in ts]
+        assert M.calls[0] == len(ts)
 
 
 class TestValidate:

@@ -38,6 +38,7 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
+from geoseq.orlicz import _fsum_sat, _pow_sat
 from geoseq.summability import modular_mean, modular_trace, window_sums
 
 P1 = OrliczFunction.power(1.0)
@@ -667,3 +668,111 @@ class TestExactWindowSums:
         assert sums[-1] == sum(values)
         assert terms.reads <= 2 * m
         assert lam.calls == m
+
+
+class CountingAt(LambdaSequence):
+    def __init__(self, base):
+        super().__init__(base.kind, base.values)
+        self.calls = 0
+
+    def at(self, n):
+        self.calls += 1
+        return LambdaSequence.at(self, n)
+
+
+class TestBulkWindowBounds:
+    @pytest.mark.parametrize("lam_kind", ["identity", "half", "sqrt", "custom"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 5000])
+    def test_equal_per_n_calls(self, lam_kind, m):
+        lam = _lambda_of(lam_kind, m)
+        ns = range(1, m + 1)
+        head = lam.head(m)
+        assert [v.hex() for v in head] == [lam.at(n).hex() for n in ns]
+        assert lam.windows(m) == [lam.window(n) for n in ns]
+
+    def test_subclass_overriding_window_is_asked_per_window(self):
+        lam = CountingWindows(LambdaSequence.sqrt())
+        assert lam.windows(40) == LambdaSequence.sqrt().windows(40)
+        assert lam.calls == 40
+        window_sums([1.0] * 25, lam)
+        assert lam.calls == 65
+
+    def test_subclass_overriding_at_is_asked_per_n(self):
+        lam = CountingAt(LambdaSequence.half())
+        assert lam.head(30) == LambdaSequence.half().head(30)
+        assert lam.calls == 30
+        assert lam.windows(30) == LambdaSequence.half().windows(30)
+        assert lam.calls == 60  # windows() goes through window(), which asks at()
+
+    def test_classify_lambda_values(self):
+        rng = random.Random(47)
+        x = from_log([rng.uniform(-1, 1) for _ in range(70)])
+        for kind in ("identity", "half", "sqrt"):
+            rep = classify_membership(x, spec(lam=kind))
+            assert rep.lambda_values == [spec(lam=kind).lam.at(n) for n in range(1, 71)]
+
+
+def _reference_trace(z, lam, M, p, scale, center=0.0):
+    """Per-term saturating powers, fsum over each window: the pre-batch form."""
+    terms = [
+        _pow_sat(M.eval(abs(v - center) / scale), p.at(k)) for k, v in enumerate(z, 1)
+    ]
+    return [
+        _fsum_sat(terms[k - 1] for k in lam.window(n)) / lam.at(n)
+        for n in range(1, len(z) + 1)
+    ]
+
+
+@dataclass(frozen=True)
+class HalvedOrlicz(OrliczFunction):
+    """A user subclass whose ``eval`` differs from the built-in family."""
+
+    calls: list = field(default_factory=lambda: [0], compare=False, repr=False)
+
+    def eval(self, t: float) -> float:
+        self.calls[0] += 1
+        return 0.5 * OrliczFunction.eval(self, t)
+
+
+class TestBatchedTerms:
+    EXPONENTS = [
+        Exponents.constant(1.0),
+        Exponents.constant(1.5),
+        Exponents.formula(1.0, 1.0),
+    ]
+    M_KINDS = TestSharedTrace.M_KINDS + [P1, P2]
+
+    @pytest.mark.parametrize("lam_kind", ["identity", "half", "sqrt", "custom"])
+    @pytest.mark.parametrize("M", M_KINDS, ids=lambda M: f"{M.kind}{M.p or ''}")
+    def test_trace_equals_per_term_form(self, lam_kind, M):
+        m = 48
+        rng = random.Random(f"batch:{lam_kind}:{M.kind}:{M.p}")
+        z = [rng.uniform(-3.0, 3.0) for _ in range(m)]
+        z[7] = 1e200  # power(2) and exp_minus_one saturate this term
+        lam = _lambda_of(lam_kind, m)
+        for p in self.EXPONENTS + [Exponents.from_list([rng.uniform(1, 3) for _ in range(m)])]:
+            for center in (0.0, -0.4):
+                got = modular_trace(z, lam, M, p, 0.8, center)
+                want = _reference_trace(z, lam, M, p, 0.8, center)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_power_overflow_of_the_exponent_saturates(self):
+        # M is finite, its power is not
+        z = [1e100, 0.5, 2.0]
+        got = modular_trace(z, LambdaSequence.identity(), P2, Exponents.constant(4.0), 1.0)
+        assert got == _reference_trace(
+            z, LambdaSequence.identity(), P2, Exponents.constant(4.0), 1.0
+        )
+        assert got[0] == math.inf
+
+    @pytest.mark.parametrize("kind, p", [("power", 1.0), ("power", 2.0), ("x_log1p", None)])
+    def test_overriding_eval_is_called_once_per_term(self, kind, p):
+        m = 50
+        M = HalvedOrlicz(kind, p)
+        rng = random.Random(53)
+        z = [rng.uniform(-2, 2) for _ in range(m)]
+        lam = LambdaSequence.half()
+        got = modular_trace(z, lam, M, E1, 1.0)
+        assert M.calls[0] == m
+        plain = modular_trace(z, lam, OrliczFunction(kind, p), E1, 1.0)
+        assert got == [0.5 * v for v in plain]
