@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 check failure
-(verification suite), 4 numeric range abort (also a scale solver
-invariant failure).  Set GEOSEQ_LOG_LEVEL to
-error/warn/info/debug to control logging.
+Exit codes: 0 success, 1 usage error, 2 input error (also an output
+file that cannot be written), 3 check failure (verification suite), 4
+numeric range abort (also a scale solver invariant failure).  Set
+GEOSEQ_LOG_LEVEL to error/warn/info/debug to control logging.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import logging
 import os
 import sys
-from pathlib import Path
 
 from .fibonacci import fib, identity_report
 from .fileio import (
@@ -21,6 +20,7 @@ from .fileio import (
     emit_report,
     load_config,
     parse_sequence_file,
+    write_bytes,
     write_sequence_file,
 )
 from .geometric import GeoScalar
@@ -64,7 +64,7 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(out).write_bytes(data)
+        write_bytes(out, data)
 
 
 def _add_report_args(p: argparse.ArgumentParser) -> None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
-from .geometric import GeoRangeError, GeoSequence, gscale, gsub
+from .geometric import GeoRangeError, GeoSequence
 
 __all__ = [
     "FibonacciCache",
@@ -115,12 +115,12 @@ def fib(n: int, cache: Optional[FibonacciCache] = None) -> int:
     return (cache or _CACHE).value(n)
 
 
-def fib_ratio(k: int, cache: Optional[FibonacciCache] = None) -> float:
-    return (cache or _CACHE).ratio(k)
+def fib_ratio(k: int) -> float:
+    return _CACHE.ratio(k)
 
 
-def fib_inverse_ratio(k: int, cache: Optional[FibonacciCache] = None) -> float:
-    return (cache or _CACHE).inverse_ratio(k)
+def fib_inverse_ratio(k: int) -> float:
+    return _CACHE.inverse_ratio(k)
 
 
 def cassini(n: int, cache: Optional[FibonacciCache] = None) -> int:
@@ -157,15 +157,14 @@ def identity_report(n_max: int, cache: Optional[FibonacciCache] = None) -> dict:
     return {"n_max": n_max, "cassini_ok": cassini_ok, "sum_ok": sum_ok}
 
 
-def difference_entry(n: int, k: int, cache: Optional[FibonacciCache] = None) -> float:
+def difference_entry(n: int, k: int) -> float:
     """Entry (n, k) of the banded Fibonacci difference matrix."""
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
-    c = cache or _CACHE
     if k == n - 1:
-        return -c.inverse_ratio(n)
+        return -fib_inverse_ratio(n)
     if k == n:
-        return c.ratio(n)
+        return fib_ratio(n)
     return 0.0
 
 
@@ -176,18 +175,23 @@ def difference_transform_log(
 
     y(0) = (f(0)/f(1)) u(0); y(n) = (f(n)/f(n+1)) u(n) - (f(n+1)/f(n)) u(n-1).
     Length is preserved.  The ratios are read from the frozen tables,
-    extended by their last entry, in one pass; they never depend on the
-    cache (see :class:`FibonacciCache`), so ``cache`` is accepted only for
-    symmetry with :func:`difference_transform`.
+    extended by their last entry, in one pass.  A row that is not finite
+    raises :class:`GeoRangeError` naming the first such row.  ``cache`` is
+    not read (the ratios never depend on it); it stays for callers that
+    pass one positionally, such as ``bench/tracing.py``.
     """
     u = [float(v) for v in u]
     if not u:
         return []
     ratios = chain(_RATIOS[1:], repeat(_RATIOS[-1]))
     inverse = chain(_INVERSE_RATIOS[1:], repeat(_INVERSE_RATIOS[-1]))
-    return [_RATIOS[0] * u[0]] + [
+    rows = [_RATIOS[0] * u[0]] + [
         r * b - ri * a for r, ri, a, b in zip(ratios, inverse, u, u[1:])
     ]
+    if not all(map(math.isfinite, rows)):
+        k = next(k for k, v in enumerate(rows) if not math.isfinite(v))
+        raise GeoRangeError(f"transformed row {k} left double range ({rows[k]!r})")
+    return rows
 
 
 def difference_transform(
@@ -196,19 +200,12 @@ def difference_transform(
     """Apply the difference matrix to a geometric sequence.
 
     Term n is (f(n)/f(n+1)) |> x(n)  geo-minus  (f(n+1)/f(n)) |> x(n-1),
-    with the scalar action |> of :func:`geoseq.geometric.gscale`.  The
-    result agrees with the log-domain transform of the log-view; when a
-    representative leaves double range the log route is used, and the
-    returned sequence reports that through ``in_value_range``.
+    with the scalar action |> of :func:`geoseq.geometric.gscale`.  On the
+    log-view that is :func:`difference_transform_log`, whose rows (and
+    range error) are lifted here; ``cache`` is not read there either.
+    Representatives may still leave double range (``in_value_range``).
     """
-    c = cache or _CACHE
-    n = len(x)
-    if n == 0:
-        return GeoSequence(())
-    terms = [gscale(c.ratio(0), x[0])]
-    for k in range(1, n):
-        terms.append(gsub(gscale(c.ratio(k), x[k]), gscale(c.inverse_ratio(k), x[k - 1])))
-    return GeoSequence(terms)
+    return GeoSequence.from_log(difference_transform_log(x.logs))
 
 
 def kernel_log_sequence(n_terms: int, cache: Optional[FibonacciCache] = None) -> list:

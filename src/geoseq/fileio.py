@@ -14,8 +14,6 @@ byte-identical bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,14 +52,8 @@ class InputError(ValueError):
     """A file or configuration failed validation."""
 
 
-def _fmt(v: float) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".17g")
-    return str(v)
+def _fmt(v) -> str:
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _render_json(obj, out: list) -> None:
@@ -192,7 +184,8 @@ def write_sequence_file(
     """Write a JSON sequence file in the chosen domain.
 
     Writing the geometric domain demands in-range representatives and
-    raises :class:`geoseq.geometric.GeoRangeError` otherwise.
+    raises :class:`geoseq.geometric.GeoRangeError` otherwise; a path that
+    cannot be written raises :class:`InputError`.
     """
     if domain == "log":
         values = list(x.logs)
@@ -203,7 +196,15 @@ def write_sequence_file(
     doc: dict = {"domain": domain, "values": values}
     if metadata:
         doc["metadata"] = metadata
-    Path(path).write_text(render_json(doc))
+    write_bytes(path, render_json(doc).encode())
+
+
+def write_bytes(path: Union[str, Path], data: bytes) -> None:
+    """Write a file; an ``OSError`` becomes an :class:`InputError` naming it."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +410,12 @@ def suite_report_dict(report: SuiteReport) -> dict:
 
 
 def _csv_bytes(header: list, rows: list) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue().encode()
+    """Comma-joined lines of formatted fields, without a csv writer.
+
+    Every field is an int, a ``.17g`` float, a bool, a fixed check name or
+    ``""``, so none can need quoting and ``csv.reader`` reads them back.
+    """
+    return "".join(",".join(map(_fmt, r)) + "\n" for r in [header, *rows]).encode()
 
 
 def _report_csv(doc: dict) -> bytes:

@@ -216,21 +216,29 @@ class GeoSequence:
 
     @property
     def values(self) -> tuple:
-        """Positive representatives; raises GeoRangeError naming the index."""
-        out = []
-        for i, u in enumerate(self._logs):
-            try:
-                out.append(GeoScalar.from_log(u).value)
-            except GeoRangeError:
-                raise GeoRangeError(
-                    f"term {i}: representative exp({u}) is out of double range"
-                ) from None
-        return tuple(out)
+        """Positive representatives, from one ``math.exp`` pass.
+
+        The range rule is that of :attr:`GeoScalar.value`; a term out of
+        double range raises :class:`GeoRangeError` naming its index.
+        """
+        try:
+            out = tuple(map(math.exp, self._logs))
+        except OverflowError:
+            out = (0.0,)
+        if 0.0 in out:
+            i = next(i for i, u in enumerate(self) if not u.in_value_range)
+            raise GeoRangeError(
+                f"term {i}: representative exp({self._logs[i]}) is out of double range"
+            )
+        return out
 
     @property
     def in_value_range(self) -> bool:
         """Whether every representative fits in a positive finite double."""
-        return all(GeoScalar.from_log(u).in_value_range for u in self._logs)
+        try:
+            return 0.0 not in map(math.exp, self._logs)
+        except OverflowError:
+            return False
 
     def to_log(self) -> list:
         return list(self._logs)
@@ -261,20 +269,7 @@ class GeoSequence:
 
 def to_log(x: Union[GeoSequence, Iterable[float]]) -> list:
     """Log-views of a geometric sequence (or of raw positive values)."""
-    if isinstance(x, GeoSequence):
-        return x.to_log()
-    out = []
-    for i, raw in enumerate(x):
-        if isinstance(raw, GeoScalar):
-            out.append(raw.log)
-            continue
-        v = float(raw)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(
-                f"term {i}: geometric values must be positive finite reals, got {raw!r}"
-            )
-        out.append(math.log(v))
-    return out
+    return (x if isinstance(x, GeoSequence) else GeoSequence(x)).to_log()
 
 
 def from_log(u: Iterable[float]) -> GeoSequence:

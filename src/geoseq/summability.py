@@ -34,7 +34,7 @@ from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .fibonacci import difference_transform_log
-from .geometric import GEO_ZERO, GeoRangeError, GeoScalar, GeoSequence
+from .geometric import GEO_ZERO, GeoScalar, GeoSequence
 from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, solve_scale
 
 __all__ = [
@@ -428,18 +428,13 @@ def windowed_logs(x: GeoSequence, transform: str) -> list:
     identity: the whole log-view (first stored term is z(1));
     fhat: rows 1.. of the banded difference transform (boundary row 0
     excluded -- windows can never reach it).  A row that leaves double
-    range raises :class:`GeoRangeError` naming the first such row.
+    range raises :class:`GeoRangeError` from
+    :func:`~geoseq.fibonacci.difference_transform_log`.
     """
     if transform == "identity":
         return x.to_log()
     if transform == "fhat":
-        rows = difference_transform_log(x.to_log())[1:]
-        if not all(map(math.isfinite, rows)):
-            k = next(k for k, v in enumerate(rows, 1) if not math.isfinite(v))
-            raise GeoRangeError(
-                f"transformed row {k} left double range ({rows[k - 1]!r})"
-            )
-        return rows
+        return difference_transform_log(x.to_log())[1:]
     raise ValueError(f"unknown transform {transform!r}")
 
 

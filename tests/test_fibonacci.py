@@ -261,13 +261,29 @@ class TestGeoTransform:
 
     def test_agrees_with_log_route(self):
         rng = random.Random(11)
-        for _ in range(30):
-            u = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 40))]
-            x = from_log(u)
-            geo = difference_transform(x).logs
+        inputs = [
+            [rng.uniform(-50, 50) for _ in range(rng.randint(1, 40))]
+            for _ in range(30)
+        ]
+        # long inputs well past both freeze indices, up to 1e300 in magnitude
+        inputs += [
+            [rng.choice((-1.0, 1.0)) * scale * rng.uniform(0.5, 1.0) for _ in range(32000)]
+            for scale in (1.0, 1e3, 1e300)
+        ]
+        for u in inputs:
+            geo = difference_transform(from_log(u)).logs
             logv = difference_transform_log(u)
-            scale = max(1.0, max(abs(v) for v in logv))
-            assert geo == pytest.approx(logv, abs=1e-12 * scale)
+            assert [v.hex() for v in geo] == [v.hex() for v in logv]
+
+    def test_first_non_finite_row_is_named(self):
+        # row 3 is (3/5)(-1e308) - (5/3)(1e308), below -DBL_MAX
+        u = [1.0, 1.0, 1e308, -1e308, 1e308]
+        msg = r"^transformed row 3 left double range \(-inf\)$"
+        with pytest.raises(GeoRangeError, match=msg):
+            difference_transform_log(u)
+        with pytest.raises(GeoRangeError, match=msg):
+            difference_transform(from_log(u))
+        assert difference_transform_log(u[:3])[2] == (2.0 / 3.0) * 1e308 - 1.5
 
     def test_agrees_with_primitive_route(self):
         # independent oracle: evaluate the rows directly on positive

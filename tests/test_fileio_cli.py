@@ -1,5 +1,8 @@
 """Sequence/config files, report emission, CLI commands and exit codes."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -225,6 +228,47 @@ class TestEmission:
         with pytest.raises(InputError):
             emit_report(rep, "xml")
 
+    def test_csv_reader_gives_back_every_field(self):
+        x = from_log([0.1, -2.5, 0.30000000000000004] * 20)
+        membership = classify_membership(x, load_spec_half())
+        trace = stat_density(
+            x, LambdaSequence.half(), GEO_ZERO, GeoScalar.from_log(1.0)
+        )
+        density = density_report_dict(trace, stat_converges(trace))
+        suite = run_suite(TrialConfig(seed=3, trials=2, length=40))
+        suite = dataclasses.replace(
+            suite, rows=[("solidity", 7, False, math.inf)] + suite.rows
+        )
+        para = paranorm(from_log([1.0] + [0.0] * 39), load_spec_identity())
+
+        def read(report):
+            return list(csv.reader(io.StringIO(emit_report(report, "csv").decode())))
+
+        rows = read(membership)
+        assert rows[0] == ["n", "lambda_n", "S_n", "d_n"]
+        assert [(int(n), float(lam), float(s), d) for n, lam, s, d in rows[1:]] == [
+            (n, float(lam), s, "")
+            for n, (lam, s) in enumerate(
+                zip(membership.lambda_values, membership.window_values), 1
+            )
+        ]
+        rows = read(density)
+        assert rows[0] == ["n", "lambda_n", "S_n", "d_n"]
+        assert [(int(n), float(lam), s, float(d)) for n, lam, s, d in rows[1:]] == [
+            (n, float(lam), "", d)
+            for n, (lam, d) in enumerate(zip(trace.lambda_values, trace.densities), 1)
+        ]
+        rows = read(suite)
+        assert rows[0] == ["check", "trial", "passed", "worst_violation"]
+        assert rows[1] == ["solidity", "7", "False", "inf"]
+        assert [(c, int(t), p == "True", float(w)) for c, t, p, w in rows[1:]] == [
+            tuple(r) for r in suite.rows
+        ]
+        rows = read(para)
+        assert rows[0] == ["rho_star", "g", "g_geo_log"]
+        assert [float(v) for v in rows[1]] == [para.rho_star, para.g, para.g_geo.log]
+        assert len(rows) == 2
+
     def test_render_json_17_digits(self):
         s = render_json({"v": 1.0 / 3.0})
         assert "0.33333333333333331" in s
@@ -427,6 +471,32 @@ class TestCli:
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr
         assert "numeric range abort: transformed row 1 left double range" in proc.stderr
+
+    def test_transform_command_names_out_of_range_row(self, tmp_path, capsys):
+        values = [1.0, 1.0, 1e308, -1e308, 1e308]
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": values}))
+        out = tmp_path / "t.json"
+        assert main(["transform", "--in", seq, "--out", str(out)]) == 4
+        assert "transformed row 3 left double range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "paranorm"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output_is_input_error(
+        self, tmp_path, constant_sequence_path, command, target
+    ):
+        out = tmp_path / "missing" / "d" / "t.json" if target == "missing_dir" else tmp_path
+        args = ["--in", constant_sequence_path, "--out", str(out)]
+        if command == "paranorm":
+            cfg = write(tmp_path / "c.json", json.dumps({"transform": "identity"}))
+            args += ["--config", cfg]
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", command] + args,
+            capture_output=True, text=True, env=_env_with_package_path(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"geoseq: input error: cannot write {out}: " in proc.stderr
 
     def test_module_entry_point(self, config_path, constant_sequence_path):
         proc = subprocess.run(

@@ -167,6 +167,67 @@ class TestRangeBehaviour:
             sat.values
 
 
+# exp's last finite result and its last nonzero result, and the next
+# log-views past them, which overflow and underflow to zero
+_EXP_MAX = 709.782712893384
+_EXP_MIN = -745.1332191019411
+_EDGES = [
+    _EXP_MAX,
+    math.nextafter(_EXP_MAX, math.inf),
+    _EXP_MIN,
+    math.nextafter(_EXP_MIN, -math.inf),
+]
+
+
+def _scalar_value(u):
+    try:
+        return GeoScalar.from_log(u).value
+    except GeoRangeError:
+        return None
+
+
+class TestSequenceValueView:
+    def test_edges_are_exp_edges(self):
+        assert math.isfinite(math.exp(_EDGES[0]))
+        with pytest.raises(OverflowError):
+            math.exp(_EDGES[1])
+        assert math.exp(_EDGES[2]) > 0.0
+        assert math.exp(_EDGES[3]) == 0.0
+
+    @pytest.mark.parametrize("u", _EDGES + [0.0, -1.5, 300.0])
+    def test_single_term_matches_scalar_view(self, u):
+        x = from_log([u])
+        want = _scalar_value(u)
+        assert x.in_value_range == GeoScalar.from_log(u).in_value_range
+        assert x.in_value_range == (want is not None)
+        if want is None:
+            with pytest.raises(GeoRangeError, match=r"^term 0: "):
+                x.values
+        else:
+            assert x.values == (want,)
+
+    def test_in_range_sequence_matches_scalar_view_bit_for_bit(self):
+        rng = random.Random(8)
+        u = [_EDGES[0], _EDGES[2]] + [rng.uniform(_EDGES[2], _EDGES[0]) for _ in range(500)]
+        x = from_log(u)
+        assert x.in_value_range
+        assert [v.hex() for v in x.values] == [_scalar_value(v).hex() for v in u]
+
+    @pytest.mark.parametrize(
+        "u, first",
+        [
+            ([0.0, _EDGES[0], _EDGES[2], _EDGES[1], _EDGES[3]], 3),  # overflow first
+            ([0.0, _EDGES[2], _EDGES[3], _EDGES[1]], 2),  # underflow first
+            ([_EDGES[1]] * 3, 0),
+        ],
+    )
+    def test_error_names_first_failing_index(self, u, first):
+        x = from_log(u)
+        assert not x.in_value_range
+        with pytest.raises(GeoRangeError, match=rf"^term {first}: representative exp\("):
+            x.values
+
+
 class TestIsomorphism:
     """The ops must mirror ordinary arithmetic on log-views."""
 
