@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 input error (also an output
-file that cannot be written), 3 check failure (verification suite), 4
-numeric range abort (also a scale solver invariant failure).  Set
-GEOSEQ_LOG_LEVEL to error/warn/info/debug to control logging.
+file that cannot be written, or a closed stdout pipe), 3 check failure
+(verification suite), 4 numeric range abort (also a scale solver
+invariant failure).  Set GEOSEQ_LOG_LEVEL to error/warn/info/debug to
+control logging.
 """
 
 from __future__ import annotations
@@ -207,7 +208,14 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"geoseq: input error: cannot write stdout: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     except InputError as exc:
         print(f"geoseq: input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
@@ -101,10 +100,6 @@ class FibonacciCache:
         if k < 0:
             raise ValueError(f"index must be >= 0, got {k}")
         return _INVERSE_RATIOS[min(k, len(_INVERSE_RATIOS) - 1)]
-
-    def ratio_exact(self, k: int) -> Fraction:
-        self._ensure(k + 1)
-        return Fraction(self._values[k], self._values[k + 1])
 
 
 _CACHE = FibonacciCache()

@@ -104,19 +104,15 @@ def render_json(obj) -> str:
 # sequence files
 
 
-def parse_sequence_file(path: Union[str, Path]) -> GeoSequence:
-    """Read a sequence file; log-domain values are lifted through e**u."""
-    path = Path(path)
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if path.suffix.lower() == ".csv" or not text.lstrip().startswith("{"):
-        return _parse_sequence_csv(text, path)
-    return _parse_sequence_json(text, path)
 
 
-def _parse_sequence_json(text: str, path: Path) -> GeoSequence:
+def _json_object(text: str, path: Path, what: str) -> dict:
+    """Decode ``text`` as one JSON object; ``what`` names the file kind."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -124,7 +120,21 @@ def _parse_sequence_json(text: str, path: Path) -> GeoSequence:
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: sequence file must be a JSON object")
+        raise InputError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def parse_sequence_file(path: Union[str, Path]) -> GeoSequence:
+    """Read a sequence file; log-domain values are lifted through e**u."""
+    path = Path(path)
+    text = _read_text(path)
+    if path.suffix.lower() == ".csv" or not text.lstrip().startswith("{"):
+        return _parse_sequence_csv(text, path)
+    return _parse_sequence_json(text, path)
+
+
+def _parse_sequence_json(text: str, path: Path) -> GeoSequence:
+    doc = _json_object(text, path, "sequence file")
     domain = doc.get("domain")
     if domain not in ("geometric", "log"):
         raise InputError(f"{path}: domain must be 'geometric' or 'log', got {domain!r}")
@@ -249,18 +259,7 @@ class RunConfig:
 
 def load_config(path: Union[str, Path]) -> RunConfig:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: configuration must be a JSON object")
+    doc = _json_object(_read_text(path), path, "configuration")
     return config_from_dict(doc, str(path))
 
 

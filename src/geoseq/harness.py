@@ -33,9 +33,9 @@ from .summability import (
     Tolerances,
     _exponent_values,
     _modular_terms,
+    _window_means,
     classify_membership,
     modular_trace,
-    window_sums,
     window_trace,
     windowed_logs,
 )
@@ -198,6 +198,23 @@ def _scan_windows(
     return CheckOutcome(name, True, worst)
 
 
+def _end_to_end(
+    outcome: CheckOutcome, x: GeoSequence, strong: SpaceSpec, weak: SpaceSpec,
+    tols: Tolerances, labels: tuple,
+) -> CheckOutcome:
+    """Fail a passed ``outcome`` when x converges under ``strong`` but not
+    under ``weak`` (the stronger space lies inside the weaker one);
+    ``labels`` name the two verdicts in the detail."""
+    if not outcome.passed:
+        return outcome
+    strong_verdict = classify_membership(x, strong, tols).verdict
+    weak_verdict = classify_membership(x, weak, tols).verdict
+    if strong_verdict == CONVERGING and weak_verdict != CONVERGING:
+        detail = f"end-to-end: {labels[0]} {strong_verdict} but {labels[1]} {weak_verdict}"
+        return replace(outcome, passed=False, detail=detail)
+    return outcome
+
+
 def check_linear_combination(
     x: GeoSequence,
     y: GeoSequence,
@@ -308,18 +325,11 @@ def check_delta2_inclusion(
     s_raw = modular_trace(z, spec.lam, raw, unit, spec.rho, center)
     rhs = [epsilon + factor * s for s in s_raw]
     outcome = _scan_windows("delta2_inclusion", lhs, rhs, slack)
-    if not outcome.passed:
-        return outcome
-
     variant = spec.variant if spec.variant != "bounded" else "zero"
     raw_spec = replace(spec, orlicz=raw, exponents=unit, variant=variant)
     m_spec = replace(spec, orlicz=orlicz, exponents=unit, variant=variant)
-    raw_verdict = classify_membership(x, raw_spec, tols).verdict
-    m_verdict = classify_membership(x, m_spec, tols).verdict
-    if raw_verdict == CONVERGING and m_verdict != CONVERGING:
-        detail = f"end-to-end: raw verdict {raw_verdict} but M-modular verdict {m_verdict}"
-        return replace(outcome, passed=False, detail=detail)
-    return outcome
+    labels = ("raw verdict", "M-modular verdict")
+    return _end_to_end(outcome, x, raw_spec, m_spec, tols, labels)
 
 
 def check_exponent_inclusion(
@@ -351,27 +361,13 @@ def check_exponent_inclusion(
 
     lam, M, rho = spec.lam, spec.orlicz, spec.rho
     t = _modular_terms(z, _exponent_values(q, range(1, m + 1)), M, rho, center)
-    lhs_sums = window_sums([tk ** mu_k for tk, mu_k in zip(t, mus)], lam)
-    t_sums = window_sums(t, lam)
-    v_sums = window_sums([tk if tk < 1.0 else 0.0 for tk in t], lam)
-    lam_values = lam.head(m)
-    lhs = [s / lam_n for s, lam_n in zip(lhs_sums, lam_values)]
-    rhs = [
-        ts / lam_n + (vs / lam_n) ** mu
-        for ts, vs, lam_n in zip(t_sums, v_sums, lam_values)
-    ]
+    lhs = _window_means([tk ** mu_k for tk, mu_k in zip(t, mus)], lam)
+    t_means = _window_means(t, lam)
+    v_means = _window_means([tk if tk < 1.0 else 0.0 for tk in t], lam)
+    rhs = [tm + vm ** mu for tm, vm in zip(t_means, v_means)]
     outcome = _scan_windows("exponent_inclusion", lhs, rhs, slack)
-    if not outcome.passed:
-        return outcome
-
-    q_spec = replace(spec, exponents=q)
-    p_spec = replace(spec, exponents=p)
-    q_verdict = classify_membership(x, q_spec, tols).verdict
-    p_verdict = classify_membership(x, p_spec, tols).verdict
-    if q_verdict == CONVERGING and p_verdict != CONVERGING:
-        detail = f"end-to-end: q-verdict {q_verdict} but p-verdict {p_verdict}"
-        return replace(outcome, passed=False, detail=detail)
-    return outcome
+    q_spec, p_spec = replace(spec, exponents=q), replace(spec, exponents=p)
+    return _end_to_end(outcome, x, q_spec, p_spec, tols, ("q-verdict", "p-verdict"))
 
 
 @dataclass
@@ -566,24 +562,15 @@ def run_suite(config: TrialConfig) -> SuiteReport:
 
     try:
         d2_report = delta2_constant(spec.orlicz)
+        skip = None if d2_report.satisfied else (
+            "skipped: the configured Orlicz function fails the doubling condition"
+        )
     except Exception as exc:
-        d2_report = None
-        checks.append(
-            SuiteCheck("delta2_inclusion", 0, 0, 0.0, f"skipped: {exc}", None)
-        )
-    if d2_report is not None and not d2_report.satisfied:
-        checks.append(
-            SuiteCheck(
-                "delta2_inclusion",
-                0,
-                0,
-                0.0,
-                "skipped: the configured Orlicz function fails the doubling condition",
-                None,
-            )
-        )
-    elif d2_report is not None:
+        skip = f"skipped: {exc}"
+    if skip is None:
         run_trials("delta2_inclusion", delta2)
+    else:
+        checks.append(SuiteCheck("delta2_inclusion", 0, 0, 0.0, skip, None))
 
     run_trials("exponent_inclusion", exponents)
     run_trials("density_bound", density)

@@ -14,20 +14,15 @@ M(ln(eps)/rho) * density on every window because M is non-decreasing.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 from .geometric import GeoScalar, GeoSequence
 from .summability import (
-    CONVERGING,
-    DIVERGING,
-    INCONCLUSIVE,
     Exponents,
     LambdaSequence,
     SpaceSpec,
     Tolerances,
-    _FLAT_SLOPE,
-    _tail_slope,
+    _tail_verdict,
     modular_mean,
     window_sums,
     windowed_logs,
@@ -91,18 +86,12 @@ def stat_density(
 
 
 def stat_converges(trace: DensityTrace, tols: Tolerances = Tolerances()) -> str:
-    """Verdict on a density trace, mirroring the membership decision style."""
+    """Verdict on a density trace: the membership tail rule, over the last
+    min(window_count, n_windows) windows."""
     if trace.n_windows == 0:
         raise ValueError("empty density trace")
-    d = trace.densities
     W = min(tols.window_count, trace.n_windows)
-    last = d[-W:]
-    slope = _tail_slope(d)
-    if all(v <= tols.tol for v in last):
-        return CONVERGING
-    if statistics.median(last) > tols.tol and slope > _FLAT_SLOPE:
-        return DIVERGING
-    return INCONCLUSIVE
+    return _tail_verdict(trace.densities, W, tols)[0]
 
 
 def modular_density_bound(

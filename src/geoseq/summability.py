@@ -549,6 +549,12 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     return sums
 
 
+def _window_means(values: Sequence, lam: LambdaSequence) -> list:
+    """:func:`window_sums` divided by lam(n), window by window."""
+    sums = window_sums(values, lam)
+    return [s / lam_n for s, lam_n in zip(sums, lam.head(len(values)))]
+
+
 def modular_mean(
     z: Sequence[float],
     lam: LambdaSequence,
@@ -589,10 +595,8 @@ def modular_trace(
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    m = len(z)
-    ps = _exponent_values(exponents, range(1, m + 1))
-    terms = _modular_terms(z, ps, orlicz, scale, center)
-    return [s / lam_n for s, lam_n in zip(window_sums(terms, lam), lam.head(m))]
+    ps = _exponent_values(exponents, range(1, len(z) + 1))
+    return _window_means(_modular_terms(z, ps, orlicz, scale, center), lam)
 
 
 def modular_window(
@@ -635,21 +639,27 @@ def _tail_slope(values: Sequence[float]) -> float:
         return 0.0
 
 
-def _decide_vanishing(values: Sequence[float], tols: Tolerances) -> tuple:
-    """Verdict for a trace that should tend to zero (or stay bounded)."""
-    W = tols.window_count
+def _tail_verdict(values: Sequence[float], W: int, tols: Tolerances) -> tuple:
+    """(verdict, tail slope) of a trace that should vanish; verdict from the last W."""
     last = values[-W:]
-    prev = values[-2 * W : -W]
     slope = _tail_slope(values)
-    med_last = statistics.median(last)
-    med_prev = statistics.median(prev)
-    small = all(v <= tols.tol for v in last)
-    non_increasing = med_last <= med_prev * 1.1 + 1e-12
-    if small and non_increasing:
+    if all(v <= tols.tol for v in last):
         return CONVERGING, slope
-    if med_last > tols.tol and slope > _FLAT_SLOPE:
+    if statistics.median(last) > tols.tol and slope > _FLAT_SLOPE:
         return DIVERGING, slope
     return INCONCLUSIVE, slope
+
+
+def _decide_vanishing(values: Sequence[float], tols: Tolerances) -> tuple:
+    """:func:`_tail_verdict`, but a converging tail whose median rose more
+    than 1.1x over the previous W windows is inconclusive."""
+    W = tols.window_count
+    verdict, slope = _tail_verdict(values, W, tols)
+    med_last = statistics.median(values[-W:])
+    med_prev = statistics.median(values[-2 * W : -W])
+    if verdict == CONVERGING and not med_last <= med_prev * 1.1 + 1e-12:
+        return INCONCLUSIVE, slope
+    return verdict, slope
 
 
 def _estimate_limit(
@@ -769,28 +779,26 @@ def paranorm(
 ) -> ParanormResult:
     """Luxemburg-style paranorm of the vanishing-variant space.
 
-    rho_star = inf{r > 0 : sup_n (S_n(r))**(1/H) <= 1} over the windows
-    computable on the truncation, found by :func:`solve_scale`.  The
-    constraint is non-increasing in r; that is checked at every probe
-    (raises :class:`ScaleSolverError`).  g = rho_star**(pbar/H) with
-    pbar = inf p; g_geo = e**g.  The zero sequence gets g = 0.
+    rho_star = inf{r > 0 : sup_n S_n(r) <= 1} over the windows computable
+    on the truncation, found by :func:`solve_scale`; it is equivalent to
+    the rooted form sup_n S_n(r)**(1/H) <= 1 (s**(1/H) <= 1 exactly when
+    s <= 1; in floating point the root could also round a sum an ulp
+    above 1 down to 1.0), so the root is taken only in g.  The constraint is
+    non-increasing in r; that is checked at every probe (raises
+    :class:`ScaleSolverError`).  g = rho_star**(pbar/H) with pbar = inf p;
+    g_geo = e**g.  The zero sequence gets g = 0.
     """
     if spec.variant != "zero":
         raise ValueError("paranorm is defined on the vanishing variant")
     z = windowed_logs(x, spec.transform)
-    m = len(z)
-    H = spec.exponents.H
-    p_bar = spec.exponents.inf
-
-    if m == 0 or max(abs(v) for v in z) == 0.0:
+    if not z or max(map(abs, z)) == 0.0:
         return ParanormResult(rho_star=0.0, g=0.0, g_geo=GEO_ZERO)
 
     def sup_constraint(r: float) -> float:
-        trace = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, r)
-        return max([0.0] + [_pow_sat(s, 1.0 / H) for s in trace])
+        return max(modular_trace(z, spec.lam, spec.orlicz, spec.exponents, r))
 
     rho_star = solve_scale(sup_constraint, rel_tol, max_iter)
     if math.isinf(rho_star):
         return ParanormResult(rho_star=math.inf, g=math.inf, g_geo=None)
-    g = rho_star ** (p_bar / H)
+    g = rho_star ** (spec.exponents.inf / spec.exponents.H)
     return ParanormResult(rho_star=rho_star, g=g, g_geo=GeoScalar.from_log(g))

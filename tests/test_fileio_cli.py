@@ -498,6 +498,30 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert f"geoseq: input error: cannot write {out}: " in proc.stderr
 
+    @pytest.mark.parametrize("command", ["fib", "analyze"])
+    def test_closed_stdout_pipe_is_input_error(
+        self, config_path, constant_sequence_path, command
+    ):
+        # the read end is closed before the child writes, so every write
+        # to stdout fails with EPIPE
+        args = ["fib", "--n", "3"] if command == "fib" else [
+            "analyze", "--in", constant_sequence_path, "--config", config_path,
+        ]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "geoseq"] + args,
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=_env_with_package_path(),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert "geoseq: input error: cannot write stdout: " in proc.stderr
+
     def test_module_entry_point(self, config_path, constant_sequence_path):
         proc = subprocess.run(
             [

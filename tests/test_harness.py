@@ -3,12 +3,16 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from geoseq import (
     BOUNDED,
     CONVERGING,
+    DIVERGING,
+    INCONCLUSIVE,
+    DegenerateOrliczError,
     Exponents,
     GeoScalar,
     OrliczFunction,
@@ -256,6 +260,68 @@ class TestExponentInclusion:
             )
 
 
+def fake_classifier(monkeypatch, verdicts):
+    """Replace the harness's classifier; call i returns verdicts[i]."""
+    calls = []
+
+    def fake(x, spec, tols):
+        calls.append(spec)
+        return SimpleNamespace(verdict=verdicts[len(calls) - 1])
+
+    monkeypatch.setattr("geoseq.harness.classify_membership", fake)
+    return calls
+
+
+class TestEndToEnd:
+    """The shared rule: converging in the stronger space only fails a passed check."""
+
+    CASES = [
+        (CONVERGING, INCONCLUSIVE, False),
+        (CONVERGING, DIVERGING, False),
+        (CONVERGING, CONVERGING, True),
+        (INCONCLUSIVE, DIVERGING, True),
+    ]
+
+    @pytest.mark.parametrize("strong, weak, passed", CASES)
+    def test_delta2_detail(self, monkeypatch, strong, weak, passed):
+        M = OrliczFunction.power(2.0)
+        s = base_spec(variant="limit")
+        calls = fake_classifier(monkeypatch, [strong, weak])
+        out = check_delta2_inclusion(
+            from_log([0.0] * 56), M, s, delta=0.3, epsilon=0.1, ell=GeoScalar(1.0)
+        )
+        assert [c.orlicz for c in calls] == [OrliczFunction.power(1.0), M]
+        assert out.passed is passed
+        if not passed:
+            assert out.detail == (
+                f"end-to-end: raw verdict {strong} but M-modular verdict {weak}"
+            )
+            assert out.name == "delta2_inclusion"
+            assert out.worst_violation == 0.0
+
+    @pytest.mark.parametrize("strong, weak, passed", CASES)
+    def test_exponent_detail(self, monkeypatch, strong, weak, passed):
+        p, q = Exponents.constant(1.0), Exponents.constant(2.0)
+        calls = fake_classifier(monkeypatch, [strong, weak])
+        out = check_exponent_inclusion(from_log([0.0] * 56), p, q, base_spec())
+        assert [c.exponents for c in calls] == [q, p]
+        assert out.passed is passed
+        if not passed:
+            assert out.detail == f"end-to-end: q-verdict {strong} but p-verdict {weak}"
+            assert out.name == "exponent_inclusion"
+
+    def test_failed_window_scan_skips_the_verdicts(self, monkeypatch):
+        # a negative slack fails the first window of any instance
+        calls = fake_classifier(monkeypatch, [])
+        s = base_spec(variant="limit")
+        out = check_delta2_inclusion(
+            from_log([5.0 * (-1) ** k for k in range(56)]), s.orlicz, s,
+            delta=small_argument_threshold(s.orlicz, 0.1), epsilon=0.1, slack=-1.0,
+        )
+        assert not out.passed and out.detail.startswith("window 1: ")
+        assert calls == []
+
+
 class TestRunSuite:
     def test_default_seed_passes(self):
         rep = run_suite(TrialConfig(seed=42, trials=25, length=56))
@@ -283,6 +349,27 @@ class TestRunSuite:
         assert d2.skipped is not None
         assert d2.trials == 0
         assert rep.all_passed  # skipped-with-reason is not a failure
+
+    @pytest.mark.parametrize("cause", ["unsatisfied", "error"])
+    def test_doubling_skip_reasons(self, monkeypatch, cause):
+        spec = base_spec()
+        if cause == "unsatisfied":
+            spec = base_spec(orlicz=OrliczFunction.exp_minus_one())
+            reason = "skipped: the configured Orlicz function fails the doubling condition"
+        else:
+            def failing(M):
+                raise DegenerateOrliczError("no finite doubling ratios on the grid")
+
+            monkeypatch.setattr("geoseq.harness.delta2_constant", failing)
+            reason = "skipped: no finite doubling ratios on the grid"
+        rep = run_suite(TrialConfig(seed=1, trials=2, length=56, spec=spec))
+        assert [c.name for c in rep.checks][2] == "delta2_inclusion"
+        d2 = rep.checks[2]
+        assert d2.skipped == reason
+        assert (d2.trials, d2.failures, d2.worst_violation, d2.first_failure) == (
+            0, 0, 0.0, None
+        )
+        assert not any(row[0] == "delta2_inclusion" for row in rep.rows)
 
     def test_deterministic_reports(self):
         a = run_suite(TrialConfig(seed=42, trials=10, length=48))

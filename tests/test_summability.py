@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,7 @@ from geoseq import (
     GEO_ZERO,
     INCONCLUSIVE,
     GeoRangeError,
+    DensityTrace,
     Exponents,
     GeoScalar,
     LambdaSequence,
@@ -32,6 +34,8 @@ from geoseq import (
     kernel_log_sequence,
     modular_window,
     paranorm,
+    solve_scale,
+    stat_converges,
     stat_density,
     vp_mean,
     window,
@@ -316,6 +320,25 @@ class TestClassify:
         assert len(rep.lambda_values) == 50
         assert rep.params_used["windows"] == 50
 
+    def test_small_rising_tail_splits_the_two_verdicts(self):
+        # every tail value sits below tol, but the tail median rose far more
+        # than 1.1x over the previous W windows: the membership verdict
+        # refuses it, the density verdict (no trend step) accepts it
+        u = [0.0] * 20 + [1e-8 * k for k in range(1, 21)]
+        rep = classify_membership(from_log(u), spec(lam="half"))
+        tail = rep.window_values[-10:]
+        assert max(tail) <= 1e-6
+        assert statistics.median(tail) > 1.1 * statistics.median(rep.window_values[-20:-10])
+        assert rep.verdict == INCONCLUSIVE
+        trace = DensityTrace(
+            counts=[0] * 40,
+            densities=rep.window_values,
+            lambda_values=rep.lambda_values,
+            epsilon=GeoScalar.from_log(1.0),
+            ell=GEO_ZERO,
+        )
+        assert stat_converges(trace) == CONVERGING
+
 
 class TestParanorm:
     def test_zero_sequence(self):
@@ -384,6 +407,50 @@ class TestParanorm:
         s = spec(p=Exponents.constant(2.0), M=P1)
         res = paranorm(x, s)
         assert res.g == pytest.approx(res.rho_star ** (2.0 / 2.0), rel=1e-12)
+
+    def test_unrooted_constraint_matches_rooted_reference(self):
+        # reference: the constraint sup_n S_n(r)**(1/H) <= 1, rooted per
+        # window; paranorm tests sup_n S_n(r) <= 1 and roots only g
+        def rooted(x, s):
+            z = windowed_logs(x, s.transform)
+            H = s.exponents.H
+
+            def constraint(r):
+                trace = modular_trace(z, s.lam, s.orlicz, s.exponents, r)
+                return max([0.0] + [_pow_sat(v, 1.0 / H) for v in trace])
+
+            rho = solve_scale(constraint, 1e-11, 200)
+            return rho, rho ** (s.exponents.inf / H)
+
+        orliczes = [
+            OrliczFunction.power(1.0),
+            OrliczFunction.power(2.5),
+            OrliczFunction.exp_minus_one(),
+            OrliczFunction.x_log1p(),
+            OrliczFunction.table([[0, 0], [0.5, 0.2], [1, 1], [2, 3.5], [4, 10]]),
+        ]
+        rng = random.Random(31)
+        for trial in range(120):
+            m = rng.randint(8, 30)
+            kind = ("constant", "formula", "list")[trial % 3]
+            if kind == "constant":
+                p = Exponents.constant(rng.uniform(1.01, 4.0))
+            elif kind == "formula":
+                p = Exponents.formula(rng.uniform(0.5, 3.0), rng.uniform(0.1, 2.0))
+            else:
+                p = Exponents.from_list([rng.uniform(0.3, 4.0) for _ in range(m)] + [2.0])
+            assert p.H > 1.0
+            s = spec(
+                lam=rng.choice(["identity", "half", "sqrt"]),
+                M=orliczes[trial % len(orliczes)],
+                p=p,
+                transform=("identity", "fhat")[trial // 3 % 2],
+            )
+            scale = 10.0 ** rng.uniform(-3.0, 1.5)
+            x = from_log([rng.uniform(-scale, scale) for _ in range(m + 1)])
+            res = paranorm(x, s)
+            rho, g = rooted(x, s)
+            assert (res.rho_star.hex(), res.g.hex()) == (rho.hex(), g.hex())
 
 
 # a table whose constraint map rises with the scale between r = 1 and r = 2
