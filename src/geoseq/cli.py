@@ -131,8 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_fib(args) -> int:
     if args.n < 0:
         raise InputError("--n must be >= 0")
-    for k in range(args.n + 1):
-        print(f"f({k}) = {fib(k)}")
+    # the int-to-str digit limit (Python 3.11+) guards parsing; this is output
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for k in range(args.n + 1):
+            print(f"f({k}) = {fib(k)}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if args.check_identities:
         rep = identity_report(max(1, args.n))
         print(f"product identity (n <= {rep['n_max']}): "

@@ -23,7 +23,13 @@ from typing import Optional, Sequence
 
 from .fibonacci import fib_ratio
 from .geometric import GeoScalar, GeoSequence
-from .orlicz import Delta2Report, OrliczFunction, delta2_constant, small_argument_threshold
+from .orlicz import (
+    DegenerateOrliczError,
+    Delta2Report,
+    OrliczFunction,
+    delta2_constant,
+    small_argument_threshold,
+)
 from .statconv import stat_converges, stat_density
 from .summability import (
     CONVERGING,
@@ -488,14 +494,14 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         sample = generate_member(
             replace(spec, variant="limit"), config.seed, N, "delta2_member", trial
         )
-        eps = 0.1
-        delta = small_argument_threshold(spec.orlicz, eps)
+        if isinstance(delta, Exception):
+            raise delta
         return check_delta2_inclusion(
             sample.sequence,
             spec.orlicz,
             replace(spec, variant="limit"),
             delta,
-            eps,
+            d2_eps,
             ell=sample.ell,
             delta2=d2_report,
             tols=tols,
@@ -568,6 +574,11 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     except Exception as exc:
         skip = f"skipped: {exc}"
     if skip is None:
+        d2_eps = 0.1
+        try:  # one value for all trials; without one, each trial fails
+            delta = small_argument_threshold(spec.orlicz, d2_eps)
+        except DegenerateOrliczError as exc:
+            delta = exc
         run_trials("delta2_inclusion", delta2)
     else:
         checks.append(SuiteCheck("delta2_inclusion", 0, 0, 0.0, skip, None))

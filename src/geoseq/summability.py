@@ -662,13 +662,62 @@ def _decide_vanishing(values: Sequence[float], tols: Tolerances) -> tuple:
     return verdict, slope
 
 
-def _estimate_limit(
-    z: Sequence[float], spec: SpaceSpec, iters: int = 80
-) -> float:
+_EPS = math.ulp(1.0)
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
+
+
+def _localmin(f, a: float, b: float, x: float, fx: float, t: float) -> tuple:
+    """(x, f(x)) at a local minimum of f on [a, b], from a start x in (a, b).
+
+    Brent's parabolic-plus-golden-section ``localmin`` (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 5).  It stops
+    once the bracket [a, b] lies within 2 * tol of x, tol = 2 * eps * |x| + t.
+    A unimodal f keeps its minimiser inside the bracket, and x only ever
+    moves to a point with f <= f(x).
+    """
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 2.0 * _EPS * abs(x) + t
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol:  # parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:  # keep clear of the ends
+                d = tol if x < mid else -tol
+        else:  # golden section of the larger part
+            e = (b if x < mid else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     """Estimated log-limit: tail median refined on the final window.
 
-    The refinement golden-sections the final-window modular, which is
-    convex in the center for exponents >= 1.  The window's terms and
+    The median c0 of the last quarter of z starts :func:`_localmin` on
+    the final-window modular h(c), convex in the center c for exponents
+    >= 1, over [c0 - span, c0 + span], span the range of that quarter.
+    The absolute tolerance sqrt(eps) * span scales with the bracket, not
+    with |c|.  The result is kept only if h there is <= h(c0).  Terms and
     exponents are read once; each probe is the :func:`modular_mean` sum.
     """
     m = len(z)
@@ -677,8 +726,6 @@ def _estimate_limit(
     span = max(tail) - min(tail)
     if span == 0.0:
         return center0
-    lo = center0 - span
-    hi = center0 + span
     ks = spec.lam.window(m)
     zs = [z[k - 1] for k in ks]
     ps = _exponent_values(spec.exponents, ks)
@@ -688,22 +735,10 @@ def _estimate_limit(
     def h(center: float) -> float:
         return _fsum_sat(_modular_terms(zs, ps, M, r, center)) / lam_m
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    hc, hd = h(c), h(d)
-    for _ in range(iters):
-        if hc <= hd:
-            b, d, hd = d, c, hc
-            c = b - inv_phi * (b - a)
-            hc = h(c)
-        else:
-            a, c, hc = c, d, hd
-            d = a + inv_phi * (b - a)
-            hd = h(d)
-    best = 0.5 * (a + b)
-    return best if h(best) <= h(center0) else center0
+    h0 = h(center0)
+    lo, hi = center0 - span, center0 + span
+    best, h_best = _localmin(h, lo, hi, center0, h0, math.sqrt(_EPS) * span)
+    return best if h_best <= h0 else center0
 
 
 def classify_membership(
@@ -794,8 +829,10 @@ def paranorm(
     if not z or max(map(abs, z)) == 0.0:
         return ParanormResult(rho_star=0.0, g=0.0, g_geo=GEO_ZERO)
 
+    ps = _exponent_values(spec.exponents, range(1, len(z) + 1))
+
     def sup_constraint(r: float) -> float:
-        return max(modular_trace(z, spec.lam, spec.orlicz, spec.exponents, r))
+        return max(_window_means(_modular_terms(z, ps, spec.orlicz, r, 0.0), spec.lam))
 
     rho_star = solve_scale(sup_constraint, rel_tol, max_iter)
     if math.isinf(rho_star):

@@ -29,6 +29,7 @@ from geoseq import (
     stat_density,
     write_sequence_file,
 )
+from geoseq import fibonacci
 from geoseq.cli import main
 from geoseq.fileio import config_from_dict, density_report_dict, render_json
 from geoseq.summability import classify_membership, paranorm
@@ -298,6 +299,23 @@ class TestCli:
         assert "f(6) = 13" in out
         assert "product identity" in out
         assert "ok" in out
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_fib_prints_past_the_int_to_str_digit_limit(self, capsys):
+        # f(3100) has 648 digits; the limit is lowered to 640 to keep the test small
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["fib", "--n", "3100"])
+            assert sys.get_int_max_str_digits() == 640  # restored after printing
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3101
+        assert lines[-1] == f"f(3100) = {fibonacci.fib(3100)}"
 
     def test_transform_round_trip(self, tmp_path, capsys):
         seq = write(tmp_path / "s.json", '{"domain":"log","values":[1,1,1,1]}')

@@ -371,6 +371,29 @@ class TestRunSuite:
         )
         assert not any(row[0] == "delta2_inclusion" for row in rep.rows)
 
+    def test_small_argument_threshold_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(M, eps):
+            calls.append(eps)
+            return small_argument_threshold(M, eps)
+
+        monkeypatch.setattr("geoseq.harness.small_argument_threshold", counting)
+        rep = run_suite(TrialConfig(seed=1, trials=6, length=56))
+        assert calls == [0.1]
+        d2 = next(c for c in rep.checks if c.name == "delta2_inclusion")
+        assert (d2.trials, d2.failures, d2.skipped) == (6, 0, None)
+
+    def test_missing_small_argument_threshold_fails_every_trial(self):
+        # doubling holds on the grid, but M(t) > 0.1 down to t ~ 1e-24
+        M = OrliczFunction.table([[0, 0], [1e-30, 1.0], [2e-30, 2.5]])
+        rep = run_suite(TrialConfig(seed=3, trials=4, length=56, spec=base_spec(orlicz=M)))
+        d2 = next(c for c in rep.checks if c.name == "delta2_inclusion")
+        assert (d2.trials, d2.failures, d2.skipped) == (4, 4, None)
+        assert d2.first_failure == "trial 0: no positive small-argument threshold at eps=0.1"
+        rows = [row for row in rep.rows if row[0] == "delta2_inclusion"]
+        assert rows == [("delta2_inclusion", t, False, math.inf) for t in range(4)]
+
     def test_deterministic_reports(self):
         a = run_suite(TrialConfig(seed=42, trials=10, length=48))
         b = run_suite(TrialConfig(seed=42, trials=10, length=48))

@@ -42,8 +42,10 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
+from geoseq import summability
+from geoseq.harness import generate_member
 from geoseq.orlicz import _fsum_sat, _pow_sat
-from geoseq.summability import modular_mean, modular_trace, window_sums
+from geoseq.summability import _estimate_limit, modular_mean, modular_trace, window_sums
 
 P1 = OrliczFunction.power(1.0)
 P2 = OrliczFunction.power(2.0)
@@ -843,3 +845,156 @@ class TestBatchedTerms:
         assert M.calls[0] == m
         plain = modular_trace(z, lam, OrliczFunction(kind, p), E1, 1.0)
         assert got == [0.5 * v for v in plain]
+
+
+class CountingExponents(Exponents):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def at(self, k):
+        self.calls += 1
+        return Exponents.at(self, k)
+
+
+class TestParanormPreparation:
+    @staticmethod
+    def per_probe_reference(x, s):
+        # the constraint read the exponents again at every probe
+        z = windowed_logs(x, s.transform)
+
+        def constraint(r):
+            return max(modular_trace(z, s.lam, s.orlicz, s.exponents, r))
+
+        rho = solve_scale(constraint, 1e-11, 200)
+        return rho, rho ** (s.exponents.inf / s.exponents.H)
+
+    def test_matches_per_probe_constraint_bit_for_bit(self):
+        orliczes = [P1, P2, OrliczFunction.x_log1p(), OrliczFunction.exp_minus_one()]
+        rng = random.Random(41)
+        for trial in range(60):
+            m = rng.randint(8, 30)
+            kind = ("constant", "formula", "list")[trial % 3]
+            if kind == "constant":
+                p = Exponents.constant(rng.uniform(0.5, 3.0))
+            elif kind == "formula":
+                p = Exponents.formula(rng.uniform(0.5, 3.0), rng.uniform(-0.4, 2.0))
+            else:
+                p = Exponents.from_list([rng.uniform(0.3, 3.0) for _ in range(m + 1)])
+            s = spec(
+                lam=rng.choice(["identity", "half", "sqrt"]),
+                M=orliczes[trial % len(orliczes)],
+                p=p,
+                transform=("identity", "fhat")[trial // 3 % 2],
+            )
+            x = from_log([rng.uniform(-2.0, 2.0) for _ in range(m + 1)])
+            res = paranorm(x, s)
+            rho, g = self.per_probe_reference(x, s)
+            assert (res.rho_star.hex(), res.g.hex()) == (rho.hex(), g.hex())
+
+    @pytest.mark.parametrize("kind", ["formula", "list"])
+    def test_exponents_read_once_per_solve(self, kind):
+        m = 400
+        rng = random.Random(42)
+        if kind == "formula":
+            p = CountingExponents("formula", c=1.0, d=1.0)
+        else:
+            p = CountingExponents("list", values=[rng.uniform(1, 2) for _ in range(m)])
+        x = from_log([rng.uniform(-2.0, 2.0) for _ in range(m)])
+        paranorm(x, spec(lam="half", M=OrliczFunction.x_log1p(), p=p))
+        assert p.calls == m
+
+
+class TestEstimateLimit:
+    """The limit centre: tail median refined by Brent's minimiser on the final window."""
+
+    @staticmethod
+    def final_window(z, s):
+        return [z[k - 1] for k in s.lam.window(len(z))]
+
+    @staticmethod
+    def h(z, s, center):
+        return modular_mean(z, s.lam, s.orlicz, s.exponents, s.rho, len(z), center)
+
+    @staticmethod
+    def stop_tol(z, estimate):
+        # the estimator's stopping tolerance, 2 eps |c| + sqrt(eps) span
+        tail = z[-math.ceil(len(z) / 4) :]
+        eps = sys.float_info.epsilon
+        return 2.0 * eps * abs(estimate) + math.sqrt(eps) * (max(tail) - min(tail))
+
+    @staticmethod
+    def level_data(rng, m, level, spread):
+        return [level + spread * rng.uniform(-1.0, 1.0) for _ in range(m)]
+
+    @pytest.mark.parametrize("lam", ["identity", "half"])
+    def test_power2_is_the_window_mean(self, lam):
+        rng = random.Random(f"mean:{lam}")
+        s = spec(lam=lam, M=P2, variant="limit")
+        for _ in range(20):
+            z = self.level_data(rng, rng.randint(40, 120), rng.uniform(-3, 3), 1.0)
+            window = self.final_window(z, s)
+            mean = sum(map(Fraction, window)) / len(window)
+            est = _estimate_limit(z, s)
+            assert abs(Fraction(est) - mean) <= 4 * self.stop_tol(z, est)
+
+    @pytest.mark.parametrize("lam", ["identity", "half"])
+    def test_power1_reaches_h_at_the_window_median(self, lam):
+        # h(c) = mean |z - c| / rho is minimal at the window median, and its
+        # slope is at most 1 / rho, so an estimate within the final bracket
+        # (at most 4 tol wide) is within 4 tol / rho of that minimum
+        rng = random.Random(f"median:{lam}")
+        s = spec(lam=lam, M=P1, variant="limit", rho=0.7)
+        for _ in range(20):
+            z = self.level_data(rng, rng.randint(40, 120), rng.uniform(-3, 3), 1.0)
+            h_med = self.h(z, s, statistics.median(self.final_window(z, s)))
+            est = _estimate_limit(z, s)
+            h_est = self.h(z, s, est)
+            assert h_med * (1 - 1e-12) <= h_est <= h_med + 4 * self.stop_tol(z, est) / s.rho
+
+    def test_large_center_small_spread(self):
+        # a tolerance of sqrt(eps) |c| would stop about 0.07 from the mean here
+        rng = random.Random(61)
+        s = spec(lam="half", M=P2, variant="limit")
+        for sign in (1.0, -1.0):
+            z = self.level_data(rng, 80, sign * 5e6, 1e-3)
+            window = self.final_window(z, s)
+            mean = sum(map(Fraction, window)) / len(window)
+            assert abs(Fraction(_estimate_limit(z, s)) - mean) <= Fraction(1, 10**6)
+
+    def test_constant_tail_is_its_own_centre(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(summability, "_localmin", lambda *a: calls.append(a))
+        z = [5.0, -2.0, 0.5] + [1.25] * 37
+        assert _estimate_limit(z, spec(lam="half", M=P2, variant="limit")) == 1.25
+        assert calls == []
+
+    def test_guard_keeps_the_median_when_the_minimiser_does_worse(self, monkeypatch):
+        # a minimiser that returns the upper end of the bracket, with its value
+        monkeypatch.setattr(summability, "_localmin", lambda f, a, b, x, fx, t: (b, f(b)))
+        rng = random.Random(62)
+        s = spec(lam="half", M=P2, variant="limit")
+        z = self.level_data(rng, 60, 0.5, 1.0)
+        center0 = statistics.median(z[-15:])
+        assert self.h(z, s, max(z[-15:]) - min(z[-15:]) + center0) > self.h(z, s, center0)
+        assert _estimate_limit(z, s) == center0
+
+    @pytest.mark.parametrize("M", [P2, OrliczFunction.x_log1p(), OrliczFunction.exp_minus_one()],
+                             ids=lambda M: M.kind)
+    def test_probe_count_on_verify_members(self, M, monkeypatch):
+        # the golden section took 84 probes per estimate
+        probes = []
+        terms = summability._modular_terms
+
+        def counting(*args):
+            probes[-1] += 1
+            return terms(*args)
+
+        monkeypatch.setattr(summability, "_modular_terms", counting)
+        s = spec(lam="half", M=M, variant="limit", transform="fhat")
+        for trial in range(100):
+            x = generate_member(s, 1, 56, "consistency_member", trial).sequence
+            probes.append(0)
+            _estimate_limit(windowed_logs(x, "fhat"), s)
+        assert statistics.mean(probes) <= 10
+        assert max(probes) <= 30
