@@ -664,6 +664,7 @@ def _decide_vanishing(values: Sequence[float], tols: Tolerances) -> tuple:
 
 _EPS = math.ulp(1.0)
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
+_FLAT = 256.0 * _EPS  # relative difference below which h no longer separates
 
 
 def _localmin(f, a: float, b: float, x: float, fx: float, t: float) -> tuple:
@@ -671,18 +672,19 @@ def _localmin(f, a: float, b: float, x: float, fx: float, t: float) -> tuple:
 
     Brent's parabolic-plus-golden-section ``localmin`` (Brent 1973,
     *Algorithms for Minimization without Derivatives*, ch. 5).  It stops
-    once the bracket [a, b] lies within 2 * tol of x, tol = 2 * eps * |x| + t.
-    A unimodal f keeps its minimiser inside the bracket, and x only ever
-    moves to a point with f <= f(x).
+    once the bracket [a, b] lies within 2 * tol of x, tol = 2 * eps * |x| + t,
+    or after 100 probes.  b - a must be finite.  A unimodal f keeps its
+    minimiser inside the bracket, and x only ever moves to a point with
+    f <= f(x), so the result is never worse than the start.
     """
     v = w = x
     fv = fw = fx
     d = e = 0.0
-    while True:
-        mid = 0.5 * (a + b)
+    for _ in range(100):
+        mid = 0.5 * a + 0.5 * b  # 0.5 * (a + b) can overflow
         tol = 2.0 * _EPS * abs(x) + t
         if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
+            break
         p = q = r = 0.0
         if abs(e) > tol:  # parabola through x, w and v
             r = (x - w) * (fx - fv)
@@ -708,6 +710,37 @@ def _localmin(f, a: float, b: float, x: float, fx: float, t: float) -> tuple:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    return x, fx
+
+
+def _golden_refine(f, a: float, b: float, x: float, fx: float, width: float) -> tuple:
+    """(x, f(x)), or an inner point of [a, b] with a lower f.
+
+    Near a smooth minimum f hardly tells the two golden inner points of
+    [a, b] apart, by no more than _FLAT relative, and x is kept.  If f
+    separates them, the minimum is a kink (power(1) at the window median):
+    [a, b] is golden-sectioned down to the given width, or until it holds
+    no two distinct inner points.
+    """
+    g = 1.0 - _GOLDEN
+    c, d = b - g * (b - a), a + g * (b - a)
+    if not a < c < d < b:
+        return x, fx
+    fc, fd = f(c), f(d)
+    if abs(fc - fd) > _FLAT * min(fc, fd):
+        while a < c < d < b and b - a > width:
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - g * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + g * (b - a)
+                fd = f(d)
+    for fy, y in ((fc, c), (fd, d)):
+        if fy < fx:
+            x, fx = y, fy
+    return x, fx
 
 
 def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
@@ -716,15 +749,19 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     The median c0 of the last quarter of z starts :func:`_localmin` on
     the final-window modular h(c), convex in the center c for exponents
     >= 1, over [c0 - span, c0 + span], span the range of that quarter.
-    The absolute tolerance sqrt(eps) * span scales with the bracket, not
-    with |c|.  The result is kept only if h there is <= h(c0).  Terms and
-    exponents are read once; each probe is the :func:`modular_mean` sum.
+    The absolute tolerance t = sqrt(eps) * span scales with the bracket,
+    not with |c|.  :func:`_golden_refine` then searches 2 t either side of
+    that point, so a kink in h is found to eps * span.  Neither step
+    returns a point where h exceeds h(c0).  A constant tail, or one whose
+    span overflows, keeps c0.  Terms and exponents are read once; each
+    probe is the :func:`modular_mean` sum.
     """
     m = len(z)
     tail = list(z[-max(1, math.ceil(m / 4)) :])
     center0 = statistics.median(tail)
     span = max(tail) - min(tail)
-    if span == 0.0:
+    lo, hi = center0 - span, center0 + span
+    if not 0.0 < hi - lo < math.inf:
         return center0
     ks = spec.lam.window(m)
     zs = [z[k - 1] for k in ks]
@@ -735,10 +772,10 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     def h(center: float) -> float:
         return _fsum_sat(_modular_terms(zs, ps, M, r, center)) / lam_m
 
-    h0 = h(center0)
-    lo, hi = center0 - span, center0 + span
-    best, h_best = _localmin(h, lo, hi, center0, h0, math.sqrt(_EPS) * span)
-    return best if h_best <= h0 else center0
+    t = math.sqrt(_EPS) * span
+    best, h_best = _localmin(h, lo, hi, center0, h(center0), t)
+    a, b = best - 2.0 * t, best + 2.0 * t
+    return _golden_refine(h, a, b, best, h_best, _EPS * span)[0]
 
 
 def classify_membership(

@@ -358,6 +358,35 @@ class TestCli:
         assert doc["verdict"] == "converging"
         assert doc["limit_estimate"]["log"] == pytest.approx(-3.0, abs=1e-3)
 
+    def test_analyze_limit_with_overflowing_tail_range(self, tmp_path):
+        # the last quarter spans 1e308 - (-1e308) = inf: the centre search
+        # has no finite bracket and must end at the tail median
+        seq = write(
+            tmp_path / "s.json",
+            json.dumps({"domain": "log", "values": [0.0] * 30 + [1e308] * 5 + [-1e308] * 5}),
+        )
+        cfg = write(
+            tmp_path / "c.json",
+            json.dumps(
+                {
+                    "lambda": {"kind": "identity"},
+                    "orlicz": {"kind": "power", "p": 2},
+                    "variant": "limit",
+                    "transform": "identity",
+                }
+            ),
+        )
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", "analyze", "--in", seq, "--config", cfg,
+             "--format", "json", "--out", str(out)],
+            env=_env_with_package_path(),
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["limit_estimate"]["log"] == 0
+
     def test_paranorm_command(self, tmp_path, capsys, config_path):
         seq = write(
             tmp_path / "z.json", json.dumps({"domain": "log", "values": [0.0] * 40})
