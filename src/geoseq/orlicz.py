@@ -18,6 +18,7 @@ solvers well defined.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -26,11 +27,13 @@ __all__ = [
     "OrliczDiagnostics",
     "Delta2Report",
     "DegenerateOrliczError",
+    "ScaleBracket",
     "ScaleSolverError",
     "log_grid",
     "validate_on_grid",
     "delta2_constant",
     "luxemburg_norm",
+    "bracket_scale",
     "solve_scale",
     "small_argument_threshold",
 ]
@@ -41,7 +44,8 @@ class DegenerateOrliczError(ValueError):
 
 
 class ScaleSolverError(ArithmeticError):
-    """A scale constraint map increased with the scale during a solve."""
+    """The scale solver failed: the constraint map increased with the scale,
+    or ``max_iter`` probes did not close the bracket to ``rel_tol``."""
 
 
 def _pow_sat(base: float, exponent: float) -> float:
@@ -332,51 +336,152 @@ def _check_non_increasing(g_small: float, g_large: float) -> None:
             raise ScaleSolverError(f"constraint map increased: {g_small} -> {g_large}")
 
 
+# the bracket gallops over the exponent of r: 2**(2**k) up or 2**-(2**k) down,
+# then the largest finite or the smallest positive double
+_UP = tuple(2.0 ** (2 ** k) for k in range(10)) + (sys.float_info.max,)
+_DOWN = tuple(2.0 ** -(2 ** k) for k in range(11)) + (math.ulp(0.0),)
+_LN_MAX = math.log(sys.float_info.max)  # math.exp stays finite up to here
+
+
+def _ln(g: float) -> float:
+    """ln g, with -inf for g = 0 and inf for g = inf."""
+    if 0.0 < g < math.inf:
+        return math.log(g)
+    return -math.inf if g <= 0.0 else math.inf
+
+
+@dataclass(frozen=True)
+class ScaleBracket:
+    """Where :func:`bracket_scale` stopped.
+
+    ``lo`` is inadmissible (constraint > 1) and ``hi`` admissible, with
+    ``g_hi`` the constraint at ``hi`` and ``hi - lo <= rel_tol * hi`` (or
+    no double between them).  When no positive double is admissible,
+    ``lo`` is the largest finite double and ``hi`` is ``inf``; when every
+    positive double is, ``lo = hi = 0.0``.  In both cases ``g_hi`` is None.
+    ``probes`` counts the constraint evaluations.
+    """
+
+    lo: float
+    hi: float
+    g_hi: Optional[float]
+    probes: int
+
+
+def bracket_scale(
+    constraint: Callable[[float], float], rel_tol: float, max_iter: int = 200
+) -> ScaleBracket:
+    """Bracket inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
+
+    Works on (ln r, ln g), g the constraint value, in two phases:
+
+    1. Bracket: from r = 1, gallop over the exponent of r (2, 4, 16, 256,
+       ... up while r is inadmissible; 1/2, 1/4, ... down while it is
+       admissible) to the largest finite or smallest positive double.
+       Every positive double is reached within 13 probes.
+    2. Narrow: Brent's ``zeroin`` (Brent 1973, *Algorithms for
+       Minimization without Derivatives*, ch. 4) with secant steps through
+       the last two iterates.  A step is a bisection in ln r instead when
+       the secant step would not be under half the step before last, or
+       would leave the inner three quarters of the bracket, or when g is
+       0 or inf there.  Every step lands at least ``rel_tol / 2`` (relative)
+       from the better end, so a root next to it is closed in one probe.
+       ``hi`` moves only to admissible scales.
+
+    ln g is linear in ln r when the constraint is a power of r, as for
+    ``power(a)`` with a constant exponent; a secant step then lands on the
+    root, and the next probe closes the bracket.  Monotonicity is checked
+    at every probe.  Raises :class:`ScaleSolverError` when the constraint
+    increases with r, or when ``max_iter`` probes do not close the bracket.
+    """
+    probes = 0
+
+    def probe(r: float) -> float:
+        nonlocal probes
+        if probes == max_iter:
+            raise ScaleSolverError(
+                f"scale not bracketed to rel_tol = {rel_tol} in {max_iter} probes"
+            )
+        probes += 1
+        return constraint(r)
+
+    g = probe(1.0)
+    if g > 1.0:
+        lo, g_lo = 1.0, g
+        for r in _UP:
+            g = probe(r)
+            _check_non_increasing(g_lo, g)
+            if g <= 1.0:
+                break
+            lo, g_lo = r, g
+        else:
+            return ScaleBracket(lo, math.inf, None, probes)
+        hi, g_hi = r, g
+        b, c = (hi, g_hi), (lo, g_lo)
+    else:
+        hi, g_hi = 1.0, g
+        for r in _DOWN:
+            g = probe(r)
+            _check_non_increasing(g, g_hi)
+            if g > 1.0:
+                break
+            hi, g_hi = r, g
+        else:
+            return ScaleBracket(0.0, 0.0, None, probes)
+        lo, g_lo = r, g
+        b, c = (lo, g_lo), (hi, g_hi)
+
+    # iterates are (r, g): b the better end of the bracket, c the other
+    # end, a the previous b; d the last step in ln r, e the one before
+    a = c
+    d = e = math.log(b[0]) - math.log(a[0])
+    while hi - lo > rel_tol * hi and math.nextafter(lo, hi) < hi:
+        if abs(_ln(c[1])) < abs(_ln(b[1])):
+            a, b, c = b, c, b
+        xa, xb, xc = math.log(a[0]), math.log(b[0]), math.log(c[0])
+        fa, fb = _ln(a[1]), _ln(b[1])
+        xm = 0.5 * (xc - xb)
+        # secant step from b; NaN (no usable secant) fails every test below
+        s = fb * (xa - xb) / (fb - fa) if abs(fb) < abs(fa) < math.inf else math.nan
+        if s * xm >= 0.0 and abs(s) < min(1.5 * abs(xm), 0.5 * abs(e)):
+            e, d = d, s
+        else:
+            e = d = xm
+        r = math.exp(min(xb + d, _LN_MAX))
+        if xm > 0.0:
+            r = max(r, b[0] * (1.0 + 0.5 * rel_tol))
+        else:
+            r = min(r, b[0] * (1.0 - 0.5 * rel_tol))
+        if not lo < r < hi:
+            r = lo + 0.5 * (hi - lo)
+            if not lo < r < hi:
+                r = math.nextafter(lo, hi)
+        g = probe(r)
+        _check_non_increasing(g_lo, g)
+        _check_non_increasing(g, g_hi)
+        if g <= 1.0:
+            hi, g_hi = r, g
+        else:
+            lo, g_lo = r, g
+        a, b = b, (r, g)
+        if (g <= 1.0) == (c[1] <= 1.0):  # the bracket is now [a, b]
+            c = a
+            d = e = math.log(r) - xb
+    return ScaleBracket(lo, hi, g_hi, probes)
+
+
 def solve_scale(
     constraint: Callable[[float], float], rel_tol: float, max_iter: int = 200
 ) -> float:
     """inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
 
-    Brackets by doubling up from r = 1 and halving down, then bisects to
-    ``rel_tol``; returns the bracket's upper end, ``inf`` when no scale up
-    to 2**max_iter is admissible, or 0.0 when every scale down to 1e-300
-    is.  Monotonicity is checked at every probe (raises
-    :class:`ScaleSolverError`).
+    The admissible end ``hi`` of :func:`bracket_scale`: within ``rel_tol``
+    (relative) above the infimum, ``inf`` when not even the largest finite
+    double is admissible, and 0.0 when the smallest positive double is.
+    Raises :class:`ScaleSolverError` when the constraint increases with r
+    or ``max_iter`` probes do not reach ``rel_tol``.
     """
-    hi = 1.0
-    g_hi = constraint(hi)
-    for _ in range(max_iter):
-        if g_hi <= 1.0:
-            break
-        prev = g_hi
-        hi *= 2.0
-        g_hi = constraint(hi)
-        _check_non_increasing(prev, g_hi)
-    else:
-        return math.inf
-
-    lo = hi
-    g_lo = g_hi
-    while g_lo <= 1.0:
-        if lo < 1e-300:
-            return 0.0
-        prev = g_lo
-        lo *= 0.5
-        g_lo = constraint(lo)
-        _check_non_increasing(g_lo, prev)
-
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = constraint(mid)
-        _check_non_increasing(g_lo, g_mid)
-        _check_non_increasing(g_mid, g_hi)
-        if g_mid <= 1.0:
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-    return hi
+    return bracket_scale(constraint, rel_tol, max_iter).hi
 
 
 def luxemburg_norm(
@@ -391,7 +496,7 @@ def luxemburg_norm(
     non-decreasing; that monotonicity is checked at every probe (raises
     :class:`ScaleSolverError`).  A sum beyond double range saturates to
     ``inf``.  Returns 0 for the zero sequence; raises ``ArithmeticError``
-    when no scale up to 2**max_iter is admissible.
+    when not even the largest finite double is an admissible scale.
     """
     mags = [abs(float(v)) for v in x]
     for i, m in enumerate(mags):
@@ -405,7 +510,7 @@ def luxemburg_norm(
 
     rho = solve_scale(constraint, rel_tol, max_iter)
     if math.isinf(rho):
-        raise ArithmeticError("no admissible scale found while doubling upward")
+        raise ArithmeticError("no admissible scale below the largest double")
     return rho
 
 

@@ -31,11 +31,11 @@ import math
 import statistics
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .fibonacci import difference_transform_log
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
-from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, solve_scale
+from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, bracket_scale
 
 __all__ = [
     "LambdaSequence",
@@ -412,14 +412,20 @@ class MembershipReport:
 class ParanormResult:
     """Scale infimum and paranorm value at truncation scale.
 
-    ``g_geo`` is the geometric value e**g; it is None when no admissible
-    scale exists below the search cap (infinite paranorm marker,
-    ``math.isinf(g)``).
+    ``g_geo`` is the geometric value e**g; it is None when not even the
+    largest finite double is an admissible scale (infinite paranorm
+    marker, ``math.isinf(g)``).  ``probes``, ``bracket`` (lo, hi) and
+    ``constraint_at_hi`` describe the solve (see
+    :class:`~geoseq.orlicz.ScaleBracket`); reports do not print them.  The
+    zero sequence needs no solve: 0 probes, no bracket.
     """
 
     rho_star: float
     g: float
     g_geo: Optional[GeoScalar]
+    probes: int = 0
+    bracket: Optional[Tuple[float, float]] = None
+    constraint_at_hi: Optional[float] = None
 
 
 def windowed_logs(x: GeoSequence, transform: str) -> list:
@@ -746,25 +752,30 @@ def _golden_refine(f, a: float, b: float, x: float, fx: float, width: float) -> 
 def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     """Estimated log-limit: tail median refined on the final window.
 
-    The median c0 of the last quarter of z starts :func:`_localmin` on
-    the final-window modular h(c), convex in the center c for exponents
-    >= 1, over [c0 - span, c0 + span], span the range of that quarter.
-    The absolute tolerance t = sqrt(eps) * span scales with the bracket,
-    not with |c|.  :func:`_golden_refine` then searches 2 t either side of
-    that point, so a kink in h is found to eps * span.  Neither step
-    returns a point where h exceeds h(c0).  A constant tail, or one whose
-    span overflows, keeps c0.  Terms and exponents are read once; each
+    h(c) is the final-window modular around the center c.  Its minimiser
+    lies in [lo, hi], the range of that window's terms, for any
+    non-decreasing M: moving c from outside to the nearer end brings it
+    closer to every term.  The median c0 of the last quarter of z is
+    clamped into [lo, hi].  h is convex for exponents >= 1, so h a step
+    either side of c0 (the last quarter's range, at least 2 tol) narrows
+    the search to that step around c0, or to the side where h is lower.
+    There :func:`_localmin` runs with the absolute tolerance
+    t = sqrt(eps) * (hi - lo), which scales with the bracket, not with |c|.
+    :func:`_golden_refine` then searches 2 t either side of that point,
+    so a kink in h is found to eps * (hi - lo).  No step returns a point
+    where h exceeds h(c0).  A final window of one value, or one whose
+    range overflows, keeps c0.  Terms and exponents are read once; each
     probe is the :func:`modular_mean` sum.
     """
     m = len(z)
-    tail = list(z[-max(1, math.ceil(m / 4)) :])
-    center0 = statistics.median(tail)
-    span = max(tail) - min(tail)
-    lo, hi = center0 - span, center0 + span
-    if not 0.0 < hi - lo < math.inf:
-        return center0
     ks = spec.lam.window(m)
     zs = [z[k - 1] for k in ks]
+    lo, hi = min(zs), max(zs)
+    tail = z[-max(1, math.ceil(m / 4)) :]
+    center0 = min(max(statistics.median(tail), lo), hi)
+    span = hi - lo
+    if not 0.0 < span < math.inf:
+        return center0
     ps = _exponent_values(spec.exponents, ks)
     lam_m = spec.lam.at(m)
     M, r = spec.orlicz, spec.rho
@@ -773,7 +784,19 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
         return _fsum_sat(_modular_terms(zs, ps, M, r, center)) / lam_m
 
     t = math.sqrt(_EPS) * span
-    best, h_best = _localmin(h, lo, hi, center0, h(center0), t)
+    # convex h: no lower a step either side of c0, its minimum is within
+    # that step; lower on one side, it is on that side of c0
+    best, h_best = center0, h(center0)
+    step = max(max(tail) - min(tail), 2.0 * (2.0 * _EPS * abs(center0) + t))
+    down, up = max(lo, center0 - step), min(hi, center0 + step)
+    h_down, h_up = h(down), h(up)
+    if h_down < h_best and h_down <= h_up:
+        hi, best, h_best = center0, down, h_down
+    elif h_up < h_best:
+        lo, best, h_best = center0, up, h_up
+    else:
+        lo, hi = down, up
+    best, h_best = _localmin(h, lo, hi, best, h_best, t)
     a, b = best - 2.0 * t, best + 2.0 * t
     return _golden_refine(h, a, b, best, h_best, _EPS * span)[0]
 
@@ -852,13 +875,13 @@ def paranorm(
     """Luxemburg-style paranorm of the vanishing-variant space.
 
     rho_star = inf{r > 0 : sup_n S_n(r) <= 1} over the windows computable
-    on the truncation, found by :func:`solve_scale`; it is equivalent to
-    the rooted form sup_n S_n(r)**(1/H) <= 1 (s**(1/H) <= 1 exactly when
-    s <= 1; in floating point the root could also round a sum an ulp
-    above 1 down to 1.0), so the root is taken only in g.  The constraint is
-    non-increasing in r; that is checked at every probe (raises
-    :class:`ScaleSolverError`).  g = rho_star**(pbar/H) with pbar = inf p;
-    g_geo = e**g.  The zero sequence gets g = 0.
+    on the truncation, found by :func:`~geoseq.orlicz.bracket_scale` to
+    ``rel_tol``; it is equivalent to the rooted form sup_n S_n(r)**(1/H) <= 1
+    (s**(1/H) <= 1 exactly when s <= 1; in floating point the root could
+    also round a sum an ulp above 1 down to 1.0), so the root is taken only
+    in g.  The constraint is non-increasing in r; that is checked at every
+    probe (raises :class:`ScaleSolverError`).  g = rho_star**(pbar/H) with
+    pbar = inf p; g_geo = e**g.  The zero sequence gets g = 0.
     """
     if spec.variant != "zero":
         raise ValueError("paranorm is defined on the vanishing variant")
@@ -871,8 +894,13 @@ def paranorm(
     def sup_constraint(r: float) -> float:
         return max(_window_means(_modular_terms(z, ps, spec.orlicz, r, 0.0), spec.lam))
 
-    rho_star = solve_scale(sup_constraint, rel_tol, max_iter)
-    if math.isinf(rho_star):
-        return ParanormResult(rho_star=math.inf, g=math.inf, g_geo=None)
-    g = rho_star ** (spec.exponents.inf / spec.exponents.H)
-    return ParanormResult(rho_star=rho_star, g=g, g_geo=GeoScalar.from_log(g))
+    solve = bracket_scale(sup_constraint, rel_tol, max_iter)
+    g = solve.hi ** (spec.exponents.inf / spec.exponents.H)  # inf stays inf
+    return ParanormResult(
+        rho_star=solve.hi,
+        g=g,
+        g_geo=None if math.isinf(g) else GeoScalar.from_log(g),
+        probes=solve.probes,
+        bracket=(solve.lo, solve.hi),
+        constraint_at_hi=solve.g_hi,
+    )

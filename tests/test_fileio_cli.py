@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -506,6 +507,33 @@ class TestCli:
         cfg = write(tmp_path / "c.json", json.dumps({"transform": "identity"}))
         assert main(["paranorm", "--in", seq, "--config", cfg]) == 4
         assert "numeric range abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "orlicz",
+        [{"kind": "power", "p": 1}, {"kind": "power", "p": 2}, {"kind": "x_log1p"},
+         {"kind": "exp_minus_one"}],
+    )
+    def test_paranorm_of_a_tiny_log_view(self, tmp_path, capsys, orlicz):
+        # half windows: the largest window mean of |z| is 2e-300 (windows 2 and 4)
+        values = [1e-300, 2e-300, 1e-300, 3e-300, 1e-300, 1e-300, 1e-300, 1e-300]
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": values}))
+        cfg = write(
+            tmp_path / "c.json",
+            json.dumps({"lambda": {"kind": "half"}, "orlicz": orlicz, "transform": "identity"}),
+        )
+        assert main(["paranorm", "--in", seq, "--config", cfg, "--format", "json"]) == 0
+        rho = json.loads(capsys.readouterr().out)["rho_star"]
+        if orlicz["kind"] == "power" and orlicz["p"] == 1:
+            assert rho == pytest.approx(2e-300, rel=1e-11)
+        assert 1e-301 < rho < 1e-299
+
+    def test_solver_out_of_probes_exits_4(self, tmp_path, capsys, monkeypatch):
+        # three probes bracket the scale but cannot close it to rel_tol
+        monkeypatch.setattr("geoseq.cli.paranorm", functools.partial(paranorm, max_iter=3))
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": [2.7] * 8}))
+        cfg = write(tmp_path / "c.json", json.dumps({"transform": "identity"}))
+        assert main(["paranorm", "--in", seq, "--config", cfg]) == 4
+        assert "in 3 probes" in capsys.readouterr().err
 
     def test_transformed_row_out_of_range_exits_4(self, tmp_path, config_path):
         # a valid log-view whose difference transform overflows double range

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 import pytest
@@ -17,7 +18,7 @@ from geoseq import (
     solve_scale,
     validate_on_grid,
 )
-from geoseq.orlicz import log_grid, small_argument_threshold
+from geoseq.orlicz import ScaleBracket, bracket_scale, log_grid, small_argument_threshold
 
 POWER2 = OrliczFunction.power(2.0)
 EXPM1 = OrliczFunction.exp_minus_one()
@@ -257,6 +258,13 @@ class TestLuxemburgNorm:
         with pytest.raises(ArithmeticError, match="no admissible scale"):
             luxemburg_norm([1e308] * 4, OrliczFunction.power(1.0))
 
+    @pytest.mark.parametrize("unit", [1e-100, 1e100])
+    def test_scale_far_from_one(self, unit):
+        # the bracket gallops over the exponent of the scale, so no count
+        # of halvings or doublings from r = 1 limits the range
+        rho = luxemburg_norm([unit, 2.0 * unit], OrliczFunction.power(1.0))
+        assert rho == pytest.approx(3.0 * unit, rel=1e-12)
+
     def test_non_monotone_table_raises(self):
         # M(2.7) = 1.64 at rho = 1 but M(1.35) = 2.075 at rho = 2
         M = OrliczFunction.table([(0, 0), (1, 0.5), (2, 5), (3, 0.2), (4, 6)])
@@ -277,6 +285,50 @@ class TestSolveScale:
     def test_increasing_constraint_raises(self):
         with pytest.raises(ScaleSolverError):
             solve_scale(lambda r: r, 1e-12)
+
+    @pytest.mark.parametrize("root", [5e-324 * 7, 3e-300, 1e-150, 0.3, 2.7, 3e150, 1.5e308])
+    def test_whole_double_range(self, root):
+        # g = root / r: ln g is linear in ln r, so after at most 13 bracket
+        # probes a secant step lands on the root and one more probe closes
+        # the bracket (subnormal roots, with few bits, take a few more)
+        res = bracket_scale(lambda r: root / r, 1e-11)
+        assert res.lo < root <= res.hi
+        assert res.hi - res.lo <= 1e-11 * res.hi or math.nextafter(res.lo, math.inf) == res.hi
+        assert res.probes <= 17
+
+    def test_bracket_fields(self):
+        def constraint(r):
+            return math.fsum(XLOG.eval(v / r) for v in (1.0, 2.5, 4.0))
+
+        res = bracket_scale(constraint, 1e-12)
+        assert constraint(res.lo) > 1.0 >= constraint(res.hi) == res.g_hi
+        assert res.hi - res.lo <= 1e-12 * res.hi
+        assert solve_scale(constraint, 1e-12) == res.hi
+
+    def test_unbracketed_ends(self):
+        assert bracket_scale(lambda r: 2.0, 1e-12) == ScaleBracket(
+            sys.float_info.max, math.inf, None, 12
+        )
+        assert bracket_scale(lambda r: 0.5, 1e-12) == ScaleBracket(0.0, 0.0, None, 13)
+
+    @pytest.mark.parametrize(
+        "above, below",
+        [(2.0, 0.5), (math.inf, 0.0), (2.0, 1.0), (1e300, 1e-300)],
+    )
+    def test_step_constraint_ends_by_bisection(self, above, below):
+        # no secant step helps on a step function: bisection in ln r from
+        # the bracket [2, 4] needs about 36 probes to reach rel_tol.  Where
+        # g is exactly 1 above the step, a secant step lands on the end
+        # where g = 1, and those probes alternate with the bisections.
+        res = bracket_scale(lambda r: above if r < 3.0 else below, 1e-11)
+        assert res.lo < 3.0 <= res.hi
+        assert res.hi - res.lo <= 1e-11 * res.hi
+        assert res.probes <= (80 if below == 1.0 else 45)
+
+    def test_max_iter_exhausted_raises(self):
+        # the step function needs about 40 probes
+        with pytest.raises(ScaleSolverError, match="20 probes"):
+            solve_scale(lambda r: 2.0 if r < 3.0 else 0.5, 1e-11, max_iter=20)
 
 
 class TestSmallArgumentThreshold:

@@ -412,17 +412,20 @@ class TestParanorm:
 
     def test_unrooted_constraint_matches_rooted_reference(self):
         # reference: the constraint sup_n S_n(r)**(1/H) <= 1, rooted per
-        # window; paranorm tests sup_n S_n(r) <= 1 and roots only g
-        def rooted(x, s):
-            z = windowed_logs(x, s.transform)
-            H = s.exponents.H
+        # window; paranorm tests sup_n S_n(r) <= 1 and roots only g.  A
+        # secant step depends on the constraint's value, not only on its
+        # side of 1, so the two solves agree within rel_tol, not bit for bit.
+        rel_tol = 1e-11
 
-            def constraint(r):
+        def constraints(z, s):
+            def unrooted(r):
+                return max(modular_trace(z, s.lam, s.orlicz, s.exponents, r))
+
+            def rooted(r):
                 trace = modular_trace(z, s.lam, s.orlicz, s.exponents, r)
-                return max([0.0] + [_pow_sat(v, 1.0 / H) for v in trace])
+                return max([0.0] + [_pow_sat(v, 1.0 / s.exponents.H) for v in trace])
 
-            rho = solve_scale(constraint, 1e-11, 200)
-            return rho, rho ** (s.exponents.inf / H)
+            return unrooted, rooted
 
         orliczes = [
             OrliczFunction.power(1.0),
@@ -450,9 +453,111 @@ class TestParanorm:
             )
             scale = 10.0 ** rng.uniform(-3.0, 1.5)
             x = from_log([rng.uniform(-scale, scale) for _ in range(m + 1)])
-            res = paranorm(x, s)
-            rho, g = rooted(x, s)
-            assert (res.rho_star.hex(), res.g.hex()) == (rho.hex(), g.hex())
+            unrooted, rooted = constraints(windowed_logs(x, s.transform), s)
+            res = paranorm(x, s, rel_tol=rel_tol)
+            rho = solve_scale(rooted, rel_tol, 200)
+            # both scales are admissible and rel_tol below them is not; the
+            # per-window root can round a sum a few ulps above 1 down to
+            # 1.0, so the rooted scale may sit that far above 1 unrooted
+            roundoff = s.exponents.H * math.ulp(1.0)
+            assert unrooted(res.rho_star) <= 1.0 and rooted(res.rho_star) <= 1.0
+            assert rooted(rho) <= 1.0 and unrooted(rho) <= 1.0 + roundoff
+            for scale_star in (res.rho_star, rho):
+                below = scale_star * (1.0 - rel_tol)
+                assert unrooted(below) > 1.0 and rooted(below) > 1.0
+            assert abs(res.rho_star - rho) <= rel_tol * max(res.rho_star, rho)
+            assert res.g == res.rho_star ** (s.exponents.inf / s.exponents.H)
+
+
+TABLE = OrliczFunction.table([[0, 0], [0.5, 0.2], [1, 1], [2, 3.5], [4, 10]])
+
+
+def _pinned(rng, m, pin=2.7):
+    # one term of size pin in window I(1) = {1}, every other at most 0.9
+    # pin: the supremum sits at n = 1, so rho* = pin / M^-1(1)
+    return [rng.choice((-1.0, 1.0)) * pin] + [
+        rng.uniform(-0.9 * pin, 0.9 * pin) for _ in range(m - 1)
+    ]
+
+
+def _exact_sup(z, s, r):
+    """sup_n S_n(r) in exact rational arithmetic: power or table M, integer p."""
+    M, q = s.orlicz, int(s.exponents.value)
+    if M.kind == "power":
+        def m_exact(t):
+            return t ** int(M.p)
+    else:
+        knots = [(Fraction(a), Fraction(b)) for a, b in M.points]
+
+        def m_exact(t):
+            i = next((i for i in range(1, len(knots)) if t < knots[i][0]), len(knots) - 1)
+            (t0, m0), (t1, m1) = knots[i - 1], knots[i]
+            return m0 + (m1 - m0) * (t - t0) / (t1 - t0)
+
+    terms = [m_exact(abs(Fraction(v)) / r) ** q for v in z]
+    prefix = [Fraction(0)]
+    for t in terms:
+        prefix.append(prefix[-1] + t)
+    return max(
+        (prefix[w.stop - 1] - prefix[w.start - 1]) / Fraction(s.lam.at(n))
+        for n, w in enumerate(s.lam.windows(len(z)), 1)
+    )
+
+
+class TestParanormSolve:
+    """The log-domain secant solver behind the paranorm: probes, bracket, exactness."""
+
+    # (m, windows, M, exponents) of the benchmark's paranorm workload
+    CONFIGS = [
+        (400, "half", P2, E1),
+        (400, "sqrt", P1, Exponents.constant(2.0)),
+        (400, "half", OrliczFunction.x_log1p(), Exponents.formula(1.0, 1.0)),
+        (400, "sqrt", TABLE, E1),
+        (200, "half", P1, E1),
+        (200, "sqrt", P2, Exponents.formula(1.0, 0.5)),
+        (200, "half", TABLE, Exponents.formula(1.0, 1.0)),
+        (200, "sqrt", OrliczFunction.x_log1p(), E1),
+    ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("config", range(len(CONFIGS)))
+    def test_probe_counts(self, config, seed):
+        # bisection to rel_tol took 41 probes on each of these
+        m, lam, M, p = self.CONFIGS[config]
+        res = paranorm(from_log(_pinned(random.Random(seed), m)), spec(lam=lam, M=M, p=p))
+        closed_form = M.kind == "power" and p.kind == "constant"
+        assert res.probes <= (7 if closed_form else 10)
+        lo, hi = res.bracket
+        assert hi == res.rho_star and hi - lo <= 1e-11 * hi
+        assert 0.0 <= res.constraint_at_hi <= 1.0
+
+    @pytest.mark.parametrize(
+        "M, p",
+        [(P1, E1), (P1, Exponents.constant(2.0)), (P2, E1), (TABLE, E1),
+         (TABLE, Exponents.constant(2.0))],
+    )
+    def test_exact_constraint_brackets_rho_star(self, M, p):
+        rel_tol = 1e-11
+        rng = random.Random(9)
+        for trial in range(6):
+            lam = ("half", "sqrt", "identity")[trial % 3]
+            z = _pinned(rng, 60) if trial < 3 else [rng.uniform(-5, 5) for _ in range(60)]
+            s = spec(lam=lam, M=M, p=p)
+            rho = Fraction(paranorm(from_log(z), s, rel_tol=rel_tol).rho_star)
+            # the solver decides on the float constraint, and a secant step
+            # can land on its root: there the exact value may exceed 1 by
+            # the float constraint's own rounding, a few ulps
+            assert _exact_sup(z, s, rho) <= 1 + 4 * Fraction(math.ulp(1.0))
+            assert _exact_sup(z, s, rho * (1 - Fraction(rel_tol))) > 1
+
+    def test_solve_fields(self):
+        x = from_log([1.0] + [0.0] * 39)
+        res = paranorm(x, spec())
+        assert res.rho_star == 1.0
+        assert res.bracket[1] == 1.0 and res.constraint_at_hi == 1.0
+        assert res.probes == 3  # r = 1, 1/2, then 1 - 5e-12 closes the bracket
+        zero = paranorm(from_log([0.0] * 30), spec())
+        assert (zero.probes, zero.bracket, zero.constraint_at_hi) == (0, None, None)
 
 
 # a table whose constraint map rises with the scale between r = 1 and r = 2
@@ -958,6 +1063,31 @@ class TestEstimateLimit:
             window = self.final_window(z, s)
             mean = sum(map(Fraction, window)) / len(window)
             assert abs(Fraction(_estimate_limit(z, s)) - mean) <= Fraction(1, 10**6)
+
+    def test_minimum_beyond_the_tail_quarter(self):
+        # half windows: the final window is the last 20 terms, half near 10
+        # and half near 0.  The last quarter sits near 0 with a tiny range,
+        # yet h's minimum for power(2) is the window mean, near 5.
+        rng = random.Random(17)
+        s = spec(lam="half", M=P2, variant="limit")
+        for _ in range(10):
+            z = (self.level_data(rng, 20, 3.0, 1.0) + self.level_data(rng, 10, 10.0, 1e-3)
+                 + self.level_data(rng, 10, 0.0, 1e-9))
+            window = self.final_window(z, s)
+            mean = sum(map(Fraction, window)) / len(window)
+            assert abs(Fraction(_estimate_limit(z, s)) - mean) <= Fraction(1, 10**9)
+
+    def test_tail_median_outside_the_final_window_is_clamped(self):
+        # sqrt windows at m = 400: the final window is the last 20 terms,
+        # the last quarter 100; its median -5 lies below every term of the
+        # final window, whose modular has its minimum at the window mean
+        rng = random.Random(18)
+        s = spec(lam="sqrt", M=P2, variant="limit")
+        z = self.level_data(rng, 380, -5.0, 0.1) + self.level_data(rng, 20, 1.0, 0.5)
+        window = self.final_window(z, s)
+        assert statistics.median(z[-100:]) < min(window)
+        mean = sum(map(Fraction, window)) / len(window)
+        assert abs(Fraction(_estimate_limit(z, s)) - mean) <= Fraction(1, 10**9)
 
     def test_constant_tail_is_its_own_centre(self, monkeypatch):
         calls = []
