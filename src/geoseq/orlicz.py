@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -145,6 +146,39 @@ class OrliczFunction:
             pass
         return list(map(self.eval, ts))
 
+    def derivative_many(self, ts: Sequence[float]) -> list:
+        """M'(t+), the right derivative, at each float t >= 0; ``inf`` beyond range.
+
+        ``power`` p * t**(p - 1); ``x_log1p`` log1p(t) + t / (1 + t);
+        ``exp_minus_one`` e**t; ``table`` the slope of the segment right of
+        t.  The form follows ``kind``, also for a subclass that overrides
+        :meth:`eval`: right for M up to a constant factor (a counting or
+        scaling wrapper), which keeps the sign of a modular's derivative.
+        A subclass that changes M's shape must override this too.
+        """
+        if self.kind == "power":
+            p, q = self.p, self.p - 1.0
+            if q == 0.0:
+                return [1.0] * len(ts)
+            try:
+                return [p * t ** q for t in ts]
+            except OverflowError:
+                return [p * _pow_sat(t, q) for t in ts]
+        if self.kind == "x_log1p":
+            log1p = math.log1p  # t / (1 + t) is inf / inf at t = inf
+            return [log1p(t) + t / (1.0 + t) if t < math.inf else t for t in ts]
+        if self.kind == "exp_minus_one":
+            try:
+                return list(map(math.exp, ts))
+            except OverflowError:
+                return [math.exp(t) if t <= _LN_MAX else math.inf for t in ts]
+        if self.kind == "table":
+            pts = self.points
+            starts = [t for t, _ in pts[:-1]]
+            slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
+            return [slopes[bisect_right(starts, t) - 1] for t in ts]
+        raise ValueError(f"unknown Orlicz family {self.kind!r}")
+
     def _eval_table(self, t: float) -> float:
         pts = self.points
         if t >= pts[-1][0]:
@@ -171,15 +205,6 @@ class OrliczFunction:
             return False
         if self.kind == "x_log1p":
             return True
-        return None
-
-    @property
-    def delta2_analytic_constant(self) -> Optional[float]:
-        if self.kind == "power":
-            return 2.0 ** self.p
-        if self.kind == "x_log1p":
-            # ratio M(2u)/M(u) = 2 log1p(2u)/log1p(u) decreases from 4 to 2
-            return 4.0
         return None
 
     def describe(self) -> dict:
@@ -368,31 +393,87 @@ class ScaleBracket:
     probes: int
 
 
+def _zeroin(
+    f: Callable[[float], float], b: tuple, c: tuple, tol: float, log: bool = False
+) -> tuple:
+    """The bracket between b and c narrowed to where f, non-increasing, changes sign.
+
+    b and c are (x, f(x)) pairs, b the newer, with f > 0 at one and f <= 0
+    at the other.  Brent's ``zeroin`` (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4): secant steps through the
+    last two iterates (in ln x when ``log``), bisections where a secant step
+    would not be under half the step before last, would leave the inner
+    three quarters of the bracket, or meets an infinite f, and every probe
+    at least tol / 2 (relative to x when ``log``) from the better end.
+    Returns ((lo, f(lo)), (hi, f(hi))), f(lo) > 0 >= f(hi), once hi - lo <=
+    tol (times hi when ``log``), no double lies between them, or f(hi) == 0.
+    An exact zero ends the search unless ``log``: there f is ln of a
+    constraint that may be 1 on a stretch whose left end is sought, so
+    once a probe next to a zero finds f = 0 again, zero steps bisect.
+    """
+    (lo, f_lo), (hi, f_hi) = sorted((b, c))
+    rel, t = (tol, 0.0) if log else (0.0, tol)
+    coord = math.log if log else float
+    zero_ok = True
+    # b is the better end of the bracket, c the other end, a the previous
+    # b; d the last step in coord(x), e the one before
+    a = c
+    d = e = coord(b[0]) - coord(a[0])
+    while hi - lo > rel * hi + t and math.nextafter(lo, hi) < hi:
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        if b[1] == 0.0 and not log:
+            break
+        xa, xb, xc = coord(a[0]), coord(b[0]), coord(c[0])
+        fa, fb = a[1], b[1]
+        xm = 0.5 * (xc - xb)
+        # secant step from b; NaN (no usable secant) fails every test below
+        s = fb * (xa - xb) / (fb - fa) if abs(fb) < abs(fa) < math.inf else math.nan
+        if s == 0.0 and not zero_ok:
+            s = math.nan
+        if s * xm >= 0.0 and abs(s) < min(1.5 * abs(xm), 0.5 * abs(e)):
+            e, d = d, s
+        else:
+            e = d = xm
+        x = math.exp(min(xb + d, _LN_MAX)) if log else xb + d
+        if xm > 0.0:
+            x = max(x, b[0] * (1.0 + 0.5 * rel) + 0.5 * t)
+        else:
+            x = min(x, b[0] * (1.0 - 0.5 * rel) - 0.5 * t)
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+            if not lo < x < hi:
+                x = math.nextafter(lo, hi)
+        fx = f(x)
+        if d == 0.0 and fx <= 0.0:  # a zero step that stayed on a stretch of zeros
+            zero_ok = False
+        if fx <= 0.0:
+            hi, f_hi = x, fx
+        else:
+            lo, f_lo = x, fx
+        a, b = b, (x, fx)
+        if (fx <= 0.0) == (c[1] <= 0.0):  # the bracket is now [a, b]
+            c = a
+            d = e = coord(x) - xb
+    return (lo, f_lo), (hi, f_hi)
+
+
 def bracket_scale(
     constraint: Callable[[float], float], rel_tol: float, max_iter: int = 200
 ) -> ScaleBracket:
     """Bracket inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
 
-    Works on (ln r, ln g), g the constraint value, in two phases:
-
-    1. Bracket: from r = 1, gallop over the exponent of r (2, 4, 16, 256,
-       ... up while r is inadmissible; 1/2, 1/4, ... down while it is
-       admissible) to the largest finite or smallest positive double.
-       Every positive double is reached within 13 probes.
-    2. Narrow: Brent's ``zeroin`` (Brent 1973, *Algorithms for
-       Minimization without Derivatives*, ch. 4) with secant steps through
-       the last two iterates.  A step is a bisection in ln r instead when
-       the secant step would not be under half the step before last, or
-       would leave the inner three quarters of the bracket, or when g is
-       0 or inf there.  Every step lands at least ``rel_tol / 2`` (relative)
-       from the better end, so a root next to it is closed in one probe.
-       ``hi`` moves only to admissible scales.
-
-    ln g is linear in ln r when the constraint is a power of r, as for
-    ``power(a)`` with a constant exponent; a secant step then lands on the
-    root, and the next probe closes the bracket.  Monotonicity is checked
-    at every probe.  Raises :class:`ScaleSolverError` when the constraint
-    increases with r, or when ``max_iter`` probes do not close the bracket.
+    From r = 1 it gallops over the exponent of r (2, 4, 16, 256, ... up
+    while r is inadmissible; 1/2, 1/4, ... down while it is admissible) to
+    the largest finite or smallest positive double, so every positive
+    double is reached within 13 probes.  Then :func:`_zeroin` narrows
+    (ln r, ln g), g the constraint value, to ``rel_tol``; ``hi`` moves only
+    to admissible scales.  ln g is linear in ln r when the constraint is a
+    power of r (``power(a)`` with a constant exponent), so a secant step
+    lands on the root and the next probe closes the bracket.  Monotonicity
+    is checked at every probe.  Raises :class:`ScaleSolverError` when the
+    constraint increases with r, or when ``max_iter`` probes do not close
+    the bracket.
     """
     probes = 0
 
@@ -417,7 +498,7 @@ def bracket_scale(
         else:
             return ScaleBracket(lo, math.inf, None, probes)
         hi, g_hi = r, g
-        b, c = (hi, g_hi), (lo, g_lo)
+        b, c = (hi, _ln(g_hi)), (lo, _ln(g_lo))
     else:
         hi, g_hi = 1.0, g
         for r in _DOWN:
@@ -429,44 +510,18 @@ def bracket_scale(
         else:
             return ScaleBracket(0.0, 0.0, None, probes)
         lo, g_lo = r, g
-        b, c = (lo, g_lo), (hi, g_hi)
+        b, c = (lo, _ln(g_lo)), (hi, _ln(g_hi))
 
-    # iterates are (r, g): b the better end of the bracket, c the other
-    # end, a the previous b; d the last step in ln r, e the one before
-    a = c
-    d = e = math.log(b[0]) - math.log(a[0])
-    while hi - lo > rel_tol * hi and math.nextafter(lo, hi) < hi:
-        if abs(_ln(c[1])) < abs(_ln(b[1])):
-            a, b, c = b, c, b
-        xa, xb, xc = math.log(a[0]), math.log(b[0]), math.log(c[0])
-        fa, fb = _ln(a[1]), _ln(b[1])
-        xm = 0.5 * (xc - xb)
-        # secant step from b; NaN (no usable secant) fails every test below
-        s = fb * (xa - xb) / (fb - fa) if abs(fb) < abs(fa) < math.inf else math.nan
-        if s * xm >= 0.0 and abs(s) < min(1.5 * abs(xm), 0.5 * abs(e)):
-            e, d = d, s
-        else:
-            e = d = xm
-        r = math.exp(min(xb + d, _LN_MAX))
-        if xm > 0.0:
-            r = max(r, b[0] * (1.0 + 0.5 * rel_tol))
-        else:
-            r = min(r, b[0] * (1.0 - 0.5 * rel_tol))
-        if not lo < r < hi:
-            r = lo + 0.5 * (hi - lo)
-            if not lo < r < hi:
-                r = math.nextafter(lo, hi)
+    def ln_constraint(r: float) -> float:
+        nonlocal g_lo, g_hi
         g = probe(r)
         _check_non_increasing(g_lo, g)
         _check_non_increasing(g, g_hi)
-        if g <= 1.0:
-            hi, g_hi = r, g
-        else:
-            lo, g_lo = r, g
-        a, b = b, (r, g)
-        if (g <= 1.0) == (c[1] <= 1.0):  # the bracket is now [a, b]
-            c = a
-            d = e = math.log(r) - xb
+        # g <= 1 exactly when ln g <= 0, where _zeroin moves hi
+        g_lo, g_hi = (g_lo, g) if g <= 1.0 else (g, g_hi)
+        return _ln(g)
+
+    (lo, _), (hi, _) = _zeroin(ln_constraint, b, c, rel_tol, log=True)
     return ScaleBracket(lo, hi, g_hi, probes)
 
 

@@ -27,15 +27,18 @@ becomes "<= 1".
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Optional, Sequence, Tuple
 
 from .fibonacci import difference_transform_log
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
-from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, bracket_scale
+from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, _zeroin, bracket_scale
 
 __all__ = [
     "LambdaSequence",
@@ -669,136 +672,77 @@ def _decide_vanishing(values: Sequence[float], tols: Tolerances) -> tuple:
 
 
 _EPS = math.ulp(1.0)
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # 1 - 1/phi
-_FLAT = 256.0 * _EPS  # relative difference below which h no longer separates
 
 
-def _localmin(f, a: float, b: float, x: float, fx: float, t: float) -> tuple:
-    """(x, f(x)) at a local minimum of f on [a, b], from a start x in (a, b).
-
-    Brent's parabolic-plus-golden-section ``localmin`` (Brent 1973,
-    *Algorithms for Minimization without Derivatives*, ch. 5).  It stops
-    once the bracket [a, b] lies within 2 * tol of x, tol = 2 * eps * |x| + t,
-    or after 100 probes.  b - a must be finite.  A unimodal f keeps its
-    minimiser inside the bracket, and x only ever moves to a point with
-    f <= f(x), so the result is never worse than the start.
+def _slope(
+    zs: Sequence[float], ps, orlicz: OrliczFunction, scale: float, c: float
+) -> float:
+    """D(c) = sum_k s_k phi_k'(|z_k - c| / scale), phi_k = M ** p_k, s_k = +1
+    for z_k <= c and -1 otherwise: ``len(zs) * scale`` times the right
+    derivative of the modular around c.  ``zs`` is sorted, and ``ps`` lists
+    the exponents in its order, or is None for all 1: then phi' is M' and M
+    is not evaluated.  Each side sums to ``inf`` at most; two give 0.
     """
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    for _ in range(100):
-        mid = 0.5 * a + 0.5 * b  # 0.5 * (a + b) can overflow
-        tol = 2.0 * _EPS * abs(x) + t
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        p = q = r = 0.0
-        if abs(e) > tol:  # parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if min(x + d - a, b - x - d) < 2.0 * tol:  # keep clear of the ends
-                d = tol if x < mid else -tol
-        else:  # golden section of the larger part
-            e = (b if x < mid else a) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
+    def side(us: list, qs) -> float:
+        ds = orlicz.derivative_many(us)
+        if qs:  # phi' = p M**(p - 1) M'
+            ms = orlicz.eval_many(us)
+            ds = [p * _pow_sat(m, p - 1.0) * d for p, m, d in zip(qs, ms, ds)]
+        return _fsum_sat(ds)
 
-
-def _golden_refine(f, a: float, b: float, x: float, fx: float, width: float) -> tuple:
-    """(x, f(x)), or an inner point of [a, b] with a lower f.
-
-    Near a smooth minimum f hardly tells the two golden inner points of
-    [a, b] apart, by no more than _FLAT relative, and x is kept.  If f
-    separates them, the minimum is a kink (power(1) at the window median):
-    [a, b] is golden-sectioned down to the given width, or until it holds
-    no two distinct inner points.
-    """
-    g = 1.0 - _GOLDEN
-    c, d = b - g * (b - a), a + g * (b - a)
-    if not a < c < d < b:
-        return x, fx
-    fc, fd = f(c), f(d)
-    if abs(fc - fd) > _FLAT * min(fc, fd):
-        while a < c < d < b and b - a > width:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - g * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + g * (b - a)
-                fd = f(d)
-    for fy, y in ((fc, c), (fd, d)):
-        if fy < fx:
-            x, fx = y, fy
-    return x, fx
+    k = bisect_right(zs, c)
+    up = side([(c - v) / scale for v in zs[:k]], ps and ps[:k])
+    down = side([(v - c) / scale for v in zs[k:]], ps and ps[k:])
+    return up - down if up != down else 0.0
 
 
 def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
-    """Estimated log-limit: tail median refined on the final window.
+    """Estimated log-limit: the minimiser of the final window's modular h(c).
 
-    h(c) is the final-window modular around the center c.  Its minimiser
-    lies in [lo, hi], the range of that window's terms, for any
-    non-decreasing M: moving c from outside to the nearer end brings it
-    closer to every term.  The median c0 of the last quarter of z is
-    clamped into [lo, hi].  h is convex for exponents >= 1, so h a step
-    either side of c0 (the last quarter's range, at least 2 tol) narrows
-    the search to that step around c0, or to the side where h is lower.
-    There :func:`_localmin` runs with the absolute tolerance
-    t = sqrt(eps) * (hi - lo), which scales with the bracket, not with |c|.
-    :func:`_golden_refine` then searches 2 t either side of that point,
-    so a kink in h is found to eps * (hi - lo).  No step returns a point
-    where h exceeds h(c0).  A final window of one value, or one whose
-    range overflows, keeps c0.  Terms and exponents are read once; each
-    probe is the :func:`modular_mean` sum.
+    It lies in [lo, hi], the range of the window's terms.  For exponents
+    >= 1, h is convex, and the minimiser is where its right derivative
+    changes sign (Rockafellar 1970, *Convex Analysis*, section 24), read
+    from D (:func:`_slope`).  When M'(0+) > 0, each term with exponent 1
+    puts a kink in h, where the left derivative is D less 2 M'(0+) per
+    such term.  Bisection over the sorted terms finds the first with
+    D >= 0, the minimiser if its left derivative is <= 0 (so ``power(1)``
+    ends on a median element).  Where D or the left derivative is 0, h may
+    be flat on that side (``power(1)`` between the middle terms of an even
+    window), and the median of the last quarter of z is kept if D is 0
+    there too.  Otherwise :func:`~geoseq.orlicz._zeroin` narrows the gap
+    below that term, or [lo, hi] for a smooth h, to 4 eps max(|lo|, |hi|),
+    and its end with the smaller |D| is the estimate.  Exponents below 1
+    make h non-convex, so the search raises them to 1.  A final window of
+    one value is its own centre; one whose range overflows gets the
+    midpoint 0.5 lo + 0.5 hi.
     """
-    m = len(z)
-    ks = spec.lam.window(m)
+    ks = spec.lam.window(len(z))
     zs = [z[k - 1] for k in ks]
-    lo, hi = min(zs), max(zs)
-    tail = z[-max(1, math.ceil(m / 4)) :]
-    center0 = min(max(statistics.median(tail), lo), hi)
-    span = hi - lo
-    if not 0.0 < span < math.inf:
-        return center0
     ps = _exponent_values(spec.exponents, ks)
-    lam_m = spec.lam.at(m)
-    M, r = spec.orlicz, spec.rho
-
-    def h(center: float) -> float:
-        return _fsum_sat(_modular_terms(zs, ps, M, r, center)) / lam_m
-
-    t = math.sqrt(_EPS) * span
-    # convex h: no lower a step either side of c0, its minimum is within
-    # that step; lower on one side, it is on that side of c0
-    best, h_best = center0, h(center0)
-    step = max(max(tail) - min(tail), 2.0 * (2.0 * _EPS * abs(center0) + t))
-    down, up = max(lo, center0 - step), min(hi, center0 + step)
-    h_down, h_up = h(down), h(up)
-    if h_down < h_best and h_down <= h_up:
-        hi, best, h_best = center0, down, h_down
-    elif h_up < h_best:
-        lo, best, h_best = center0, up, h_up
+    ps = [max(p, 1.0) for p in ([ps] * len(zs) if isinstance(ps, float) else ps)]
+    kinked = [v for v, p in zip(zs, ps) if p == 1.0]
+    zs, ps = (sorted(zs), None) if len(kinked) == len(zs) else zip(*sorted(zip(zs, ps)))
+    lo, hi = zs[0], zs[-1]
+    if not 0.0 < hi - lo < math.inf:
+        return lo if lo == hi else 0.5 * lo + 0.5 * hi
+    slope = functools.partial(_slope, zs, ps, spec.orlicz, spec.rho)
+    jump = 2.0 * spec.orlicz.derivative_many([0.0])[0]  # per term at its kink
+    if jump > 0.0 and kinked:
+        counts, D = Counter(kinked), functools.cache(slope)
+        # the first term with D >= 0; the last has it, every term counting +1
+        j = bisect_left(zs, True, 0, len(zs) - 1, key=lambda c: D(c) >= 0.0)
+        left = D(zs[j]) - jump * counts[zs[j]]
+        if left <= 0.0 or j == 0:  # for M' >= 0, left <= 0 at j = 0
+            if D(zs[j]) == 0.0 or left == 0.0:  # h may be flat on that side
+                tail = min(max(statistics.median(z[-math.ceil(len(z) / 4) :]), lo), hi)
+                if D(tail) == 0.0:
+                    return tail
+            return zs[j]
+        b, c = (zs[j], -left), (zs[j - 1], -D(zs[j - 1]))
     else:
-        lo, hi = down, up
-    best, h_best = _localmin(h, lo, hi, best, h_best, t)
-    a, b = best - 2.0 * t, best + 2.0 * t
-    return _golden_refine(h, a, b, best, h_best, _EPS * span)[0]
+        b, c = (hi, -slope(hi)), (lo, -slope(lo))
+    ends = _zeroin(lambda x: -slope(x), b, c, 4.0 * _EPS * max(abs(lo), abs(hi)))
+    return min(ends, key=lambda end: abs(end[1]))[0]
 
 
 def classify_membership(

@@ -360,8 +360,8 @@ class TestCli:
         assert doc["limit_estimate"]["log"] == pytest.approx(-3.0, abs=1e-3)
 
     def test_analyze_limit_with_overflowing_tail_range(self, tmp_path):
-        # the last quarter spans 1e308 - (-1e308) = inf: the centre search
-        # has no finite bracket and must end at the tail median
+        # the final window spans 1e308 - (-1e308) = inf: the centre search
+        # has no finite bracket and ends at its midpoint, the tail median 0
         seq = write(
             tmp_path / "s.json",
             json.dumps({"domain": "log", "values": [0.0] * 30 + [1e308] * 5 + [-1e308] * 5}),

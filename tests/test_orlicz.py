@@ -18,7 +18,13 @@ from geoseq import (
     solve_scale,
     validate_on_grid,
 )
-from geoseq.orlicz import ScaleBracket, bracket_scale, log_grid, small_argument_threshold
+from geoseq.orlicz import (
+    ScaleBracket,
+    _zeroin,
+    bracket_scale,
+    log_grid,
+    small_argument_threshold,
+)
 
 POWER2 = OrliczFunction.power(2.0)
 EXPM1 = OrliczFunction.exp_minus_one()
@@ -318,17 +324,97 @@ class TestSolveScale:
     def test_step_constraint_ends_by_bisection(self, above, below):
         # no secant step helps on a step function: bisection in ln r from
         # the bracket [2, 4] needs about 36 probes to reach rel_tol.  Where
-        # g is exactly 1 above the step, a secant step lands on the end
-        # where g = 1, and those probes alternate with the bisections.
+        # g is exactly 1 above the step, one probe next to that end finds
+        # g = 1 again, and from then on a zero step is a bisection.
         res = bracket_scale(lambda r: above if r < 3.0 else below, 1e-11)
         assert res.lo < 3.0 <= res.hi
         assert res.hi - res.lo <= 1e-11 * res.hi
-        assert res.probes <= (80 if below == 1.0 else 45)
+        assert res.probes <= 45
 
     def test_max_iter_exhausted_raises(self):
         # the step function needs about 40 probes
         with pytest.raises(ScaleSolverError, match="20 probes"):
             solve_scale(lambda r: 2.0 if r < 3.0 else 0.5, 1e-11, max_iter=20)
+
+
+class TestZeroin:
+    """The secant-and-bisection loop shared by the scale solver and the limit centre."""
+
+    @staticmethod
+    def counted(f):
+        xs = []
+
+        def probe(x):
+            xs.append(x)
+            return f(x)
+
+        return probe, xs
+
+    def test_linear_function_is_hit_by_one_secant_step(self):
+        # f = -D for power(2): linear, so the secant through the two ends
+        # lands on the root and one probe tol / 2 past it closes the bracket
+        f, xs = self.counted(lambda x: 0.7 - 2.0 * x)
+        b, c = (2.0, f(2.0)), (-1.0, f(-1.0))
+        del xs[:]
+        (lo, f_lo), (hi, f_hi) = _zeroin(f, b, c, 1e-12)
+        assert abs(xs[0] - 0.35) <= 1e-15
+        assert len(xs) <= 2
+        assert lo <= 0.35 <= hi and hi - lo <= 1e-12
+        assert f_lo > 0.0 >= f_hi
+
+    def test_step_function_ends_by_bisection(self):
+        f, xs = self.counted(lambda x: 1.0 if x < 0.3 else -1.0)
+        (lo, f_lo), (hi, f_hi) = _zeroin(f, (1.0, -1.0), (-1.0, 1.0), 1e-9)
+        assert lo < 0.3 <= hi and hi - lo <= 1e-9
+        assert (f_lo, f_hi) == (1.0, -1.0)
+        assert len(xs) <= 33  # log2(2 / 1e-9) = 31 bisections
+
+    def test_exact_zero_is_returned_at_once(self):
+        # a root the secant hits exactly ends the search, bracket open
+        f, xs = self.counted(lambda x: 0.5 - x)
+        (lo, _), (hi, f_hi) = _zeroin(f, (1.0, -0.5), (0.0, 0.5), 1e-12)
+        assert xs == [0.5]
+        assert (hi, f_hi) == (0.5, 0.0) and lo == 0.0
+
+    def test_log_scale_steps_from_a_zero_once(self):
+        # ln g = 0 at r = 1 and below it: one probe next to 1 closes the
+        # bracket where g falls through 1 there ...
+        f, xs = self.counted(lambda r: math.log(1.0 / r))
+        (lo, _), (hi, _) = _zeroin(f, (1.0, 0.0), (0.5, math.log(2.0)), 1e-11, log=True)
+        assert (hi, len(xs)) == (1.0, 1) and hi - lo <= 1e-11
+        # ... and where g stays 1 below it, the rest is bisected
+        f, xs = self.counted(lambda r: 0.0 if r >= 0.7 else 1.0)
+        (lo, _), (hi, _) = _zeroin(f, (1.0, 0.0), (0.5, 1.0), 1e-11, log=True)
+        assert lo < 0.7 <= hi and hi - lo <= 1e-11 * hi
+        assert len(xs) <= 40
+
+
+class TestDerivativeMany:
+    KINDS = [
+        OrliczFunction.power(1.0), POWER2, OrliczFunction.power(3.5), XLOG, EXPM1,
+        OrliczFunction.table([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0], [2.0, 3.5]]),
+    ]
+
+    @pytest.mark.parametrize("M", KINDS, ids=lambda M: f"{M.kind}{M.p or ''}")
+    def test_matches_the_right_difference_quotient(self, M):
+        ts = [0.0, 1e-3, 0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 20.0]
+        h = 1e-7
+        for t, d in zip(ts, M.derivative_many(ts)):
+            quotient = (M.eval(t + h) - M.eval(t)) / h
+            assert d == pytest.approx(quotient, rel=1e-5, abs=1e-6)
+
+    def test_table_takes_the_segment_to_the_right(self):
+        M = OrliczFunction.table([[0.0, 0.0], [1.0, 2.0], [2.0, 5.0]])
+        assert M.derivative_many([0.0, 0.5, 1.0, 2.0, 7.0]) == [2.0, 2.0, 3.0, 3.0, 3.0]
+
+    def test_closed_forms_at_zero_and_beyond_range(self):
+        assert [M.derivative_many([0.0])[0] for M in self.KINDS] == [
+            1.0, 0.0, 0.0, 0.0, 1.0, 0.4,
+        ]
+        big = [800.0, 1e300, math.inf]
+        assert EXPM1.derivative_many(big) == [math.inf] * 3
+        assert XLOG.derivative_many([math.inf]) == [math.inf]
+        assert OrliczFunction.power(3.5).derivative_many(big)[1:] == [math.inf] * 2
 
 
 class TestSmallArgumentThreshold:
