@@ -10,7 +10,6 @@ control logging.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -25,19 +24,11 @@ from .fileio import (
     write_sequence_file,
 )
 from .geometric import GeoScalar
-from .harness import run_suite
-from .statconv import stat_converges, stat_density
 from .summability import classify_membership, paranorm
 from . import fibonacci
 
-log = logging.getLogger("geoseq.cli")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+# logging's numeric levels; ``logging`` itself loads only when it is needed
+_LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -53,11 +44,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _log_level() -> str:
+    return os.environ.get("GEOSEQ_LOG_LEVEL", "warn").lower()
+
+
+def _logger():
+    """The ``geoseq.cli`` logger, with logging loaded and configured."""
+    import logging
+
+    logging.basicConfig(level=_LOG_LEVELS.get(_log_level(), logging.WARNING))
+    return logging.getLogger("geoseq.cli")
+
+
 def _setup_logging() -> None:
-    level = os.environ.get("GEOSEQ_LOG_LEVEL", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING))
+    level = _log_level()
     if level not in _LOG_LEVELS:
-        log.warning("unknown GEOSEQ_LOG_LEVEL %r; using 'warn'", level)
+        _logger().warning("unknown GEOSEQ_LOG_LEVEL %r; using 'warn'", level)
+    elif level in ("info", "debug"):
+        _logger()
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -159,7 +163,7 @@ def _cmd_transform(args) -> int:
     metadata = {"transform": "fibonacci-difference"}
     if not y.in_value_range:
         metadata["value_view"] = "saturated; log view is authoritative"
-        log.warning("transform left double range; value view saturated")
+        _logger().warning("transform left double range; value view saturated")
     write_sequence_file(y, args.outfile, domain=domain, metadata=metadata)
     return 0
 
@@ -181,6 +185,8 @@ def _cmd_paranorm(args) -> int:
 
 
 def _cmd_stat(args) -> int:
+    from .statconv import stat_converges, stat_density
+
     x = parse_sequence_file(args.infile)
     cfg = load_config(args.config)
     if args.epsilon <= 1.0:
@@ -194,6 +200,8 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import run_suite
+
     cfg = load_config(args.config)
     trial_config = cfg.trial_config(
         seed=args.seed, trials=args.trials, length=args.length
@@ -224,13 +232,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"geoseq: input error: cannot write stdout: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except InputError as exc:
-        print(f"geoseq: input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except ArithmeticError as exc:  # GeoRangeError, ScaleSolverError, overflow
         print(f"geoseq: numeric range abort: {exc}", file=sys.stderr)
         return RANGE_ABORT
-    except ValueError as exc:
+    except ValueError as exc:  # InputError among them
         print(f"geoseq: input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

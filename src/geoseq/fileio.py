@@ -17,14 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .geometric import GeoScalar, GeoSequence
-from .harness import SuiteReport, TrialConfig
 from .orlicz import OrliczFunction
-from .statconv import DensityTrace
 from .summability import (
     Exponents,
     LambdaSequence,
@@ -33,6 +30,10 @@ from .summability import (
     SpaceSpec,
     Tolerances,
 )
+
+if TYPE_CHECKING:  # loaded where used, so analyze and paranorm never load them
+    from .harness import SuiteReport, TrialConfig
+    from .statconv import DensityTrace
 
 __all__ = [
     "InputError",
@@ -248,6 +249,8 @@ class RunConfig:
     def trial_config(
         self, seed: Optional[int] = None, trials: Optional[int] = None, length: int = 56
     ) -> TrialConfig:
+        from .harness import TrialConfig
+
         return TrialConfig(
             seed=self.seed if seed is None else seed,
             trials=self.trials if trials is None else trials,
@@ -269,6 +272,8 @@ def _check_table(points) -> None:
     That makes M convex, non-decreasing from the knot (0, 0) and positive
     for t > 0.
     """
+    from fractions import Fraction
+
     pts = [(Fraction(t), Fraction(m)) for t, m in points]
     slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
     if slopes[0] <= 0 or any(b < a for a, b in zip(slopes, slopes[1:])):
@@ -511,12 +516,14 @@ def emit_report(report, fmt: str) -> bytes:
         doc = membership_report_dict(report)
     elif isinstance(report, ParanormResult):
         doc = paranorm_report_dict(report)
-    elif isinstance(report, SuiteReport):
-        doc = suite_report_dict(report)
     elif isinstance(report, dict):
         doc = report
     else:
-        raise InputError(f"cannot emit a {type(report).__name__}")
+        from .harness import SuiteReport
+
+        if not isinstance(report, SuiteReport):
+            raise InputError(f"cannot emit a {type(report).__name__}")
+        doc = suite_report_dict(report)
     if fmt == "json":
         return render_json(doc).encode()
     if fmt == "csv":

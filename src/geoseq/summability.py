@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -640,12 +639,22 @@ def _tail_slope(values: Sequence[float]) -> float:
     ]
     if len(pts) < 3:
         return 0.0
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    try:
-        return statistics.linear_regression(xs, ys).slope
-    except statistics.StatisticsError:
-        return 0.0
+    # statistics.linear_regression's formula as Python 3.11 writes it (3.10
+    # squares with ** 2.0, 3.12 sums with math.sumprod), so the slope does
+    # not depend on the interpreter
+    xbar = math.fsum(x for x, _ in pts) / len(pts)
+    ybar = math.fsum(y for _, y in pts) / len(pts)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
+    sxx = math.fsum((x - xbar) * (x - xbar) for x, _ in pts)
+    return sxy / sxx  # > 0: the x are logs of three or more distinct n
+
+
+def _median(values: Sequence[float]) -> float:
+    """``statistics.median``, bit for bit: the middle of the sorted values,
+    or the mean of the middle two as ``(a + b) / 2``."""
+    s = sorted(values)
+    i = len(s) // 2
+    return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
 
 
 def _tail_verdict(values: Sequence[float], W: int, tols: Tolerances) -> tuple:
@@ -654,7 +663,7 @@ def _tail_verdict(values: Sequence[float], W: int, tols: Tolerances) -> tuple:
     slope = _tail_slope(values)
     if all(v <= tols.tol for v in last):
         return CONVERGING, slope
-    if statistics.median(last) > tols.tol and slope > _FLAT_SLOPE:
+    if _median(last) > tols.tol and slope > _FLAT_SLOPE:
         return DIVERGING, slope
     return INCONCLUSIVE, slope
 
@@ -664,8 +673,8 @@ def _decide_vanishing(values: Sequence[float], tols: Tolerances) -> tuple:
     than 1.1x over the previous W windows is inconclusive."""
     W = tols.window_count
     verdict, slope = _tail_verdict(values, W, tols)
-    med_last = statistics.median(values[-W:])
-    med_prev = statistics.median(values[-2 * W : -W])
+    med_last = _median(values[-W:])
+    med_prev = _median(values[-2 * W : -W])
     if verdict == CONVERGING and not med_last <= med_prev * 1.1 + 1e-12:
         return INCONCLUSIVE, slope
     return verdict, slope
@@ -711,7 +720,9 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     window), and the median of the last quarter of z is kept if D is 0
     there too.  Otherwise :func:`~geoseq.orlicz._zeroin` narrows the gap
     below that term, or [lo, hi] for a smooth h, to 4 eps max(|lo|, |hi|),
-    and its end with the smaller |D| is the estimate.  Exponents below 1
+    and its end with the smaller |D| is the estimate, unless a term in
+    that final bracket has a smaller h (a near-kink, where exponents just
+    above 1 almost put a kink in h at each term).  Exponents below 1
     make h non-convex, so the search raises them to 1.  A final window of
     one value is its own centre; one whose range overflows gets the
     midpoint 0.5 lo + 0.5 hi.
@@ -734,7 +745,7 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
         left = D(zs[j]) - jump * counts[zs[j]]
         if left <= 0.0 or j == 0:  # for M' >= 0, left <= 0 at j = 0
             if D(zs[j]) == 0.0 or left == 0.0:  # h may be flat on that side
-                tail = min(max(statistics.median(z[-math.ceil(len(z) / 4) :]), lo), hi)
+                tail = min(max(_median(z[-math.ceil(len(z) / 4) :]), lo), hi)
                 if D(tail) == 0.0:
                     return tail
             return zs[j]
@@ -742,7 +753,14 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     else:
         b, c = (hi, -slope(hi)), (lo, -slope(lo))
     ends = _zeroin(lambda x: -slope(x), b, c, 4.0 * _EPS * max(abs(lo), abs(hi)))
-    return min(ends, key=lambda end: abs(end[1]))[0]
+    est = min(ends, key=lambda end: abs(end[1]))[0]
+    near = zs[bisect_left(zs, ends[0][0]) : bisect_right(zs, ends[1][0])]
+    if near:
+        def h(c):  # lambda times the modular the search minimises
+            return _fsum_sat(_modular_terms(zs, ps or 1.0, spec.orlicz, spec.rho, c))
+
+        return min([est, *near], key=h)  # the first, est, on a tie
+    return est
 
 
 def classify_membership(
@@ -790,8 +808,8 @@ def classify_membership(
         peak = max(values)
         # growth test robust to the noise of a stabilising trace: the
         # last quarter of windows must not sit well above the second
-        q2 = statistics.median(values[m // 4 : m // 2])
-        q4 = statistics.median(values[3 * m // 4 :])
+        q2 = _median(values[m // 4 : m // 2])
+        q4 = _median(values[3 * m // 4 :])
         growing = q4 > 1.5 * q2 + 1e-12
         if peak < tols.bound_cap and not growing:
             verdict = BOUNDED

@@ -464,6 +464,36 @@ class TestCli:
         )
         assert code == 2
 
+    def test_input_error_message(self, tmp_path, capsys):
+        # InputError is a ValueError: one clause prints both
+        assert main(["fib", "--n", "-1"]) == 2
+        assert capsys.readouterr().err == "geoseq: input error: --n must be >= 0\n"
+
+    @staticmethod
+    def stderr_of(argv, level):
+        env = dict(_env_with_package_path(), GEOSEQ_LOG_LEVEL=level)
+        proc = subprocess.run([sys.executable, "-m", "geoseq", *argv],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0
+        return proc.stderr
+
+    def test_unknown_log_level_warns_on_stderr(self):
+        assert self.stderr_of(["fib", "--n", "1"], "bogus") == (
+            b"WARNING:geoseq.cli:unknown GEOSEQ_LOG_LEVEL 'bogus'; using 'warn'\n"
+        )
+
+    @pytest.mark.parametrize("level, lines", [
+        ("warn", 1), ("DEBUG", 1), ("error", 0), ("bogus", 2),
+    ])
+    def test_saturated_transform_warns_on_stderr(self, tmp_path, level, lines):
+        seq = write(tmp_path / "s.json", '{"domain":"log","values":[0,800,0,800,1]}')
+        argv = ["transform", "--in", seq, "--out", str(tmp_path / "t.json")]
+        warnings = [
+            b"WARNING:geoseq.cli:unknown GEOSEQ_LOG_LEVEL 'bogus'; using 'warn'\n",
+            b"WARNING:geoseq.cli:transform left double range; value view saturated\n",
+        ]
+        assert self.stderr_of(argv, level) == b"".join(warnings[2 - lines:])
+
     def test_log_level_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GEOSEQ_LOG_LEVEL", "debug")
         assert main(["fib", "--n", "2"]) == 0

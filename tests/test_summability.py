@@ -1184,6 +1184,30 @@ class TestEstimateLimit:
             plain = spec(lam="half", M=OrliczFunction(kind, p), p=e, variant="limit")
             assert _estimate_limit(z, halved) == _estimate_limit(z, plain)
 
+    def test_near_kink_ends_on_the_term(self):
+        # exponents 1 + 1/k just above 1 nearly put a kink in h at each
+        # term; the root finder's bracket ends within its tolerance of the
+        # term at the minimum, where h is lower by 1.5e-11 relative than
+        # at the bracket's ends
+        z = self.level_data(random.Random(10), 40, 1.0, 1e-6)
+        s = spec(lam="half", M=P1, p=Exponents.formula(1.0, 1.0), variant="limit")
+        window = self.final_window(z, s)
+        est = _estimate_limit(z, s)
+        assert est in window
+        assert self.h(z, s, est) <= min(self.h(z, s, t) for t in window)
+
+    @pytest.mark.parametrize("lam", ["identity", "half", "sqrt"])
+    def test_no_term_beats_the_estimate(self, lam):
+        orliczes = [P1, OrliczFunction.exp_minus_one(), P2, OrliczFunction.x_log1p()]
+        rng = random.Random(f"near-kink:{lam}")
+        for trial in range(40):
+            s = spec(lam=lam, M=orliczes[trial % 4], variant="limit", rho=rng.uniform(0.5, 2),
+                     p=Exponents.formula(1.0, 1.0) if trial % 3 else E1)
+            level, spread = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-6.0, 1.0)
+            z = self.level_data(rng, rng.randint(40, 90), level, spread)
+            best = min(self.h(z, s, t) for t in set(self.final_window(z, s)))
+            assert self.h(z, s, _estimate_limit(z, s)) <= best * (1.0 + 1e-12)
+
     def test_derivative_overflowing_on_both_sides(self):
         # exp_minus_one over a window spread beyond 2 * 710 rho: e**u leaves
         # double range on both sides of every centre, and so does h
@@ -1210,3 +1234,53 @@ class TestEstimateLimit:
             del probes[:]
         assert max(counts) <= 6
         assert statistics.mean(counts) <= 5
+
+
+class TestStatisticsFree:
+    """The median and tail slope that replaced ``statistics``, bit for bit."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [5.0, 1.0, 4.0], [1.0, 2.0, 2.0, 2.0],
+        [0.1, 0.2, 0.3, 0.4], [math.inf, 1.0], [math.inf, math.inf, 2.0, 3.0],
+        [-math.inf, math.inf], [1e308, 1e308], [-0.0, 0.0, -0.0],
+    ])
+    def test_median_is_statistics_median(self, values):
+        for vs in (values, values[::-1]):
+            assert repr(summability._median(vs)) == repr(statistics.median(vs))
+
+    def test_median_on_random_lists(self):
+        rng = random.Random(83)
+        for n in range(1, 60):
+            vs = [rng.choice((rng.gauss(0.0, 1.0), 0.5, math.inf)) for _ in range(n)]
+            assert repr(summability._median(vs)) == repr(statistics.median(vs))
+
+    @staticmethod
+    def fsum_slope(values):
+        # least squares of log S on log n over the trailing half, written out
+        m = len(values)
+        pts = [(math.log(n), math.log(values[n - 1])) for n in range(max(1, m // 2), m + 1)
+               if 0.0 < values[n - 1] < math.inf]
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
+        sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+        return sxy / sxx
+
+    def test_tail_slope_is_the_fsum_formula(self):
+        rng = random.Random(89)
+        for m in range(12, 400, 7):
+            values = [rng.uniform(0.1, 10.0) * n ** rng.uniform(-2.0, 2.0)
+                      for n in range(1, m + 1)]
+            values[rng.randrange(m)] = math.inf  # skipped, as is a zero
+            values[rng.randrange(m)] = 0.0
+            slope = summability._tail_slope(values)
+            assert slope == self.fsum_slope(values)
+            # 3.10 squares with ``** 2.0`` (C pow, which rounds d * d
+            # differently about once in a thousand); 3.12+ uses math.sumprod
+            if sys.version_info[:2] == (3, 11):
+                pts = [(math.log(n), math.log(v)) for n, v in enumerate(values, 1)
+                       if n >= max(1, m // 2) and 0.0 < v < math.inf]
+                assert slope == statistics.linear_regression(*zip(*pts)).slope
+
+    def test_tail_slope_of_too_few_points_is_flat(self):
+        assert summability._tail_slope([1.0, 2.0, 0.0, math.inf]) == 0.0
