@@ -16,8 +16,11 @@ configuration produce identical reports.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -39,6 +42,7 @@ from .summability import (
     Tolerances,
     _exponent_values,
     _modular_terms,
+    _short_truncation,
     _window_means,
     classify_membership,
     modular_trace,
@@ -90,6 +94,13 @@ class TrialConfig:
             raise ValueError("length must be >= 8")
         if self.slack <= 0:
             raise ValueError("slack must be positive")
+        lam = self.spec.lam
+        if lam.kind == "custom" and len(lam.values) < self.length:
+            # solidity windows the identity view: one window per term
+            raise ValueError(
+                f"custom lambda of length {len(lam.values)} is shorter than"
+                f" the suite length {self.length}"
+            )
 
     def describe(self) -> dict:
         return {
@@ -413,41 +424,115 @@ def _p_profiles() -> list:
     ]
 
 
+def _outcomes(fns: Sequence, lo: int, hi: int) -> list:
+    """(passed, worst_violation, detail) of trials lo..hi-1, one list per check.
+
+    A trial that raised has worst_violation None and its error as detail.
+    """
+    out = []
+    for fn in fns:
+        row = []
+        for trial in range(lo, hi):
+            try:
+                outcome = fn(trial)
+            except Exception as exc:  # collected, not fatal
+                row.append((False, None, str(exc)))
+                continue
+            row.append((outcome.passed, outcome.worst_violation, outcome.detail))
+        out.append(row)
+    return out
+
+
+def _worker_count(trials: int) -> int:
+    """One process per CPU this one may run on, at most one per trial."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:  # forking a threaded process is unsafe
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials))
+
+
+def _fork_slice(fns: Sequence, lo: int, hi: int):
+    """(pid, read end) of a child that sends back ``_outcomes(fns, lo, hi)``
+    marshalled, or (None, None) when no child can be forked."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid == 0:  # the child never returns into the caller
+        code = 1
+        try:
+            os.close(r)
+            data = memoryview(marshal.dumps(_outcomes(fns, lo, hi)))
+            while data:
+                data = data[os.write(w, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _run_trials(fns: Sequence, trials: int) -> list:
+    """``_outcomes(fns, 0, trials)``, split over the CPUs with one fork.
+
+    Worker i runs the contiguous trials [i*T//w, (i+1)*T//w) of every
+    check; this process runs slice 0 and then reads every child's pipe to
+    EOF.  A slice whose child failed is run here again, so the result is
+    the serial one whatever happens to a child.
+    """
+    w = _worker_count(trials)
+    bounds = [i * trials // w for i in range(w + 1)]
+    children = []  # (lo, hi, pid, read end); pid None when the fork failed
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((lo, hi, *_fork_slice(fns, lo, hi)))
+        outcomes = _outcomes(fns, bounds[0], bounds[1])
+        payloads = []
+        for _, _, pid, r in children:
+            if pid is None:
+                payloads.append(b"")
+                continue
+            with open(r, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        # close every read end before waiting, so a child blocked on a full
+        # pipe gets EPIPE instead of waiting for a reader that has gone
+        for _, _, pid, r in children:
+            if pid is not None:
+                os.close(r)
+        statuses = [
+            os.waitpid(pid, 0)[1] if pid is not None else None
+            for _, _, pid, _ in children
+        ]
+    for (lo, hi, _, _), data, status in zip(children, payloads, statuses):
+        try:
+            part = marshal.loads(data) if status == 0 else None
+        except (EOFError, ValueError, TypeError):  # unreadable data
+            part = None
+        if part is None:
+            part = _outcomes(fns, lo, hi)
+        for mine, theirs in zip(outcomes, part):
+            mine.extend(theirs)
+    return outcomes
+
+
 def run_suite(config: TrialConfig) -> SuiteReport:
     """Run every inequality and inclusion check under one seed.
 
     Individual trial errors are recorded as failures, not raised; an
-    unsatisfied doubling condition skips that check with a reason.  Two
-    runs of an identical configuration produce identical reports.
+    unsatisfied doubling condition, or a truncation too short for the
+    consistency check's verdict, skips that check with a reason.  The
+    trials are split over the CPUs (see ``_run_trials``); two runs of an
+    identical configuration produce identical reports.
     """
     spec = config.spec
     N = config.length
     slack = config.slack
     tols = config.tolerances
-    checks: list = []
-    rows: list = []
-
-    def run_trials(name: str, fn) -> None:
-        failures = 0
-        worst = 0.0
-        first = None
-        for trial in range(config.trials):
-            try:
-                outcome = fn(trial)
-            except Exception as exc:  # collected, not fatal
-                failures += 1
-                rows.append((name, trial, False, math.inf))
-                if first is None:
-                    first = f"trial {trial}: {exc}"
-                continue
-            if outcome.worst_violation > worst:
-                worst = outcome.worst_violation
-            rows.append((name, trial, outcome.passed, outcome.worst_violation))
-            if not outcome.passed:
-                failures += 1
-                if first is None:
-                    first = f"trial {trial}: {outcome.detail}"
-        checks.append(SuiteCheck(name, config.trials, failures, worst, None, first))
 
     profiles = _p_profiles()
     density_spec = replace(
@@ -563,28 +648,53 @@ def run_suite(config: TrialConfig) -> SuiteReport:
                 )
         return CheckOutcome("stat_consistency", True, 0.0)
 
-    run_trials("linear_combination", linear)
-    run_trials("solidity", solidity)
-
     try:
         d2_report = delta2_constant(spec.orlicz)
-        skip = None if d2_report.satisfied else (
+        d2_skip = None if d2_report.satisfied else (
             "skipped: the configured Orlicz function fails the doubling condition"
         )
     except Exception as exc:
-        skip = f"skipped: {exc}"
-    if skip is None:
+        d2_skip = f"skipped: {exc}"
+    if d2_skip is None:
         d2_eps = 0.1
         try:  # one value for all trials; without one, each trial fails
             delta, no_delta = small_argument_threshold(spec.orlicz, d2_eps), None
         except DegenerateOrliczError as exc:
             delta, no_delta = math.nan, str(exc)
-        run_trials("delta2_inclusion", delta2)
-    else:
-        checks.append(SuiteCheck("delta2_inclusion", 0, 0, 0.0, skip, None))
 
-    run_trials("exponent_inclusion", exponents)
-    run_trials("density_bound", density)
-    run_trials("stat_consistency", consistency)
+    # every consistency member has this many windows; too few, and
+    # classify_membership can only answer inconclusive
+    short = _short_truncation(N if spec.transform == "identity" else N - 1, tols)
+
+    plan = [  # (name, trial function, reason to skip)
+        ("linear_combination", linear, None),
+        ("solidity", solidity, None),
+        ("delta2_inclusion", delta2, d2_skip),
+        ("exponent_inclusion", exponents, None),
+        ("density_bound", density, None),
+        ("stat_consistency", consistency, None if short is None else f"skipped: {short}"),
+    ]
+    outcomes = iter(_run_trials([fn for _, fn, skip in plan if skip is None], config.trials))
+    checks: list = []
+    rows: list = []
+    for name, _, skip in plan:
+        if skip is not None:
+            checks.append(SuiteCheck(name, 0, 0, 0.0, skip, None))
+            continue
+        failures = 0
+        worst = 0.0
+        first = None
+        for trial, (passed, violation, detail) in enumerate(next(outcomes)):
+            if violation is None:  # the trial raised
+                rows.append((name, trial, False, math.inf))
+            else:
+                if violation > worst:
+                    worst = violation
+                rows.append((name, trial, passed, violation))
+            if not passed:
+                failures += 1
+                if first is None:
+                    first = f"trial {trial}: {detail}"
+        checks.append(SuiteCheck(name, config.trials, failures, worst, None, first))
 
     return SuiteReport(config=config.describe(), checks=checks, rows=rows)

@@ -763,6 +763,14 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     return est
 
 
+def _short_truncation(m: int, tols: Tolerances) -> Optional[str]:
+    """Why m windows are too few for a membership verdict, or None."""
+    need = 4 * tols.window_count
+    if m < need:
+        return f"truncation too short: {m} windows < 4 * window_count = {need}"
+    return None
+
+
 def classify_membership(
     x: GeoSequence, spec: SpaceSpec, tols: Tolerances = Tolerances()
 ) -> MembershipReport:
@@ -781,17 +789,15 @@ def classify_membership(
         "tolerances": tols.describe(),
         "windows": m,
     }
-    if m < 4 * tols.window_count:
+    short = _short_truncation(m, tols)
+    if short is not None:
         return MembershipReport(
             verdict=INCONCLUSIVE,
             window_values=[],
             lambda_values=[],
             tail_slope=0.0,
             params_used=params,
-            reason=(
-                f"truncation too short: {m} windows < 4 * window_count"
-                f" = {4 * tols.window_count}"
-            ),
+            reason=short,
         )
     lam_values = spec.lam.head(m)
 

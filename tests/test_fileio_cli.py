@@ -215,7 +215,8 @@ class TestEmission:
         assert "rho_star" in text
 
     def test_suite_csv_one_row_per_check_per_trial(self):
-        rep = run_suite(TrialConfig(seed=3, trials=4, length=40))
+        # 47 windows: enough for stat_consistency, which skips below 40
+        rep = run_suite(TrialConfig(seed=3, trials=4, length=48))
         rows = emit_report(rep, "csv").decode().splitlines()
         assert rows[0] == "check,trial,passed,worst_violation"
         assert len(rows) == 1 + 6 * 4
@@ -446,6 +447,21 @@ class TestCli:
         )
         code = main(["verify", "--config", cfg, "--trials", "3"])
         assert code == 3
+
+    def test_verify_custom_lambda_shorter_than_length(self, tmp_path):
+        lam = {"kind": "custom", "values": [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]}
+        cfg = write(tmp_path / "c.json", json.dumps({"lambda": lam}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", "verify", "--config", cfg,
+             "--trials", "1", "--length", "11"],
+            capture_output=True, text=True, env=_env_with_package_path(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "geoseq: input error: custom lambda of length 10 is shorter than"
+            " the suite length 11\n"
+        )
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 """Member generation and the randomised inequality/inclusion checks."""
 
 import math
+import os
 import random
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +17,9 @@ from geoseq import (
     DegenerateOrliczError,
     Exponents,
     GeoScalar,
+    LambdaSequence,
     OrliczFunction,
+    Tolerances,
     TrialConfig,
     check_delta2_inclusion,
     check_exponent_inclusion,
@@ -29,7 +33,7 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
-from geoseq.harness import _default_spec
+from geoseq.harness import _default_spec, _scan_windows
 from geoseq.orlicz import small_argument_threshold
 
 
@@ -412,3 +416,209 @@ class TestRunSuite:
             TrialConfig(length=4)
         with pytest.raises(ValueError):
             TrialConfig(slack=0.0)
+
+    def test_custom_lambda_must_cover_the_length(self):
+        lam = LambdaSequence.custom([1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
+        TrialConfig(trials=0, length=10, spec=base_spec(lam=lam))
+        with pytest.raises(ValueError, match="custom lambda of length 10 is shorter"):
+            TrialConfig(trials=0, length=11, spec=base_spec(lam=lam))
+
+    @pytest.mark.parametrize("transform, length, windows", [
+        ("fhat", 40, 39), ("fhat", 8, 7), ("identity", 39, 39),
+    ])
+    def test_short_truncation_skips_consistency(self, transform, length, windows):
+        spec = base_spec(transform=transform)
+        rep = run_suite(TrialConfig(seed=1, trials=2, length=length, spec=spec))
+        check = rep.checks[-1]
+        assert check.name == "stat_consistency"
+        assert check.skipped == (
+            f"skipped: truncation too short: {windows} windows < 4 * window_count = 40"
+        )
+        assert (check.trials, check.failures, check.first_failure) == (0, 0, None)
+        assert not any(row[0] == "stat_consistency" for row in rep.rows)
+
+    @pytest.mark.parametrize("transform, length", [("fhat", 41), ("identity", 40)])
+    def test_forty_windows_run_consistency(self, transform, length):
+        spec = base_spec(transform=transform)
+        rep = run_suite(TrialConfig(seed=1, trials=2, length=length, spec=spec))
+        check = rep.checks[-1]
+        assert (check.name, check.trials, check.skipped) == ("stat_consistency", 2, None)
+
+
+def _fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _counting_forks(monkeypatch):
+    """Record the pid of every child forked from this process."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelTrials:
+    """The trials run over forked workers; the report is the serial one."""
+
+    ORLICZ = {
+        "power2": OrliczFunction.power(2.0),
+        "x_log1p": OrliczFunction.x_log1p(),
+        "exp_minus_one": OrliczFunction.exp_minus_one(),
+        # doubling holds, but no small-argument threshold: every Δ2 trial raises
+        "no_threshold": OrliczFunction.table([[0, 0], [1e-30, 1.0], [2e-30, 2.5]]),
+    }
+
+    @staticmethod
+    def suite(monkeypatch, cpus, config):
+        _fake_cpus(monkeypatch, cpus)
+        return run_suite(config)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a == b
+        for fmt in ("text", "json", "csv"):
+            assert emit_report(a, fmt) == emit_report(b, fmt)
+
+    @pytest.mark.parametrize("trials", [0, 1, 3, 7])
+    @pytest.mark.parametrize("orlicz", list(ORLICZ))
+    def test_parallel_report_equals_serial(self, monkeypatch, orlicz, trials):
+        config = TrialConfig(
+            seed=5, trials=trials, length=56,
+            spec=base_spec(lam=LambdaSequence.half(), orlicz=self.ORLICZ[orlicz]),
+        )
+        serial = self.suite(monkeypatch, 1, config)
+        forked = _counting_forks(monkeypatch)
+        parallel = self.suite(monkeypatch, 3, config)
+        assert len(forked) == max(0, min(3, trials) - 1)
+        self.assert_same(parallel, serial)
+        if orlicz == "no_threshold" and trials:
+            d2 = parallel.checks[2]
+            assert (d2.name, d2.failures, d2.worst_violation) == (
+                "delta2_inclusion", trials, 0.0
+            )
+        assert_no_child_left()
+
+    def test_failing_trials(self, monkeypatch):
+        real = _scan_windows
+
+        def scan(name, lhs, rhs, slack, upper=True):
+            # a violation, verdict and detail of its own for every trial
+            total = math.fsum(lhs)
+            out = real(name, lhs, rhs, slack, upper)
+            failed = int(abs(total) * 1e3) % 3 == 0
+            return replace(out, passed=not failed, worst_violation=total,
+                           detail=f"{name}: {total!r}" if failed else None)
+
+        monkeypatch.setattr("geoseq.harness._scan_windows", scan)
+        config = TrialConfig(seed=2, trials=7, length=48, tolerances=Tolerances(tol=0.0))
+        serial = self.suite(monkeypatch, 1, config)
+        parallel = self.suite(monkeypatch, 3, config)
+        self.assert_same(parallel, serial)
+        assert len({row[3] for row in serial.rows if row[0] == "solidity"}) == 7
+        assert 0 < sum(c.failures for c in serial.checks[:-1]) < 5 * 7
+        assert serial.checks[-1].failures == 7  # tol = 0: every member inconclusive
+
+    def test_the_parent_runs_the_first_slice(self, monkeypatch):
+        parent = os.getpid()
+        members = []
+        real = generate_member
+
+        def member(spec, seed, length, check, trial):
+            if os.getpid() == parent:
+                members.append((check, trial))
+            return real(spec, seed, length, check, trial)
+
+        monkeypatch.setattr("geoseq.harness.generate_member", member)
+        self.suite(monkeypatch, 3, TrialConfig(seed=1, trials=7, length=48))
+        # trials [0, 7 // 3) of every check; the children run [2, 4) and [4, 7)
+        assert members == [
+            (check, trial)
+            for check in ("solidity_member", "delta2_member", "exponent_member",
+                          "consistency_member")
+            for trial in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("fault", ["exit status", "unreadable data"])
+    def test_failed_child_slice_is_rerun_here(self, monkeypatch, fault):
+        config = TrialConfig(seed=3, trials=7, length=48)
+        serial = self.suite(monkeypatch, 1, config)
+        parent = os.getpid()
+        in_parent = []
+        real = check_solidity
+
+        def solidity(*args):
+            if os.getpid() == parent:
+                in_parent.append(1)
+            return real(*args)
+
+        monkeypatch.setattr("geoseq.harness.check_solidity", solidity)
+        if fault == "exit status":
+            real_exit = os._exit
+            monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
+        else:
+            monkeypatch.setattr("geoseq.harness.marshal.dumps", lambda obj: b"\x00garbage")
+        parallel = self.suite(monkeypatch, 3, config)
+        self.assert_same(parallel, serial)
+        assert len(in_parent) == 7  # its own slice and both children's
+        assert_no_child_left()
+
+    def test_no_child_left_when_the_parent_slice_raises(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+        real = check_linear_combination
+
+        def linear(*args):
+            if os.getpid() == parent:
+                raise Interrupt
+            return real(*args)
+
+        monkeypatch.setattr("geoseq.harness.check_linear_combination", linear)
+        forked = _counting_forks(monkeypatch)
+        with pytest.raises(Interrupt):
+            self.suite(monkeypatch, 3, TrialConfig(seed=1, trials=3, length=48))
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_no_fork_beside_a_live_thread(self, monkeypatch):
+        config = TrialConfig(seed=4, trials=3, length=48)
+        serial = self.suite(monkeypatch, 1, config)
+
+        def fork():
+            raise AssertionError("forked a threaded process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            parallel = self.suite(monkeypatch, 3, config)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        self.assert_same(parallel, serial)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity(self, monkeypatch, missing):
+        config = TrialConfig(seed=4, trials=3, length=48)
+        serial = self.suite(monkeypatch, 1, config)
+        forked = _counting_forks(monkeypatch)
+        monkeypatch.delattr(os, missing)
+        if missing == "fork":
+            _fake_cpus(monkeypatch, 3)
+        self.assert_same(run_suite(config), serial)
+        assert forked == []
