@@ -443,18 +443,33 @@ def _outcomes(fns: Sequence, lo: int, hi: int) -> list:
     return out
 
 
-def _worker_count(trials: int) -> int:
-    """One process per CPU this one may run on, at most one per trial."""
+def _worker_count(config: TrialConfig) -> int:
+    """One process per CPU this one may run on, at most one per trial.
+
+    One, and no fork, without ``os.fork`` or ``os.sched_getaffinity``, in
+    a threaded process, or when the space's lambda, Orlicz function or
+    exponents are subclasses: a subclass may keep state of its calls
+    (counters, caches), and a child's calls would not reach this process.
+    """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if threading.active_count() > 1:  # forking a threaded process is unsafe
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), trials))
+    spec = config.spec
+    if (type(spec.lam), type(spec.orlicz), type(spec.exponents)) != (
+        LambdaSequence, OrliczFunction, Exponents
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), config.trials))
 
 
-def _fork_slice(fns: Sequence, lo: int, hi: int):
+def _fork_slice(fns: Sequence, lo: int, hi: int, readers: Sequence):
     """(pid, read end) of a child that sends back ``_outcomes(fns, lo, hi)``
-    marshalled, or (None, None) when no child can be forked."""
+    marshalled, or (None, None) when no child can be forked.
+
+    ``readers`` are the read ends of the earlier children's pipes; the
+    child closes its copies, so each pipe's only reader is this process.
+    """
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -465,7 +480,8 @@ def _fork_slice(fns: Sequence, lo: int, hi: int):
     if pid == 0:  # the child never returns into the caller
         code = 1
         try:
-            os.close(r)
+            for fd in (r, *readers):
+                os.close(fd)
             data = memoryview(marshal.dumps(_outcomes(fns, lo, hi)))
             while data:
                 data = data[os.write(w, data):]
@@ -476,20 +492,20 @@ def _fork_slice(fns: Sequence, lo: int, hi: int):
     return pid, r
 
 
-def _run_trials(fns: Sequence, trials: int) -> list:
-    """``_outcomes(fns, 0, trials)``, split over the CPUs with one fork.
+def _run_trials(fns: Sequence, trials: int, w: int) -> list:
+    """``_outcomes(fns, 0, trials)``, split over ``w`` processes with one fork.
 
     Worker i runs the contiguous trials [i*T//w, (i+1)*T//w) of every
     check; this process runs slice 0 and then reads every child's pipe to
     EOF.  A slice whose child failed is run here again, so the result is
     the serial one whatever happens to a child.
     """
-    w = _worker_count(trials)
     bounds = [i * trials // w for i in range(w + 1)]
     children = []  # (lo, hi, pid, read end); pid None when the fork failed
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append((lo, hi, *_fork_slice(fns, lo, hi)))
+            readers = [r for _, _, pid, r in children if pid is not None]
+            children.append((lo, hi, *_fork_slice(fns, lo, hi, readers)))
         outcomes = _outcomes(fns, bounds[0], bounds[1])
         payloads = []
         for _, _, pid, r in children:
@@ -499,8 +515,9 @@ def _run_trials(fns: Sequence, trials: int) -> list:
             with open(r, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     finally:
-        # close every read end before waiting, so a child blocked on a full
-        # pipe gets EPIPE instead of waiting for a reader that has gone
+        # close every read end before waiting: this process is each pipe's
+        # only reader, so a child blocked on a full pipe gets EPIPE instead
+        # of waiting for a reader that has gone
         for _, _, pid, r in children:
             if pid is not None:
                 os.close(r)
@@ -526,8 +543,9 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     Individual trial errors are recorded as failures, not raised; an
     unsatisfied doubling condition, or a truncation too short for the
     consistency check's verdict, skips that check with a reason.  The
-    trials are split over the CPUs (see ``_run_trials``); two runs of an
-    identical configuration produce identical reports.
+    trials are split over the CPUs (see ``_worker_count`` and
+    ``_run_trials``); two runs of an identical configuration produce
+    identical reports.
     """
     spec = config.spec
     N = config.length
@@ -674,7 +692,8 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         ("density_bound", density, None),
         ("stat_consistency", consistency, None if short is None else f"skipped: {short}"),
     ]
-    outcomes = iter(_run_trials([fn for _, fn, skip in plan if skip is None], config.trials))
+    fns = [fn for _, fn, skip in plan if skip is None]
+    outcomes = iter(_run_trials(fns, config.trials, _worker_count(config)))
     checks: list = []
     rows: list = []
     for name, _, skip in plan:

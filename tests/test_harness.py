@@ -33,7 +33,7 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
-from geoseq.harness import _default_spec, _scan_windows
+from geoseq.harness import CheckOutcome, _default_spec, _run_trials, _scan_windows
 from geoseq.orlicz import small_argument_threshold
 
 
@@ -593,6 +593,34 @@ class TestParallelTrials:
         assert len(forked) == 2
         assert_no_child_left()
 
+    def test_each_pipe_has_one_reader(self, monkeypatch):
+        reads = []
+        real_pipe = os.pipe
+
+        def pipe():
+            r, w = real_pipe()
+            reads.append(r)
+            return r, w
+
+        def held(trial):
+            # the read ends of the workers' pipes that this process holds
+            fds = []
+            for fd in reads:
+                try:
+                    os.fstat(fd)
+                    fds.append(fd)
+                except OSError:
+                    pass
+            return CheckOutcome("pipes", True, 0.0, repr(fds))
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        outcomes = _run_trials([held], 3, 3)
+        assert len(reads) == 2
+        # so a worker blocked on a full pipe gets EPIPE once this process
+        # stops reading, not when a later worker exits
+        assert outcomes == [[(True, 0.0, repr(reads)), (True, 0.0, "[]"), (True, 0.0, "[]")]]
+        assert_no_child_left()
+
     def test_no_fork_beside_a_live_thread(self, monkeypatch):
         config = TrialConfig(seed=4, trials=3, length=48)
         serial = self.suite(monkeypatch, 1, config)
@@ -611,6 +639,44 @@ class TestParallelTrials:
             thread.join(timeout=10)
         assert not thread.is_alive()
         self.assert_same(parallel, serial)
+
+    @pytest.mark.parametrize("part", ["lam", "orlicz", "exponents"])
+    def test_subclassed_space_runs_here(self, monkeypatch, part):
+        calls = []
+
+        class CountingLambda(LambdaSequence):
+            def window(self, n):
+                calls.append(n)
+                return LambdaSequence.window(self, n)
+
+        class CountingOrlicz(OrliczFunction):
+            def eval(self, t):
+                calls.append(t)
+                return OrliczFunction.eval(self, t)
+
+            __call__ = eval
+
+        class CountingExponents(Exponents):
+            def at(self, k):
+                calls.append(k)
+                return Exponents.at(self, k)
+
+        subclass = {
+            "lam": CountingLambda.half(),
+            "orlicz": CountingOrlicz.power(2.0),
+            "exponents": CountingExponents.formula(1.0, 1.0),
+        }[part]
+        config = TrialConfig(seed=6, trials=3, length=48, spec=base_spec(**{part: subclass}))
+        serial = self.suite(monkeypatch, 1, config)
+        serial_calls, calls[:] = len(calls), []
+
+        def fork():
+            raise AssertionError("forked with a subclassed space")
+
+        monkeypatch.setattr(os, "fork", fork)
+        # every call is made here, as in a serial run, so the subclass sees it
+        self.assert_same(self.suite(monkeypatch, 3, config), serial)
+        assert len(calls) == serial_calls > 0
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_serial_without_fork_or_affinity(self, monkeypatch, missing):
