@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .geometric import GeoRangeError, GeoSequence
@@ -175,14 +176,13 @@ def difference_transform_log(
     not read (the ratios never depend on it); it stays for callers that
     pass one positionally, such as ``bench/tracing.py``.
     """
-    u = [float(v) for v in u]
+    u = list(map(float, u))
     if not u:
         return []
     ratios = chain(_RATIOS[1:], repeat(_RATIOS[-1]))
     inverse = chain(_INVERSE_RATIOS[1:], repeat(_INVERSE_RATIOS[-1]))
-    rows = [_RATIOS[0] * u[0]] + [
-        r * b - ri * a for r, ri, a, b in zip(ratios, inverse, u, u[1:])
-    ]
+    rows = [_RATIOS[0] * u[0]]
+    rows += map(sub, map(mul, ratios, islice(u, 1, None)), map(mul, inverse, u))
     if not all(map(math.isfinite, rows)):
         k = next(k for k, v in enumerate(rows) if not math.isfinite(v))
         raise GeoRangeError(f"transformed row {k} left double range ({rows[k]!r})")

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .geometric import GeoScalar, GeoSequence
 from .orlicz import OrliczFunction
@@ -57,6 +58,29 @@ def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
+def _column(values: list) -> Iterable:
+    """Cells whose ``str`` is ``_fmt``, a column at a time: ``values`` without
+    floats, one ``map`` of ``.17g`` for floats only, over the distinct values
+    when at most half are distinct and 0.0 and -0.0 (equal dict keys) do not
+    both occur."""
+    kinds = set(map(type, values))
+    if not any(issubclass(k, float) for k in kinds):
+        return values
+    if kinds != {float}:
+        return map(_fmt, values)
+    table = dict.fromkeys(values)
+    zero_signs = set(map(math.copysign, repeat(1.0), filterfalse(None, values)))
+    if 2 * len(table) > len(values) or len(zero_signs) > 1:
+        return map("{:.17g}".format, values)
+    return map(dict(zip(table, map("{:.17g}".format, table))).__getitem__, values)
+
+
+def _rows(row: str, *columns: Iterable) -> str:
+    """``row`` once per row of ``columns``, filled by one ``%`` over all cells."""
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    return (row * (len(cells) // len(columns))) % cells
+
+
 def _render_json(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -83,12 +107,16 @@ def _render_json(obj, out: list) -> None:
             _render_json(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render_json(v, out)
-        out.append("]")
+        kinds = set(map(type, obj))  # a finite sum of floats: every one finite
+        if kinds == {int} or kinds == {float} and math.isfinite(sum(map(abs, obj))):
+            out.append("[" + ", ".join(map(str, _column(obj))) + "]")
+        else:
+            out.append("[")
+            for i, v in enumerate(obj):
+                if i:
+                    out.append(", ")
+                _render_json(v, out)
+            out.append("]")
     else:
         raise TypeError(f"cannot serialise {type(obj).__name__}")
 
@@ -168,22 +196,30 @@ def _parse_sequence_csv(text: str, path: Path) -> GeoSequence:
 
 
 def _build_sequence(values: list, domain: str, path: Path) -> GeoSequence:
+    """One type pass, one conversion and the sequence's own range test;
+    the terms are visited one by one only to name the first bad one."""
+    build = GeoSequence.from_log if domain == "log" else GeoSequence
+    try:
+        if set(map(type, values)) <= {int, float}:  # bool is neither
+            return build(list(map(float, values)))
+    except (OverflowError, ValueError):
+        pass
     floats = []
     for i, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise InputError(f"{path}: index {i}: not a number: {v!r}")
-        floats.append(float(v))
-    if domain == "log":
-        for i, v in enumerate(floats):
-            if not math.isfinite(v):
-                raise InputError(f"{path}: index {i}: log value must be finite")
-        return GeoSequence.from_log(floats)
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise InputError(f"{path}: index {i}: number out of double range") from None
     for i, v in enumerate(floats):
-        if not math.isfinite(v) or v <= 0.0:
+        if domain == "log" and not math.isfinite(v):
+            raise InputError(f"{path}: index {i}: log value must be finite")
+        if domain != "log" and not (math.isfinite(v) and v > 0.0):
             raise InputError(
                 f"{path}: index {i}: geometric values must be positive finite, got {v!r}"
             )
-    return GeoSequence(floats)
+    return build(floats)
 
 
 def write_sequence_file(
@@ -300,21 +336,21 @@ def config_from_dict(doc: dict, where: str = "config") -> RunConfig:
         raise InputError(f"{where}: unknown configuration keys {sorted(unknown)}")
     cfg = RunConfig()
     try:
-        if "lambda" in doc:
+        if (key := "lambda") in doc:
             cfg.lam = LambdaSequence.from_config(doc["lambda"])
-        if "orlicz" in doc:
+        if (key := "orlicz") in doc:
             cfg.orlicz = OrliczFunction.from_config(doc["orlicz"])
             if cfg.orlicz.kind == "table":
                 _check_table(cfg.orlicz.points)
-        if "exponents" in doc:
+        if (key := "exponents") in doc:
             cfg.exponents = Exponents.from_config(doc["exponents"])
-        if "variant" in doc:
+        if (key := "variant") in doc:
             cfg.variant = doc["variant"]
-        if "transform" in doc:
+        if (key := "transform") in doc:
             cfg.transform = doc["transform"]
-        if "rho" in doc:
+        if (key := "rho") in doc:
             cfg.rho = float(doc["rho"])
-        if "tolerances" in doc:
+        if (key := "tolerances") in doc:
             t = doc["tolerances"]
             base = Tolerances()
             cfg.tolerances = Tolerances(
@@ -322,11 +358,13 @@ def config_from_dict(doc: dict, where: str = "config") -> RunConfig:
                 window_count=int(t.get("window_count", base.window_count)),
                 bound_cap=float(t.get("bound_cap", base.bound_cap)),
             )
-        if "seed" in doc:
+        if (key := "seed") in doc:
             cfg.seed = int(doc["seed"])
-        if "trials" in doc:
+        if (key := "trials") in doc:
             cfg.trials = int(doc["trials"])
         cfg.space_spec()  # triggers cross-field validation
+    except OverflowError as exc:  # a number beyond double range
+        raise InputError(f"{where}: {key}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{where}: {exc}") from exc
     return cfg
@@ -413,41 +451,30 @@ def suite_report_dict(report: SuiteReport) -> dict:
     }
 
 
-def _csv_bytes(header: list, rows: list) -> bytes:
-    """Comma-joined lines of formatted fields, without a csv writer.
+def _csv(header: str, *columns: list) -> bytes:
+    """The header line and one comma-joined line per row, a column at a time.
 
     Every field is an int, a ``.17g`` float, a bool, a fixed check name or
     ``""``, so none can need quoting and ``csv.reader`` reads them back.
     """
-    return "".join(",".join(map(_fmt, r)) + "\n" for r in [header, *rows]).encode()
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    return (header + "\n" + _rows(row, *map(_column, columns))).encode()
 
 
 def _report_csv(doc: dict) -> bytes:
     kind = doc.get("kind")
     if kind in ("membership", "density"):
         trace = doc["trace"]
-        ns = trace["n"]
-        lams = trace["lambda_n"]
-        s_or_none = trace.get("S_n")
-        d_or_none = trace.get("d_n")
-        rows = []
-        for i, n in enumerate(ns):
-            s = s_or_none[i] if s_or_none is not None else ""
-            d = d_or_none[i] if d_or_none is not None else ""
-            rows.append([n, lams[i], s, d])
-        return _csv_bytes(["n", "lambda_n", "S_n", "d_n"], rows)
+        blank = [""] * len(trace["n"])
+        columns = [trace.get(k) or blank for k in ("S_n", "d_n")]
+        return _csv("n,lambda_n,S_n,d_n", trace["n"], trace["lambda_n"], *columns)
     if kind == "suite":
-        rows = [
-            [r["check"], r["trial"], r["passed"], r["worst_violation"]]
-            for r in doc["rows"]
-        ]
-        return _csv_bytes(["check", "trial", "passed", "worst_violation"], rows)
+        keys = ("check", "trial", "passed", "worst_violation")
+        return _csv(",".join(keys), *([r[k] for r in doc["rows"]] for k in keys))
     if kind == "paranorm":
         g_geo = doc["g_geo"]
-        return _csv_bytes(
-            ["rho_star", "g", "g_geo_log"],
-            [[doc["rho_star"], doc["g"], g_geo["log"] if g_geo else ""]],
-        )
+        log = g_geo["log"] if g_geo else ""
+        return _csv("rho_star,g,g_geo_log", [doc["rho_star"]], [doc["g"]], [log])
     raise InputError(f"unknown report kind {kind!r}")
 
 
@@ -464,21 +491,16 @@ def _report_text(doc: dict) -> bytes:
         lines.append(f"tail slope: {_fmt(doc['tail_slope'])}")
         lines.append("n lambda_n S_n")
         trace = doc["trace"]
-        for i, n in enumerate(trace["n"]):
-            lines.append(
-                f"{n} {_fmt(trace['lambda_n'][i])} {_fmt(trace['S_n'][i])}"
-            )
+        lams, sums = _column(trace["lambda_n"]), _column(trace["S_n"])
+        lines[-1] += _rows("\n%s %s %s", trace["n"], lams, sums)
     elif kind == "density":
         lines.append(f"verdict: {doc['verdict']}")
         lines.append(f"epsilon (log-view): {_fmt(doc['epsilon']['log'])}")
         lines.append(f"ell (log-view): {_fmt(doc['ell']['log'])}")
         lines.append("n lambda_n c_n d_n")
         trace = doc["trace"]
-        for i, n in enumerate(trace["n"]):
-            lines.append(
-                f"{n} {_fmt(trace['lambda_n'][i])} {trace['c_n'][i]}"
-                f" {_fmt(trace['d_n'][i])}"
-            )
+        lams, dens = _column(trace["lambda_n"]), _column(trace["d_n"])
+        lines[-1] += _rows("\n%s %s %s %s", trace["n"], lams, trace["c_n"], dens)
     elif kind == "paranorm":
         lines.append(f"rho_star: {_fmt(doc['rho_star'])}")
         lines.append(f"g: {_fmt(doc['g'])}")

@@ -197,13 +197,12 @@ class GeoSequence:
     @classmethod
     def from_log(cls, u: Iterable[float]) -> "GeoSequence":
         obj = cls.__new__(cls)
-        logs = []
-        for i, raw in enumerate(u):
-            v = float(raw)
-            if not math.isfinite(v):
-                raise ValueError(f"term {i}: log-view must be finite, got {raw!r}")
-            logs.append(v)
-        obj._logs = tuple(logs)
+        raw = list(u)
+        obj._logs = tuple(map(float, raw))
+        if not math.isfinite(sum(map(abs, obj._logs))):  # else every term is finite
+            for i, v in enumerate(obj._logs):
+                if not math.isfinite(v):
+                    raise ValueError(f"term {i}: log-view must be finite, got {raw[i]!r}")
         return obj
 
     @property

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from itertools import repeat
+from operator import mul
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -136,10 +138,9 @@ class OrliczFunction:
         try:
             if self.kind == "power":
                 p = self.p
-                return list(ts) if p == 1.0 else [t ** p for t in ts]
+                return list(ts) if p == 1.0 else list(map(pow, ts, repeat(p)))
             if self.kind == "x_log1p":
-                log1p = math.log1p
-                return [t * log1p(t) for t in ts]
+                return list(map(mul, ts, map(math.log1p, ts)))
             if self.kind == "exp_minus_one":
                 return list(map(math.expm1, ts))
         except OverflowError:

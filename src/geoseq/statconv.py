@@ -15,6 +15,8 @@ M(ln(eps)/rho) * density on every window because M is non-decreasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import ge, sub, truediv
 
 from .geometric import GeoScalar, GeoSequence
 from .summability import (
@@ -73,9 +75,10 @@ def stat_density(
         )
     z = windowed_logs(x, "fhat")
     center = ell.log
-    counts = window_sums([int(abs(v - center) >= eps_c) for v in z], lam)
+    flags = map(ge, map(abs, map(sub, z, repeat(center))), repeat(eps_c))
+    counts = window_sums(list(flags), lam)  # bools, so the counts are ints
     lam_values = lam.head(len(z))
-    densities = [c / lam_n for c, lam_n in zip(counts, lam_values)]
+    densities = list(map(truediv, counts, lam_values))
     return DensityTrace(
         counts=counts,
         densities=densities,

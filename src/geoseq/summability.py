@@ -32,7 +32,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import and_, gt, lt, mul, sub, truediv
 from typing import Optional, Sequence, Tuple
 
 from .fibonacci import difference_transform_log
@@ -159,40 +160,40 @@ class LambdaSequence:
             for name in methods
         )
 
+    def _plan(self, m: int, one):
+        """lam(1), ..., lam(m) of a built-in kind, as ints or floats as ``one``
+        is 1 or 1.0: the value k holds for 1 (identity), 2 (half) or 2k - 1
+        (sqrt: ceil(sqrt(n)) = k on (k-1)**2 < n <= k**2) consecutive n."""
+        if self.kind == "identity":
+            return islice(count(one), m)
+        runs = repeat(2) if self.kind == "half" else count(1, 2)
+        return islice(chain.from_iterable(map(repeat, count(one), runs)), m)
+
     def head(self, m: int) -> list:
-        """[lam(1), ..., lam(m)]: one pass for the built-in formula kinds.
+        """[lam(1), ..., lam(m)]: one iterator pass for the built-in kinds.
 
         ``custom`` lambdas, and subclasses that override :meth:`at`, are
         asked once per n.
         """
-        ns = range(1, m + 1)
         if not self._builtin("at"):
-            return list(map(self.at, ns))
-        if self.kind == "identity":
-            return list(map(float, ns))
-        if self.kind == "half":
-            return [float((n + 1) // 2) for n in ns]
-        isqrt = math.isqrt
-        return [float(isqrt(n - 1) + 1) for n in ns]
+            return list(map(self.at, range(1, m + 1)))
+        return list(self._plan(m, 1.0))
 
     def windows(self, m: int) -> list:
         """[I(1), ..., I(m)], equal to :meth:`window` for each n.
 
-        The built-in kinds have integer lam(n) <= n, so I(n) starts at
-        n - lam(n) + 1, and all windows come from one pass over the
-        formula of :meth:`at`.  ``custom`` lambdas, and subclasses that
-        override :meth:`window` or :meth:`at`, call :meth:`window` once
-        per n.
+        ``custom`` lambdas, and subclasses that override :meth:`window` or
+        :meth:`at`, call :meth:`window` once per n.
         """
-        ns = range(1, m + 1)
         if not self._builtin("at", "window"):
-            return list(map(self.window, ns))
-        if self.kind == "identity":
-            return [range(1, n + 1) for n in ns]
-        if self.kind == "half":  # n - (n + 1) // 2 + 1 == n // 2 + 1
-            return [range(n // 2 + 1, n + 1) for n in ns]
-        isqrt = math.isqrt
-        return [range(n - isqrt(n - 1), n + 1) for n in ns]
+            return list(map(self.window, range(1, m + 1)))
+        return [range(s + 1, n + 1) for n, s in enumerate(self._starts(m), 1)]
+
+    def _starts(self, m: int) -> list:
+        """[n - lam(n) for n = 1..m]: I(n) is range(starts[n-1] + 1, n + 1)."""
+        if not self._builtin("at", "window"):
+            return [w.start - 1 for w in self.windows(m)]
+        return list(map(sub, range(1, m + 1), self._plan(m, 1)))
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -478,14 +479,18 @@ def _exact_terms(values: Sequence) -> tuple:
     return ints, s, pos, neg
 
 
-def _differences(terms: list, windows: list) -> list:
-    """Exact sum of ``terms`` over each window, from prefix sums."""
+def _differences(terms: list, starts: list) -> list:
+    """Exact sum of ``terms`` over each window, from prefix sums at ``starts``."""
     prefix = list(accumulate(terms, initial=0))
-    return [prefix[w.stop - 1] - prefix[w.start - 1] for w in windows]
+    return list(map(sub, islice(prefix, 1, None), map(prefix.__getitem__, starts)))
 
 
 def _rounded(totals: list, denom: int) -> list:
     """Each ``totals[i] / denom`` correctly rounded; ``inf`` beyond range."""
+    try:
+        return list(map(truediv, totals, repeat(denom)))
+    except OverflowError:
+        pass
     out = []
     for t in totals:
         try:
@@ -513,18 +518,17 @@ def _modular_terms(
     every float), and a list whose power overflows is redone with the
     saturating form, so a term beyond double range is ``inf``.
     """
-    if scale == 1.0:  # t / 1.0 == t for every float
-        ms = orlicz.eval_many([abs(v - center) for v in zs])
-    else:
-        ms = orlicz.eval_many([abs(v - center) / scale for v in zs])
-    if isinstance(ps, float):
-        if ps == 1.0:
-            return ms
-        ps = [ps] * len(ms)
+    ts = map(abs, map(sub, zs, repeat(center)))
+    if scale != 1.0:  # t / 1.0 == t for every float
+        ts = map(truediv, ts, repeat(scale))
+    ms = orlicz.eval_many(list(ts))
+    if ps == 1.0:
+        return ms
+    qs = repeat(ps) if isinstance(ps, float) else ps
     try:
-        return [m ** p for m, p in zip(ms, ps)]
+        return list(map(pow, ms, qs))
     except OverflowError:
-        return list(map(_pow_sat, ms, ps))
+        return list(map(_pow_sat, ms, qs))
 
 
 def window_sums(values: Sequence, lam: LambdaSequence) -> list:
@@ -537,18 +541,18 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     bit; where the exact sum leaves double range it is ``inf`` (with its
     sign).  A window holding an infinite term sums to that infinity, one
     holding both ``inf`` and ``-inf`` or any NaN raises ``ValueError``.
-    All-integer input gives exact ``int`` sums.  The windows come from
-    :meth:`LambdaSequence.windows`, so ``lam.window(n)`` is called once per
-    window only for ``custom`` lambdas and for subclasses that override
-    ``window`` or ``at``; the built-in kinds build them in one pass.
+    All-integer input gives exact ``int`` sums.  The window starts come
+    from the built-in kinds' window plan; ``lam.window(n)``, which must end
+    at n, is called once per window only for ``custom`` lambdas and for
+    subclasses that override ``window`` or ``at``.
     """
-    windows = lam.windows(len(values))
-    if all(isinstance(v, int) for v in values):
-        return _differences(values, windows)
+    starts = lam._starts(len(values))
+    if all(map(isinstance, values, repeat(int))):
+        return _differences(values, starts)
     ints, s, pos, neg = _exact_terms(values)
-    sums = _rounded(_differences(ints, windows), 1 << s)
+    sums = _rounded(_differences(ints, starts), 1 << s)
     if pos is not None:
-        up, down = _differences(pos, windows), _differences(neg, windows)
+        up, down = _differences(pos, starts), _differences(neg, starts)
         for n, (u, d) in enumerate(zip(up, down), 1):
             if u and d:
                 raise ValueError(f"window_sums: window {n} holds both inf and -inf")
@@ -557,10 +561,9 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     return sums
 
 
-def _window_means(values: Sequence, lam: LambdaSequence) -> list:
-    """:func:`window_sums` divided by lam(n), window by window."""
-    sums = window_sums(values, lam)
-    return [s / lam_n for s, lam_n in zip(sums, lam.head(len(values)))]
+def _window_means(values: Sequence, lam: LambdaSequence, head=None) -> list:
+    """:func:`window_sums` divided by lam(n); ``head`` is ``lam.head(len(values))``."""
+    return list(map(truediv, window_sums(values, lam), head or lam.head(len(values))))
 
 
 def modular_mean(
@@ -631,21 +634,21 @@ def window_trace(
 
 def _tail_slope(values: Sequence[float]) -> float:
     """Least-squares slope of log S against log n over the trailing half."""
-    m = len(values)
-    pts = [
-        (math.log(n), math.log(values[n - 1]))
-        for n in range(max(1, m // 2), m + 1)
-        if values[n - 1] > 0 and math.isfinite(values[n - 1])
-    ]
-    if len(pts) < 3:
+    first = max(1, len(values) // 2)
+    tail = values[first - 1 :]
+    keep = list(map(and_, map(gt, tail, repeat(0.0)), map(lt, tail, repeat(math.inf))))
+    xs = list(map(math.log, compress(range(first, len(values) + 1), keep)))
+    if len(xs) < 3:
         return 0.0
+    ys = list(map(math.log, compress(tail, keep)))
     # statistics.linear_regression's formula as Python 3.11 writes it (3.10
     # squares with ** 2.0, 3.12 sums with math.sumprod), so the slope does
     # not depend on the interpreter
-    xbar = math.fsum(x for x, _ in pts) / len(pts)
-    ybar = math.fsum(y for _, y in pts) / len(pts)
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in pts)
-    sxx = math.fsum((x - xbar) * (x - xbar) for x, _ in pts)
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    dx = list(map(sub, xs, repeat(xbar)))
+    sxy = math.fsum(map(mul, dx, map(sub, ys, repeat(ybar))))
+    sxx = math.fsum(map(mul, dx, dx))
     return sxy / sxx  # > 0: the x are logs of three or more distinct n
 
 
@@ -807,7 +810,9 @@ def classify_membership(
         center = _estimate_limit(z, spec)
         ell = GeoScalar.from_log(center)
 
-    values = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, center)
+    ps = _exponent_values(spec.exponents, range(1, m + 1))
+    terms = _modular_terms(z, ps, spec.orlicz, spec.rho, center)
+    values = _window_means(terms, spec.lam, lam_values)
 
     if spec.variant == "bounded":
         slope = _tail_slope(values)

@@ -593,6 +593,46 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "numeric range abort: transformed row 1 left double range" in proc.stderr
 
+    BIG = str(10 ** 400)  # a JSON integer beyond double range
+
+    @pytest.mark.parametrize("domain, values, index", [
+        ("log", f"[{BIG}, 1.0]", 0),
+        ("geometric", f"[1.0, 2.0, -{BIG}]", 2),
+    ])
+    def test_out_of_range_number_in_sequence_exits_2(self, tmp_path, domain, values, index):
+        seq = write(tmp_path / "s.json", f'{{"domain": "{domain}", "values": {values}}}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", "transform", "--in", seq,
+             "--out", str(tmp_path / "t.json")],
+            capture_output=True, text=True, env=_env_with_package_path(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"geoseq: input error: {seq}: index {index}: number out of double range\n"
+        )
+
+    @pytest.mark.parametrize("doc, key", [
+        (f'{{"rho": {BIG}}}', "rho"),
+        (f'{{"orlicz": {{"kind": "power", "p": {BIG}}}}}', "orlicz"),
+        (f'{{"exponents": {{"kind": "constant", "value": {BIG}}}}}', "exponents"),
+        (f'{{"lambda": {{"kind": "custom", "values": [1, 2, {BIG}]}}}}', "lambda"),
+        ('{"trials": Infinity}', "trials"),
+        ('{"tolerances": {"window_count": Infinity}}', "tolerances"),
+    ])
+    def test_out_of_range_number_in_config_exits_2(
+        self, tmp_path, constant_sequence_path, doc, key
+    ):
+        cfg = write(tmp_path / "c.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", "analyze", "--in", constant_sequence_path,
+             "--config", cfg],
+            capture_output=True, text=True, env=_env_with_package_path(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"geoseq: input error: {cfg}: {key}: ")
+
     def test_transform_command_names_out_of_range_row(self, tmp_path, capsys):
         values = [1.0, 1.0, 1e308, -1e308, 1e308]
         seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": values}))

@@ -886,6 +886,50 @@ class TestBulkWindowBounds:
             assert rep.lambda_values == [spec(lam=kind).lam.at(n) for n in range(1, 71)]
 
 
+class TestWindowPlan:
+    """head, window starts and window sums from the built-in kinds' iterator
+    passes equal the per-n formulas of ``at`` and ``window``."""
+
+    KINDS = ("identity", "half", "sqrt")
+
+    @staticmethod
+    def check(lam, m, ns):
+        head, starts = lam.head(m), lam._starts(m)
+        assert len(head) == len(starts) == m
+        for n in ns:
+            assert head[n - 1].hex() == lam.at(n).hex()
+            assert starts[n - 1] == lam.window(n).start - 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_m_up_to_200(self, kind):
+        lam = getattr(LambdaSequence, kind)()
+        rng = random.Random(kind)
+        values = [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-20, 20) for _ in range(200)]
+        for m in range(201):
+            self.check(lam, m, range(1, m + 1))
+            assert lam.windows(m) == [lam.window(n) for n in range(1, m + 1)]
+            sums = window_sums(values[:m], lam)
+            assert sums == [math.fsum(values[k - 1] for k in lam.window(n))
+                            for n in range(1, m + 1)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_around_a_square(self, kind):
+        lam, k = getattr(LambdaSequence, kind)(), 120
+        rng = random.Random(k)
+        values = [rng.uniform(-1.0, 1.0) for _ in range(k * k + 1)]
+        for m in (k * k - 1, k * k, k * k + 1):
+            self.check(lam, m, range(1, m + 1))
+            sums = window_sums(values[:m], lam)
+            for n in {1, 2, (k - 1) ** 2, (k - 1) ** 2 + 1, m - 2, m - 1, m}:
+                assert sums[n - 1] == math.fsum(values[j - 1] for j in lam.window(n))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_the_ends_around_a_large_square(self, kind):
+        lam, k = getattr(LambdaSequence, kind)(), 1001
+        for m in (k * k - 1, k * k, k * k + 1):
+            self.check(lam, m, [1, 2, (k - 1) ** 2, (k - 1) ** 2 + 1, m - 1, m])
+
+
 def _reference_trace(z, lam, M, p, scale, center=0.0):
     """Per-term saturating powers, fsum over each window: the pre-batch form."""
     terms = [
