@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, filterfalse, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
@@ -319,53 +320,57 @@ def _check_table(points) -> None:
         )
 
 
+def _section(cls, doc):
+    """``cls`` built from a JSON object's members as keyword arguments."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"section must be a JSON object, got {type(doc).__name__}")
+    return cls(**doc)
+
+
+def _orlicz(doc) -> OrliczFunction:
+    M = _section(OrliczFunction, doc)
+    if M.kind == "table":
+        _check_table(M.points)
+    return M
+
+
+def _number(kind, v):
+    """``v`` as ``kind`` (float or int) when it is a JSON number of that kind;
+    bools and strings are not numbers, and 2.7 or 5.0 is not an integer."""
+    if isinstance(v, bool) or not isinstance(v, (kind, int)):
+        raise ValueError(f"must be a number of type {kind.__name__}, got {v!r}")
+    return kind(v)
+
+
+# config key -> (RunConfig field, builder of its value), in the order built;
+# space_spec() then checks variant, transform and rho against their ranges
+_KEYS = {
+    "lambda": ("lam", partial(_section, LambdaSequence)),
+    "orlicz": ("orlicz", _orlicz),
+    "exponents": ("exponents", partial(_section, Exponents)),
+    "variant": ("variant", str),
+    "transform": ("transform", str),
+    "rho": ("rho", partial(_number, float)),
+    "tolerances": ("tolerances", partial(_section, Tolerances)),
+    "seed": ("seed", partial(_number, int)),
+    "trials": ("trials", partial(_number, int)),
+}
+
+
 def config_from_dict(doc: dict, where: str = "config") -> RunConfig:
-    known = {
-        "lambda",
-        "orlicz",
-        "exponents",
-        "variant",
-        "transform",
-        "rho",
-        "tolerances",
-        "seed",
-        "trials",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_KEYS)
     if unknown:
         raise InputError(f"{where}: unknown configuration keys {sorted(unknown)}")
     cfg = RunConfig()
+    for key, (name, build) in _KEYS.items():
+        if key in doc:
+            try:
+                setattr(cfg, name, build(doc[key]))
+            except (ValueError, TypeError, KeyError, OverflowError) as exc:
+                raise InputError(f"{where}: {key}: {exc}") from exc
     try:
-        if (key := "lambda") in doc:
-            cfg.lam = LambdaSequence.from_config(doc["lambda"])
-        if (key := "orlicz") in doc:
-            cfg.orlicz = OrliczFunction.from_config(doc["orlicz"])
-            if cfg.orlicz.kind == "table":
-                _check_table(cfg.orlicz.points)
-        if (key := "exponents") in doc:
-            cfg.exponents = Exponents.from_config(doc["exponents"])
-        if (key := "variant") in doc:
-            cfg.variant = doc["variant"]
-        if (key := "transform") in doc:
-            cfg.transform = doc["transform"]
-        if (key := "rho") in doc:
-            cfg.rho = float(doc["rho"])
-        if (key := "tolerances") in doc:
-            t = doc["tolerances"]
-            base = Tolerances()
-            cfg.tolerances = Tolerances(
-                tol=float(t.get("tol", base.tol)),
-                window_count=int(t.get("window_count", base.window_count)),
-                bound_cap=float(t.get("bound_cap", base.bound_cap)),
-            )
-        if (key := "seed") in doc:
-            cfg.seed = int(doc["seed"])
-        if (key := "trials") in doc:
-            cfg.trials = int(doc["trials"])
-        cfg.space_spec()  # triggers cross-field validation
-    except OverflowError as exc:  # a number beyond double range
-        raise InputError(f"{where}: {key}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+        cfg.space_spec()
+    except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
     return cfg
 

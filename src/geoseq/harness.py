@@ -369,11 +369,12 @@ def check_exponent_inclusion(
     center = ell.log if ell is not None else 0.0
     z = windowed_logs(x, spec.transform)
     m = len(z)
-    mus = [p.at(k) / q.at(k) for k in range(1, m + 1)]
+    mus = []
     for k in range(1, m + 1):
         pk, qk = p.at(k), q.at(k)
         if not (0.0 < pk <= qk):
             raise ValueError(f"need 0 < p <= q at every index; index {k}: {pk} > {qk}")
+        mus.append(pk / qk)
     mu = min(1.0, max(1e-3, min(mus)))
 
     lam, M, rho = spec.lam, spec.orlicz, spec.rho

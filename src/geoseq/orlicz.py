@@ -66,6 +66,20 @@ def _fsum_sat(terms) -> float:
         return math.inf
 
 
+def _check_kind(what: str, params: dict, kind, **given) -> None:
+    """Require a key of ``params`` as ``kind``, and exactly its parameters not None."""
+    if not isinstance(kind, str) or kind not in params:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    for name, value in given.items():
+        if (value is None) == (name in params[kind]):
+            verb = "needs" if value is None else "takes no"
+            raise ValueError(f"{kind} {what} {verb} {name!r}")
+
+
+# the built-in families and the parameters each takes
+_FAMILIES = {"power": ("p",), "exp_minus_one": (), "x_log1p": (), "table": ("points",)}
+
+
 @dataclass(frozen=True)
 class OrliczFunction:
     """Descriptor plus evaluator for an Orlicz function."""
@@ -74,11 +88,30 @@ class OrliczFunction:
     p: Optional[float] = None
     points: Optional[Tuple[Tuple[float, float], ...]] = None
 
+    def __post_init__(self):
+        _check_kind("Orlicz function", _FAMILIES, self.kind, p=self.p, points=self.points)
+        if self.kind == "power":
+            p = float(self.p)
+            if not math.isfinite(p) or p < 1.0:
+                raise ValueError(f"power family needs p >= 1, got {p!r}")
+            object.__setattr__(self, "p", p)
+        elif self.kind == "table":
+            pts = tuple((float(t), float(m)) for t, m in self.points)
+            if len(pts) < 2:
+                raise ValueError("table needs at least two knots")
+            if pts[0] != (0.0, 0.0):
+                raise ValueError("table must start at the knot (0, 0)")
+            for i in range(1, len(pts)):
+                if not (pts[i][0] > pts[i - 1][0]):
+                    raise ValueError("table abscissae must be strictly increasing")
+                if not math.isfinite(pts[i][0]) or not math.isfinite(pts[i][1]):
+                    raise ValueError("table knots must be finite")
+            object.__setattr__(self, "points", pts)
+            # the knot abscissae, which one bisect_right searches for a segment
+            object.__setattr__(self, "_abscissae", tuple(t for t, _ in pts))
+
     @classmethod
     def power(cls, p: float) -> "OrliczFunction":
-        p = float(p)
-        if not math.isfinite(p) or p < 1.0:
-            raise ValueError(f"power family needs p >= 1, got {p!r}")
         return cls(kind="power", p=p)
 
     @classmethod
@@ -91,17 +124,7 @@ class OrliczFunction:
 
     @classmethod
     def table(cls, points: Sequence[Sequence[float]]) -> "OrliczFunction":
-        pts = tuple((float(t), float(m)) for t, m in points)
-        if len(pts) < 2:
-            raise ValueError("table needs at least two knots")
-        if pts[0] != (0.0, 0.0):
-            raise ValueError("table must start at the knot (0, 0)")
-        for i in range(1, len(pts)):
-            if not (pts[i][0] > pts[i - 1][0]):
-                raise ValueError("table abscissae must be strictly increasing")
-            if not math.isfinite(pts[i][0]) or not math.isfinite(pts[i][1]):
-                raise ValueError("table knots must be finite")
-        return cls(kind="table", points=pts)
+        return cls(kind="table", points=points)
 
     def eval(self, t: float) -> float:
         t = float(t)
@@ -118,9 +141,7 @@ class OrliczFunction:
                 return math.inf
         if self.kind == "x_log1p":
             return t * math.log1p(t)
-        if self.kind == "table":
-            return self._eval_table(t)
-        raise ValueError(f"unknown Orlicz family {self.kind!r}")
+        return self._eval_table(t)
 
     __call__ = eval
 
@@ -173,28 +194,20 @@ class OrliczFunction:
                 return list(map(math.exp, ts))
             except OverflowError:
                 return [math.exp(t) if t <= _LN_MAX else math.inf for t in ts]
-        if self.kind == "table":
-            pts = self.points
-            starts = [t for t, _ in pts[:-1]]
-            slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
-            return [slopes[bisect_right(starts, t) - 1] for t in ts]
-        raise ValueError(f"unknown Orlicz family {self.kind!r}")
+        pts, xs = self.points, self._abscissae
+        slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
+        last = len(slopes) - 1  # the final segment continues beyond the last knot
+        return [slopes[min(bisect_right(xs, t) - 1, last)] for t in ts]
 
     def _eval_table(self, t: float) -> float:
         pts = self.points
-        if t >= pts[-1][0]:
+        i = bisect_right(self._abscissae, t)
+        if i == len(pts):
             # extrapolate with the final segment's slope
             (t0, m0), (t1, m1) = pts[-2], pts[-1]
             slope = (m1 - m0) / (t1 - t0)
             return m1 + slope * (t - t1)
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        (t0, m0), (t1, m1) = pts[lo], pts[hi]
+        (t0, m0), (t1, m1) = pts[i - 1], pts[i]
         return m0 + (m1 - m0) * (t - t0) / (t1 - t0)
 
     @property
@@ -215,19 +228,6 @@ class OrliczFunction:
         if self.points is not None:
             d["points"] = [list(pt) for pt in self.points]
         return d
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "OrliczFunction":
-        kind = cfg.get("kind")
-        if kind == "power":
-            return cls.power(cfg["p"])
-        if kind == "exp_minus_one":
-            return cls.exp_minus_one()
-        if kind == "x_log1p":
-            return cls.x_log1p()
-        if kind == "table":
-            return cls.table(cfg["points"])
-        raise ValueError(f"unknown Orlicz kind {kind!r}")
 
 
 @dataclass(frozen=True)

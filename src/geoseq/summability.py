@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 from .fibonacci import difference_transform_log
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
-from .orlicz import OrliczFunction, _fsum_sat, _pow_sat, _zeroin, bracket_scale
+from .orlicz import OrliczFunction, _check_kind, _fsum_sat, _pow_sat, _zeroin, bracket_scale
 
 __all__ = [
     "LambdaSequence",
@@ -72,6 +72,9 @@ INCONCLUSIVE = "inconclusive"
 _FLAT_SLOPE = -0.05
 
 
+_LAMBDAS = {"identity": (), "half": (), "sqrt": (), "custom": ("values",)}
+
+
 class LambdaSequence:
     """The window-generating sequence lam(1), lam(2), ...
 
@@ -83,18 +86,13 @@ class LambdaSequence:
     """
 
     def __init__(self, kind: str, values: Optional[Sequence[float]] = None):
-        if kind not in ("identity", "half", "sqrt", "custom"):
-            raise ValueError(f"unknown lambda kind {kind!r}")
+        _check_kind("lambda", _LAMBDAS, kind, values=values)
         self.kind = kind
         self.values = None
         if kind == "custom":
-            if values is None:
-                raise ValueError("custom lambda needs explicit values")
             vals = [float(v) for v in values]
             self._validate(vals)
             self.values = tuple(vals)
-        elif values is not None:
-            raise ValueError("built-in lambda kinds take no explicit values")
 
     @staticmethod
     def _validate(vals: Sequence[float]) -> None:
@@ -110,8 +108,8 @@ class LambdaSequence:
                 raise ValueError(
                     f"lambda may grow by at most 1 per step (index {i + 2})"
                 )
-        if any(v <= 0 for v in vals):
-            raise ValueError("lambda values must be positive")
+        if not all(map(math.isfinite, vals)):  # with the steps above, also positive
+            raise ValueError("lambda values must be finite")
         if n >= 4 and vals[n - 1] < vals[n // 2 - 1] + 1.0 - 1e-9:
             raise ValueError("lambda must keep growing on the truncation")
 
@@ -201,13 +199,6 @@ class LambdaSequence:
             d["values"] = list(self.values)
         return d
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "LambdaSequence":
-        kind = cfg.get("kind")
-        if kind == "custom":
-            return cls.custom(cfg["values"])
-        return cls(kind)
-
 
 def window(n: int, lam: LambdaSequence) -> range:
     """Module-level convenience for :meth:`LambdaSequence.window`."""
@@ -226,6 +217,9 @@ def vp_mean(x: Sequence[float], n: int, lam: LambdaSequence) -> float:
     return math.fsum(float(x[k - 1]) for k in ks) / lam.at(n)
 
 
+_EXPONENTS = {"constant": ("value",), "list": ("values",), "formula": ("c", "d")}
+
+
 class Exponents:
     """The strictly positive, bounded exponent sequence p(1), p(2), ...
 
@@ -241,6 +235,7 @@ class Exponents:
         c: Optional[float] = None,
         d: Optional[float] = None,
     ):
+        _check_kind("exponent", _EXPONENTS, kind, value=value, values=values, c=c, d=d)
         self.kind = kind
         self.value = None
         self.values = None
@@ -258,7 +253,7 @@ class Exponents:
             if any((not math.isfinite(v)) or v <= 0 for v in vals):
                 raise ValueError("exponents must be positive and finite")
             self.values = vals
-        elif kind == "formula":
+        else:
             # p(k) = c + d/k
             self.c = float(c)
             self.d = float(d)
@@ -266,8 +261,6 @@ class Exponents:
                 raise ValueError("formula coefficients must be finite")
             if self.c <= 0 or self.c + self.d <= 0:
                 raise ValueError("formula exponents must stay positive")
-        else:
-            raise ValueError(f"unknown exponent kind {kind!r}")
 
     @classmethod
     def constant(cls, value: float) -> "Exponents":
@@ -325,17 +318,6 @@ class Exponents:
             return {"kind": "formula", "c": self.c, "d": self.d}
         return {"kind": "list", "values": list(self.values)}
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Exponents":
-        kind = cfg.get("kind")
-        if kind == "constant":
-            return cls.constant(cfg["value"])
-        if kind == "list":
-            return cls.from_list(cfg["values"])
-        if kind == "formula":
-            return cls.formula(cfg["c"], cfg["d"])
-        raise ValueError(f"unknown exponent kind {kind!r}")
-
 
 _VARIANTS = ("zero", "limit", "bounded")
 _TRANSFORMS = ("identity", "fhat")
@@ -385,6 +367,17 @@ class Tolerances:
     tol: float = 1e-6
     window_count: int = 10
     bound_cap: float = 1e9
+
+    def __post_init__(self):
+        tol, cap, count = float(self.tol), float(self.bound_cap), self.window_count
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"window_count must be an integer >= 1, got {count!r}")
+        if not cap > 0.0:  # NaN fails too
+            raise ValueError(f"bound_cap must be > 0, got {self.bound_cap!r}")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "bound_cap", cap)
 
     def describe(self) -> dict:
         return {

@@ -18,6 +18,31 @@ ORLICZ = [
     {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1, 1], [2, 3.5], [4, 10]]},
 ]
 
+# one malformed member each: a section that is not an object, a parameter
+# the kind does not take or lacks, a value out of range or of the wrong type
+MALFORMED = [
+    {"lambda": "half"},
+    {"lambda": {"kind": "sqrt", "values": [1, 2]}},
+    {"lambda": {"values": [1, 2]}},
+    {"orlicz": ["power", 2]},
+    {"orlicz": {"kind": "exp_minus_one", "p": 1}},
+    {"orlicz": {"kind": "table"}},
+    {"orlicz": {"kind": "table", "points": [[0, 0], [1, 2], [2, 3]]}},
+    {"exponents": 3},
+    {"exponents": {"kind": "formula", "c": 1}},
+    {"exponents": {"kind": "list", "values": [1, 2], "value": 1}},
+    {"tolerances": None},
+    {"tolerances": {"window_count": 0}},
+    {"tolerances": {"window_count": 1.5}},
+    {"tolerances": {"tol": -1}},
+    {"tolerances": {"bound_cap": 0}},
+    {"tolerances": {"step": 1}},
+    {"rho": False},
+    {"rho": "1"},
+    {"seed": 1.5},
+    {"trials": True},
+]
+
 # log-view magnitudes from the smallest subnormal to the edge of double range
 magnitudes = st.one_of(
     st.sampled_from((0.0, 5e-324, 1e-300, 1e300, 1e308)),
@@ -60,8 +85,11 @@ def _reject_constant(name):
     transform=st.sampled_from(("fhat", "identity")),
     command=st.sampled_from(("analyze", "paranorm", "stat")),
     fmt=st.sampled_from(("json", "text", "csv")),
+    malformed=st.one_of(st.just({}), st.sampled_from(MALFORMED)),
 )
-def test_cli_exits_cleanly_without_nan(values, orlicz, lam, variant, transform, command, fmt):
+def test_cli_exits_cleanly_without_nan(
+    values, orlicz, lam, variant, transform, command, fmt, malformed
+):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         seq = tmp / "seq.json"
@@ -74,6 +102,7 @@ def test_cli_exits_cleanly_without_nan(values, orlicz, lam, variant, transform, 
                     "orlicz": orlicz,
                     "variant": variant,
                     "transform": transform,
+                    **malformed,
                 }
             )
         )
@@ -84,6 +113,8 @@ def test_cli_exits_cleanly_without_nan(values, orlicz, lam, variant, transform, 
         code = main(argv + ["--format", fmt, "--out", str(out)])
         event(f"{command} exit {code}")
         assert code in (0, 2, 3, 4)
+        if malformed:
+            assert code == 2
         if code == 0:
             report = out.read_text()
             assert not re.search(r"\bnan\b", report, re.IGNORECASE)

@@ -633,6 +633,44 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"geoseq: input error: {cfg}: {key}: ")
 
+    @pytest.mark.parametrize("command", ["analyze", "paranorm", "stat", "verify"])
+    @pytest.mark.parametrize("doc, key", [
+        # a section that is not a JSON object
+        ('{"lambda": "half"}', "lambda"),
+        ('{"orlicz": "power"}', "orlicz"),
+        ('{"exponents": 3}', "exponents"),
+        ('{"tolerances": [1]}', "tolerances"),
+        # tolerances out of range
+        ('{"tolerances": {"window_count": 0}}', "tolerances"),
+        ('{"tolerances": {"window_count": -3}}', "tolerances"),
+        ('{"tolerances": {"tol": NaN}}', "tolerances"),
+        ('{"tolerances": {"bound_cap": NaN}}', "tolerances"),
+        # a parameter the section's kind does not take, or a missing one
+        ('{"lambda": {"kind": "half", "values": [1]}}', "lambda"),
+        ('{"orlicz": {"kind": "x_log1p", "p": 2}}', "orlicz"),
+        ('{"exponents": {"kind": "constant", "value": 1, "c": 2}}', "exponents"),
+        ('{"exponents": {"kind": "constant"}}', "exponents"),
+        # NaN in a custom lambda, which the monotonicity checks let through
+        ('{"lambda": {"kind": "custom", "values": [1, NaN, 2, 3]}}', "lambda"),
+        # a bool, a string or a fraction where a number or an integer belongs
+        ('{"rho": true}', "rho"),
+        ('{"seed": "5"}', "seed"),
+        ('{"trials": 2.7}', "trials"),
+    ])
+    def test_malformed_config_exits_2_naming_the_key(
+        self, tmp_path, capsys, constant_sequence_path, doc, key, command
+    ):
+        cfg = write(tmp_path / "c.json", doc)
+        args = [command, "--config", cfg]
+        if command != "verify":
+            args += ["--in", constant_sequence_path]
+        if command == "stat":
+            args += ["--epsilon", "2.0", "--ell", "1.5"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"geoseq: input error: {cfg}: {key}: ")
+
     def test_transform_command_names_out_of_range_row(self, tmp_path, capsys):
         values = [1.0, 1.0, 1e308, -1e308, 1e308]
         seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": values}))

@@ -68,9 +68,29 @@ class TestEval:
         with pytest.raises(ValueError):
             OrliczFunction.table([(0, 0), (1, 1), (1, 2)])
 
+    @pytest.mark.parametrize("kind, p, points, message", [
+        ("cubic", None, None, "unknown Orlicz function kind 'cubic'"),
+        ("power", None, None, "power Orlicz function needs 'p'"),
+        ("x_log1p", 2.0, None, "x_log1p Orlicz function takes no 'p'"),
+        ("table", None, None, "table Orlicz function needs 'points'"),
+        ("exp_minus_one", None, [(0, 0), (1, 1)], "takes no 'points'"),
+        ("power", 2.0, [(0, 0), (1, 1)], "power Orlicz function takes no 'points'"),
+        ("power", 0.5, None, "power family needs p >= 1"),
+    ])
+    def test_constructor_checks_kind_and_parameters(self, kind, p, points, message):
+        with pytest.raises(ValueError, match=message):
+            OrliczFunction(kind, p, points)
+
+    def test_constructor_normalises_parameters(self):
+        assert type(OrliczFunction("power", 2).p) is float
+        M = OrliczFunction("table", points=[[0, 0], [1, 2]])
+        assert M.points == ((0.0, 0.0), (1.0, 2.0))
+        assert M == OrliczFunction.table([(0, 0), (1, 2)])
+        assert hash(M) == hash(OrliczFunction.table([(0.0, 0.0), (1.0, 2.0)]))
+
     def test_config_round_trip(self):
         for M in (POWER2, EXPM1, XLOG, OrliczFunction.table([(0, 0), (1, 2)])):
-            assert OrliczFunction.from_config(M.describe()) == M
+            assert OrliczFunction(**M.describe()) == M
 
 
 # zeros, subnormals and 1e-300..1e300, plus values that overflow some kinds

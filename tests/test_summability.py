@@ -29,6 +29,7 @@ from geoseq import (
     OrliczFunction,
     ScaleSolverError,
     SpaceSpec,
+    Tolerances,
     classify_membership,
     from_log,
     kernel_log_sequence,
@@ -106,6 +107,9 @@ class TestLambdaSequence:
             LambdaSequence.custom([1, 3])
         with pytest.raises(ValueError, match="keep growing"):
             LambdaSequence.custom([1, 2, 2, 2, 2, 2, 2, 2])
+        for bad in ([math.nan], [1, math.nan, 2, 3], [1, 2, 3, math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                LambdaSequence.custom(bad)
 
     def test_non_integer_custom_windows(self):
         lam = LambdaSequence.custom([1.0, 1.5, 2.5, 2.5])
@@ -175,6 +179,33 @@ class TestExponents:
             Exponents.formula(1.0, -1.0)  # p(1) = 0
         with pytest.raises(ValueError):
             Exponents.from_list([])
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("constant", {}, "constant exponent needs 'value'"),
+        ("list", {}, "list exponent needs 'values'"),
+        ("formula", {"c": 1.0}, "formula exponent needs 'd'"),
+        ("constant", {"value": 1.0, "c": 2.0}, "constant exponent takes no 'c'"),
+        ("formula", {"c": 1.0, "d": 0.5, "values": [1.0]}, "takes no 'values'"),
+    ])
+    def test_parameters_checked_by_kind(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            Exponents(kind, **params)
+
+
+class TestTolerances:
+    def test_bounds_are_numbers(self):
+        tols = Tolerances(tol=0, window_count=1, bound_cap=math.inf)
+        assert type(tols.tol) is float and type(tols.bound_cap) is float
+        assert Tolerances(tol=0.0) == Tolerances(tol=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.nan), ("tol", math.inf), ("tol", -1e-9),
+        ("window_count", 0), ("window_count", -3), ("window_count", True),
+        ("window_count", 2.0), ("bound_cap", math.nan), ("bound_cap", 0.0),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
 
 
 class TestSpaceSpec:
