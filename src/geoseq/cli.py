@@ -5,6 +5,10 @@ file that cannot be written, or a closed stdout pipe), 3 check failure
 (verification suite), 4 numeric range abort (also a scale solver
 invariant failure).  Set GEOSEQ_LOG_LEVEL to error/warn/info/debug to
 control logging.
+
+Each command imports what it runs, inside its handler: ``fib`` loads only
+:mod:`geoseq.fibonacci`, and ``paranorm`` neither the Fibonacci transform
+(for the identity view) nor the membership verdicts.
 """
 
 from __future__ import annotations
@@ -12,20 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-from .fibonacci import fib, identity_report
-from .fileio import (
-    InputError,
-    density_report_dict,
-    emit_report,
-    load_config,
-    parse_sequence_file,
-    write_bytes,
-    write_sequence_file,
-)
-from .geometric import GeoScalar
-from .summability import classify_membership, paranorm
-from . import fibonacci
 
 # logging's numeric levels; ``logging`` itself loads only when it is needed
 _LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
@@ -69,7 +59,17 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
+        from .fileio import write_bytes
+
         write_bytes(out, data)
+
+
+def paranorm(x, spec):
+    """:func:`geoseq.summability.paranorm`, loaded on the first call; a
+    module attribute, so that a test can put a failing solver in its place."""
+    from .summability import paranorm
+
+    return paranorm(x, spec)
 
 
 def _add_report_args(p: argparse.ArgumentParser) -> None:
@@ -133,8 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fib(args) -> int:
+    from .fibonacci import fib, identity_report
+
     if args.n < 0:
-        raise InputError("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     # the int-to-str digit limit (Python 3.11+) guards parsing; this is output
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
@@ -157,8 +159,11 @@ def _cmd_fib(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .fibonacci import difference_transform
+    from .fileio import parse_sequence_file, write_sequence_file
+
     x = parse_sequence_file(args.infile)
-    y = fibonacci.difference_transform(x)
+    y = difference_transform(x)
     domain = "geometric" if args.domain == "geo" else "log"
     metadata = {"transform": "fibonacci-difference"}
     if not y.in_value_range:
@@ -169,6 +174,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .fileio import emit_report, load_config, parse_sequence_file
+    from .membership import classify_membership
+
     x = parse_sequence_file(args.infile)
     cfg = load_config(args.config)
     report = classify_membership(x, cfg.space_spec(), cfg.tolerances)
@@ -177,6 +185,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_paranorm(args) -> int:
+    from .fileio import emit_report, load_config, parse_sequence_file
+
     x = parse_sequence_file(args.infile)
     cfg = load_config(args.config)
     result = paranorm(x, cfg.space_spec())
@@ -185,6 +195,14 @@ def _cmd_paranorm(args) -> int:
 
 
 def _cmd_stat(args) -> int:
+    from .fileio import (
+        InputError,
+        density_report_dict,
+        emit_report,
+        load_config,
+        parse_sequence_file,
+    )
+    from .geometric import GeoScalar
     from .statconv import stat_converges, stat_density
 
     x = parse_sequence_file(args.infile)
@@ -200,8 +218,11 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .fileio import InputError, emit_report, load_config
     from .harness import run_suite
 
+    if args.trials is not None and args.trials < 1:
+        raise InputError("--trials must be >= 1")
     cfg = load_config(args.config)
     trial_config = cfg.trial_config(
         seed=args.seed, trials=args.trials, length=args.length

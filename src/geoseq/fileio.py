@@ -16,25 +16,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, filterfalse, repeat
+from operator import sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .geometric import GeoScalar, GeoSequence
 from .orlicz import OrliczFunction
+from .record import Record
 from .summability import (
     Exponents,
     LambdaSequence,
-    MembershipReport,
     ParanormResult,
     SpaceSpec,
     Tolerances,
 )
 
-if TYPE_CHECKING:  # loaded where used, so analyze and paranorm never load them
-    from .harness import SuiteReport, TrialConfig
+if TYPE_CHECKING:  # loaded where used, so paranorm loads none of them
+    from .harness import TrialConfig
+    from .membership import MembershipReport
     from .statconv import DensityTrace
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "membership_report_dict",
     "paranorm_report_dict",
     "density_report_dict",
-    "suite_report_dict",
 ]
 
 
@@ -149,6 +149,11 @@ def _json_object(text: str, path: Path, what: str) -> dict:
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # "Exceeds the limit (4300 digits) ...; use sys..."
+        reason = str(exc).partition(";")[0]
+        raise InputError(f"{path}: JSON integer too long to read: {reason}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: {what} must be a JSON object")
     return doc
@@ -259,19 +264,42 @@ def write_bytes(path: Union[str, Path], data: bytes) -> None:
 # run configuration
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Validated run configuration (one JSON document)."""
 
-    lam: LambdaSequence = field(default_factory=LambdaSequence.identity)
-    orlicz: OrliczFunction = field(default_factory=lambda: OrliczFunction.power(1.0))
-    exponents: Exponents = field(default_factory=lambda: Exponents.constant(1.0))
-    variant: str = "zero"
-    transform: str = "fhat"
-    rho: float = 1.0
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 42
-    trials: int = 100
+    __slots__ = (
+        "lam",
+        "orlicz",
+        "exponents",
+        "variant",
+        "transform",
+        "rho",
+        "tolerances",
+        "seed",
+        "trials",
+    )
+
+    def __init__(
+        self,
+        lam: Optional[LambdaSequence] = None,
+        orlicz: Optional[OrliczFunction] = None,
+        exponents: Optional[Exponents] = None,
+        variant: str = "zero",
+        transform: str = "fhat",
+        rho: float = 1.0,
+        tolerances: Optional[Tolerances] = None,
+        seed: int = 42,
+        trials: int = 100,
+    ):
+        self.lam = LambdaSequence.identity() if lam is None else lam
+        self.orlicz = OrliczFunction.power(1.0) if orlicz is None else orlicz
+        self.exponents = Exponents.constant(1.0) if exponents is None else exponents
+        self.variant = variant
+        self.transform = transform
+        self.rho = rho
+        self.tolerances = Tolerances() if tolerances is None else tolerances
+        self.seed = seed
+        self.trials = trials
 
     def space_spec(self) -> SpaceSpec:
         return SpaceSpec(
@@ -307,24 +335,50 @@ def _check_table(points) -> None:
     """Require positive, non-decreasing segment slopes, compared exactly.
 
     That makes M convex, non-decreasing from the knot (0, 0) and positive
-    for t > 0.
+    for t > 0.  Every knot coordinate is an integer over a power of two, so
+    at the largest such denominator all are integers, and slope i is
+    rises[i] / runs[i] exactly, with runs[i] > 0 (abscissae increase).
     """
-    from fractions import Fraction
-
-    pts = [(Fraction(t), Fraction(m)) for t, m in points]
-    slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
-    if slopes[0] <= 0 or any(b < a for a, b in zip(slopes, slopes[1:])):
+    ratios = [v.as_integer_ratio() for knot in points for v in knot]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    ts, ms = ints[0::2], ints[1::2]
+    rises = list(map(sub, ms[1:], ms[:-1]))
+    runs = list(map(sub, ts[1:], ts[:-1]))
+    steps = list(zip(rises, runs))
+    if rises[0] <= 0 or any(b * u < a * v for (a, u), (b, v) in zip(steps, steps[1:])):
         raise ValueError(
             "table Orlicz function must be convex with M(t) > 0 for t > 0: segment "
-            f"slopes must be positive and non-decreasing, got {[float(v) for v in slopes]}"
+            f"slopes must be positive and non-decreasing, got {[a / u for a, u in steps]}"
         )
 
 
 def _section(cls, doc):
-    """``cls`` built from a JSON object's members as keyword arguments."""
+    """``cls`` built from a JSON object's members as keyword arguments.
+
+    Every member but ``kind`` must be a JSON number, a list of numbers or a
+    list of such lists (a table's knots); null stands for an absent member.
+    Bools and strings are not numbers, though ``float`` would take them.
+    """
     if not isinstance(doc, dict):
         raise TypeError(f"section must be a JSON object, got {type(doc).__name__}")
+    for name, value in doc.items():
+        if name != "kind" and value is not None:
+            _check_numbers(name, value, depth=2)
     return cls(**doc)
+
+
+def _check_numbers(where: str, value, depth: int) -> None:
+    """Require ``value`` to be a JSON number, or a list nested at most
+    ``depth`` deep with numbers at the bottom."""
+    if type(value) in (int, float):
+        return
+    if not (depth and isinstance(value, list)):
+        shown = repr(value) if isinstance(value, (str, bool)) else type(value).__name__
+        raise ValueError(f"{where}: must be a JSON number, got {shown}")
+    if not set(map(type, value)) <= {int, float}:  # bool is neither
+        for i, item in enumerate(value):
+            _check_numbers(f"{where}[{i}]", item, depth - 1)
 
 
 def _orlicz(doc) -> OrliczFunction:
@@ -342,6 +396,14 @@ def _number(kind, v):
     return kind(v)
 
 
+def _trials(v) -> int:
+    """A trial count: a JSON integer >= 1 (``TrialConfig`` itself allows 0)."""
+    n = _number(int, v)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
 # config key -> (RunConfig field, builder of its value), in the order built;
 # space_spec() then checks variant, transform and rho against their ranges
 _KEYS = {
@@ -353,7 +415,7 @@ _KEYS = {
     "rho": ("rho", partial(_number, float)),
     "tolerances": ("tolerances", partial(_section, Tolerances)),
     "seed": ("seed", partial(_number, int)),
-    "trials": ("trials", partial(_number, int)),
+    "trials": ("trials", _trials),
 }
 
 
@@ -424,35 +486,6 @@ def density_report_dict(trace: DensityTrace, verdict: str) -> dict:
             "c_n": list(trace.counts),
             "d_n": list(trace.densities),
         },
-    }
-
-
-def suite_report_dict(report: SuiteReport) -> dict:
-    return {
-        "kind": "suite",
-        "all_passed": report.all_passed,
-        "config": report.config,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "trials": c.trials,
-                "failures": c.failures,
-                "worst_violation": c.worst_violation,
-                "skipped": c.skipped,
-                "first_failure": c.first_failure,
-            }
-            for c in report.checks
-        ],
-        "rows": [
-            {
-                "check": check,
-                "trial": trial,
-                "passed": passed,
-                "worst_violation": worst,
-            }
-            for check, trial, passed, worst in report.rows
-        ],
     }
 
 
@@ -537,20 +570,31 @@ def _report_text(doc: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def emit_report(report, fmt: str) -> bytes:
-    """Serialise a report (dict or known dataclass) as json, csv or text."""
+def _record_dict(report) -> dict:
+    """The report dict of a membership or suite report.
+
+    Their classes load here, not with this module: a command that emits
+    one has loaded its module already, and ``paranorm`` loads neither.
+    """
+    from .membership import MembershipReport
+
     if isinstance(report, MembershipReport):
-        doc = membership_report_dict(report)
-    elif isinstance(report, ParanormResult):
+        return membership_report_dict(report)
+    from .harness import SuiteReport, suite_report_dict
+
+    if isinstance(report, SuiteReport):
+        return suite_report_dict(report)
+    raise InputError(f"cannot emit a {type(report).__name__}")
+
+
+def emit_report(report, fmt: str) -> bytes:
+    """Serialise a report (a dict or a known report record) as json, csv or text."""
+    if isinstance(report, ParanormResult):
         doc = paranorm_report_dict(report)
     elif isinstance(report, dict):
         doc = report
     else:
-        from .harness import SuiteReport
-
-        if not isinstance(report, SuiteReport):
-            raise InputError(f"cannot emit a {type(report).__name__}")
-        doc = suite_report_dict(report)
+        doc = _record_dict(report)
     if fmt == "json":
         return render_json(doc).encode()
     if fmt == "csv":

@@ -26,25 +26,18 @@ from typing import Optional, Sequence
 
 from .fibonacci import fib_ratio
 from .geometric import GeoScalar, GeoSequence
-from .orlicz import (
-    DegenerateOrliczError,
-    Delta2Report,
-    OrliczFunction,
-    delta2_constant,
-    small_argument_threshold,
-)
+from .membership import CONVERGING, _short_truncation, classify_membership
+from .orlicz import DegenerateOrliczError, OrliczFunction
+from .orlicz_checks import Delta2Report, delta2_constant, small_argument_threshold
 from .statconv import stat_converges, stat_density
 from .summability import (
-    CONVERGING,
     Exponents,
     LambdaSequence,
     SpaceSpec,
     Tolerances,
     _exponent_values,
     _modular_terms,
-    _short_truncation,
     _window_means,
-    classify_membership,
     modular_trace,
     window_trace,
     windowed_logs,
@@ -56,6 +49,7 @@ __all__ = [
     "CheckOutcome",
     "SuiteCheck",
     "SuiteReport",
+    "suite_report_dict",
     "generate_member",
     "check_linear_combination",
     "check_solidity",
@@ -415,6 +409,35 @@ class SuiteReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+def suite_report_dict(report: SuiteReport) -> dict:
+    return {
+        "kind": "suite",
+        "all_passed": report.all_passed,
+        "config": report.config,
+        "checks": [
+            {
+                "name": c.name,
+                "passed": c.passed,
+                "trials": c.trials,
+                "failures": c.failures,
+                "worst_violation": c.worst_violation,
+                "skipped": c.skipped,
+                "first_failure": c.first_failure,
+            }
+            for c in report.checks
+        ],
+        "rows": [
+            {
+                "check": check,
+                "trial": trial,
+                "passed": passed,
+                "worst_violation": worst,
+            }
+            for check, trial, passed, worst in report.rows
+        ],
+    }
 
 
 def _p_profiles() -> list:

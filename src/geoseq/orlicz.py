@@ -1,4 +1,4 @@
-"""Orlicz functions: built-in families, diagnostics, and the Luxemburg norm.
+"""Orlicz functions: the built-in families, and the scale solver.
 
 An Orlicz function M is continuous, convex, non-decreasing on [0, inf)
 with M(0) = 0.  Built-in families:
@@ -8,7 +8,8 @@ with M(0) = 0.  Built-in families:
 * ``x_log1p``         M(t) = t * ln(1 + t)
 * ``table(points)``   piecewise-linear through given knots (convexity is
   then checkable exactly on the slopes; deliberately invalid tables may
-  be constructed so the diagnostics below have something to catch)
+  be constructed so the diagnostics of :mod:`geoseq.orlicz_checks` have
+  something to catch)
 
 Evaluations saturate to ``inf`` beyond double range instead of raising,
 which keeps the monotone constraint maps used by the norm and paranorm
@@ -25,20 +26,14 @@ from operator import mul
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
+from .record import FrozenRecord
+
 __all__ = [
     "OrliczFunction",
-    "OrliczDiagnostics",
-    "Delta2Report",
     "DegenerateOrliczError",
     "ScaleBracket",
     "ScaleSolverError",
-    "log_grid",
-    "validate_on_grid",
-    "delta2_constant",
-    "luxemburg_norm",
     "bracket_scale",
-    "solve_scale",
-    "small_argument_threshold",
 ]
 
 
@@ -80,6 +75,8 @@ def _check_kind(what: str, params: dict, kind, **given) -> None:
 _FAMILIES = {"power": ("p",), "exp_minus_one": (), "x_log1p": (), "table": ("points",)}
 
 
+# a dataclass still: bench/tracing.py subclasses it as one (CountingOrlicz),
+# so it becomes a plain record once tracing.py counts without subclassing
 @dataclass(frozen=True)
 class OrliczFunction:
     """Descriptor plus evaluator for an Orlicz function."""
@@ -230,130 +227,6 @@ class OrliczFunction:
         return d
 
 
-@dataclass(frozen=True)
-class OrliczDiagnostics:
-    """Result of grid validation; carries the first violation found."""
-
-    passed: bool
-    failure_kind: Optional[str] = None  # "monotone" | "convex"
-    witness: Optional[tuple] = None     # (s, t, lhs, rhs)
-
-
-def log_grid(lo: float = 1e-6, hi: float = 1e6, per_decade: int = 60) -> list:
-    """Logarithmically spaced positive grid, ``per_decade`` points per decade."""
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    decades = math.log10(hi / lo)
-    count = max(2, int(round(decades * per_decade)) + 1)
-    step = decades / (count - 1)
-    return [lo * 10.0 ** (i * step) for i in range(count)]
-
-
-def validate_on_grid(M: OrliczFunction, grid: Sequence[float]) -> OrliczDiagnostics:
-    """Check monotonicity and midpoint convexity of M on a sorted positive grid.
-
-    Diagnostics, not exceptions: the first violation beyond a relative
-    1e-12 slack is reported with its witness pair.
-    """
-    grid = [float(g) for g in grid]
-    if any(g <= 0 for g in grid) or any(
-        grid[i] >= grid[i + 1] for i in range(len(grid) - 1)
-    ):
-        raise ValueError("grid must be sorted and strictly positive")
-    vals = [M.eval(g) for g in grid]
-    for i in range(len(grid) - 1):
-        slack = 1e-12 * max(1.0, abs(vals[i]))
-        if vals[i + 1] < vals[i] - slack:
-            return OrliczDiagnostics(
-                False, "monotone", (grid[i], grid[i + 1], vals[i], vals[i + 1])
-            )
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            mid = 0.5 * (grid[i] + grid[j])
-            lhs = M.eval(mid)
-            rhs = 0.5 * (vals[i] + vals[j])
-            if math.isinf(rhs):
-                continue
-            slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
-            if lhs > rhs + slack:
-                return OrliczDiagnostics(False, "convex", (grid[i], grid[j], lhs, rhs))
-    return OrliczDiagnostics(True)
-
-
-@dataclass(frozen=True)
-class Delta2Report:
-    """Numeric doubling-condition diagnosis M(2u) <= K M(u).
-
-    ``K`` is the largest ratio seen on the grid (convexity with M(0) = 0
-    forces K >= 2; the literature asserts strictly greater, yet t**1
-    realises exactly 2, so the value is reported as computed).
-    ``analytic`` carries the family's closed-form verdict when known.
-    """
-
-    satisfied: bool
-    K: float
-    analytic: Optional[bool]
-    grid_description: str
-    growth: float
-    clipped: int = 0
-
-
-def delta2_constant(
-    M: OrliczFunction, grid: Optional[Sequence[float]] = None
-) -> Delta2Report:
-    """Estimate the doubling constant sup M(2u)/M(u) and judge boundedness.
-
-    The verdict is numeric: ratios are collected on a log-spaced grid and
-    the top third (in log-u) must not exceed the rest, else the ratio is
-    trending upward and the condition is judged unsatisfied.
-    """
-    if grid is None:
-        grid = log_grid()
-        desc = "log-spaced [1e-06, 1e+06], 60 points/decade"
-    else:
-        grid = [float(g) for g in grid]
-        desc = f"user grid, {len(grid)} points"
-    if any(g <= 0 for g in grid):
-        raise ValueError("grid must exclude 0")
-
-    ratios = []
-    clipped = 0
-    for u in grid:
-        mu = M.eval(u)
-        m2u = M.eval(2.0 * u)
-        if mu == 0.0:
-            raise DegenerateOrliczError(
-                f"M({u}) = 0 for positive argument; doubling ratio undefined"
-            )
-        if math.isinf(mu):
-            clipped += 1
-            continue
-        ratios.append((u, m2u / mu))
-
-    if not ratios:
-        raise DegenerateOrliczError("no finite doubling ratios on the grid")
-
-    K = max(r for _, r in ratios)
-    log_lo = math.log(ratios[0][0])
-    log_hi = math.log(ratios[-1][0])
-    cut = log_lo + (2.0 / 3.0) * (log_hi - log_lo)
-    head = [r for u, r in ratios if math.log(u) <= cut]
-    tail = [r for u, r in ratios if math.log(u) > cut]
-    if head and tail:
-        growth = max(tail) / max(head)
-    else:
-        growth = 1.0
-    satisfied = math.isfinite(K) and growth <= 1.0 + 1e-6 and clipped == 0
-    return Delta2Report(
-        satisfied=satisfied,
-        K=K,
-        analytic=M.delta2_analytic,
-        grid_description=desc,
-        growth=growth,
-        clipped=clipped,
-    )
-
-
 def _check_non_increasing(g_small: float, g_large: float) -> None:
     # constraint values at a smaller and a larger scale
     slack = 1e-12 * max(1.0, abs(g_large))
@@ -376,8 +249,7 @@ def _ln(g: float) -> float:
     return -math.inf if g <= 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class ScaleBracket:
+class ScaleBracket(FrozenRecord):
     """Where :func:`bracket_scale` stopped.
 
     ``lo`` is inadmissible (constraint > 1) and ``hi`` admissible, with
@@ -388,10 +260,10 @@ class ScaleBracket:
     ``probes`` counts the constraint evaluations.
     """
 
-    lo: float
-    hi: float
-    g_hi: Optional[float]
-    probes: int
+    __slots__ = ("lo", "hi", "g_hi", "probes")
+
+    def __init__(self, lo: float, hi: float, g_hi: Optional[float], probes: int):
+        self._freeze(lo, hi, g_hi, probes)
 
 
 def _zeroin(
@@ -526,65 +398,7 @@ def bracket_scale(
     return ScaleBracket(lo, hi, g_hi, probes)
 
 
-def solve_scale(
-    constraint: Callable[[float], float], rel_tol: float, max_iter: int = 200
-) -> float:
-    """inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
+def __getattr__(name: str):  # names moved to geoseq.orlicz_checks; see geoseq._MOVED
+    from . import _moved
 
-    The admissible end ``hi`` of :func:`bracket_scale`: within ``rel_tol``
-    (relative) above the infimum, ``inf`` when not even the largest finite
-    double is admissible, and 0.0 when the smallest positive double is.
-    Raises :class:`ScaleSolverError` when the constraint increases with r
-    or ``max_iter`` probes do not reach ``rel_tol``.
-    """
-    return bracket_scale(constraint, rel_tol, max_iter).hi
-
-
-def luxemburg_norm(
-    x: Sequence[float],
-    M: OrliczFunction,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """inf{rho > 0 : sum M(|x_k| / rho) <= 1}, by :func:`solve_scale`.
-
-    The constraint map is non-increasing in rho because M is
-    non-decreasing; that monotonicity is checked at every probe (raises
-    :class:`ScaleSolverError`).  A sum beyond double range saturates to
-    ``inf``.  Returns 0 for the zero sequence; raises ``ArithmeticError``
-    when not even the largest finite double is an admissible scale.
-    """
-    mags = [abs(float(v)) for v in x]
-    for i, m in enumerate(mags):
-        if not math.isfinite(m):
-            raise ValueError(f"term {i}: values must be finite, got {m!r}")
-    if not mags or max(mags) == 0.0:
-        return 0.0
-
-    def constraint(rho: float) -> float:
-        return _fsum_sat(M.eval_many([m / rho for m in mags]))
-
-    rho = solve_scale(constraint, rel_tol, max_iter)
-    if math.isinf(rho):
-        raise ArithmeticError("no admissible scale below the largest double")
-    return rho
-
-
-def small_argument_threshold(
-    M: OrliczFunction, eps: float, cap: float = 0.999, iters: int = 80
-) -> float:
-    """Largest delta in (0, cap] with M(t) <= eps for all t <= delta."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if M.eval(cap) <= eps:
-        return cap
-    lo, hi = 0.0, cap  # M(lo) = 0 <= eps < M(hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if M.eval(mid) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise DegenerateOrliczError(f"no positive small-argument threshold at eps={eps}")
-    return lo
+    return _moved(__name__, name)

@@ -14,17 +14,17 @@ M(ln(eps)/rho) * density on every window because M is non-decreasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import ge, sub, truediv
 
 from .geometric import GeoScalar, GeoSequence
+from .membership import _tail_verdict
+from .record import Record
 from .summability import (
     Exponents,
     LambdaSequence,
     SpaceSpec,
     Tolerances,
-    _tail_verdict,
     modular_mean,
     window_sums,
     windowed_logs,
@@ -37,8 +37,7 @@ __all__ = [
     "modular_density_bound",
 ]
 
-@dataclass
-class DensityTrace:
+class DensityTrace(Record):
     """Per-window exceedance counts and densities.
 
     ``counts[n-1]`` is the number of window indices k in I(n) whose
@@ -46,11 +45,21 @@ class DensityTrace:
     by lam(n), so it is bounded by |I(n)| / lam(n).
     """
 
-    counts: list
-    densities: list
-    lambda_values: list
-    epsilon: GeoScalar
-    ell: GeoScalar
+    __slots__ = ("counts", "densities", "lambda_values", "epsilon", "ell")
+
+    def __init__(
+        self,
+        counts: list,
+        densities: list,
+        lambda_values: list,
+        epsilon: GeoScalar,
+        ell: GeoScalar,
+    ):
+        self.counts = counts
+        self.densities = densities
+        self.lambda_values = lambda_values
+        self.epsilon = epsilon
+        self.ell = ell
 
     @property
     def n_windows(self) -> int:

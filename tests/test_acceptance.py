@@ -39,7 +39,7 @@ from geoseq import (
 )
 from geoseq.cli import main
 from geoseq.fibonacci import GOLDEN_RATIO, fib_inverse_ratio, fib_partial_sum
-from geoseq.orlicz import small_argument_threshold
+from geoseq.orlicz_checks import small_argument_threshold
 
 
 def criterion(label: str, ok: bool) -> None:

@@ -29,13 +29,13 @@ from geoseq.fileio import (
     membership_report_dict,
     paranorm_report_dict,
     render_json,
-    suite_report_dict,
 )
+from geoseq.harness import suite_report_dict
+from geoseq.membership import classify_membership
 from geoseq.summability import (
     Exponents,
     ParanormResult,
     SpaceSpec,
-    classify_membership,
     window_sums,
 )
 from geoseq.orlicz import OrliczFunction

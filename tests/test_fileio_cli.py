@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,8 @@ from geoseq import (
 from geoseq import fibonacci
 from geoseq.cli import main
 from geoseq.fileio import config_from_dict, density_report_dict, render_json
-from geoseq.summability import classify_membership, paranorm
+from geoseq.membership import classify_membership
+from geoseq.summability import paranorm
 
 
 def _env_with_package_path():
@@ -544,6 +547,24 @@ class TestCli:
         cfg = config_from_dict({"orlicz": {"kind": "table", "points": points}})
         assert cfg.orlicz.kind == "table"
 
+    def test_table_slopes_are_compared_exactly(self):
+        # slopes 7/9 and 7/9 in exact arithmetic; as float quotients the second
+        # is one ulp lower, so a float comparison would call M non-convex
+        points = [[0.0, 0.0], [1 / 3, 0.25925925925925924], [2.2, 1.7111111111111112]]
+        (t0, m0), (t1, m1), (t2, m2) = ((Fraction(t), Fraction(m)) for t, m in points)
+        assert (m1 - m0) / (t1 - t0) == (m2 - m1) / (t2 - t1)
+        assert (points[2][1] - points[1][1]) / (2.2 - 1 / 3) < points[1][1] / (1 / 3)
+        cfg = config_from_dict({"orlicz": {"kind": "table", "points": points}})
+        assert cfg.orlicz.points == tuple(map(tuple, points))
+        # one ulp less at the last knot: the second slope is now lower, exactly
+        points[2][1] = math.nextafter(points[2][1], 0.0)
+        with pytest.raises(InputError, match=re.escape(
+            "config: orlicz: table Orlicz function must be convex with M(t) > 0 for "
+            "t > 0: segment slopes must be positive and non-decreasing, got "
+            "[0.7777777777777778, 0.7777777777777777]"
+        )):
+            config_from_dict({"orlicz": {"kind": "table", "points": points}})
+
     def test_solver_invariant_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise ScaleSolverError("constraint map increased with the scale")
@@ -670,6 +691,72 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith(f"geoseq: input error: {cfg}: {key}: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "paranorm", "stat", "verify"])
+    @pytest.mark.parametrize("doc, where", [
+        # bools and strings inside a section are not numbers either
+        ('{"orlicz": {"kind": "power", "p": "2"}}', "orlicz: p: "),
+        ('{"orlicz": {"kind": "power", "p": true}}', "orlicz: p: "),
+        ('{"orlicz": {"kind": "table", "points": [[0, 0], [1, "1"]]}}',
+         "orlicz: points[1][1]: "),
+        ('{"tolerances": {"tol": "1e-3"}}', "tolerances: tol: "),
+        ('{"exponents": {"kind": "constant", "value": "2"}}', "exponents: value: "),
+        ('{"lambda": {"kind": "custom", "values": [true, 2, 3]}}', "lambda: values[0]: "),
+        # a trial count below 1
+        ('{"trials": 0}', "trials: "),
+        ('{"trials": -1}', "trials: "),
+        # JSON that json.loads refuses without a JSONDecodeError
+        ('{"a":' * 200_000, ""),
+        pytest.param(
+            '{"seed": ' + "1" * 5000 + "}", "",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit"
+            ),
+        ),
+    ], ids=["p-string", "p-bool", "knot-string", "tol-string", "value-string",
+            "lambda-bool", "trials-0", "trials-negative", "nested", "long-integer"])
+    def test_non_number_or_unreadable_config_exits_2_naming_the_file(
+        self, tmp_path, capsys, constant_sequence_path, doc, where, command
+    ):
+        cfg = write(tmp_path / "c.json", doc)
+        args = [command, "--config", cfg]
+        if command != "verify":
+            args += ["--in", constant_sequence_path]
+        if command == "stat":
+            args += ["--epsilon", "2.0", "--ell", "1.5"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"geoseq: input error: {cfg}: {where}")
+
+    @pytest.mark.parametrize("command", ["transform", "analyze", "paranorm", "stat"])
+    @pytest.mark.parametrize("text, reason", [
+        ('{"domain": "log", "values": ' + "[" * 200_000, "JSON nested too deeply"),
+        pytest.param(
+            '{"domain": "log", "values": [' + "1" * 5000 + "]}", "JSON integer too long",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit"
+            ),
+        ),
+    ], ids=["nested", "long-integer"])
+    def test_unreadable_sequence_json_exits_2_naming_the_file(
+        self, tmp_path, capsys, config_path, command, text, reason
+    ):
+        seq = write(tmp_path / "s.json", text)
+        args = [command, "--in", seq]
+        if command == "transform":
+            args += ["--out", str(tmp_path / "t.json")]
+        else:
+            args += ["--config", config_path]
+        if command == "stat":
+            args += ["--epsilon", "2.0", "--ell", "1.5"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"geoseq: input error: {seq}: {reason}")
+
+    def test_verify_needs_a_trial(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.json", "{}")
+        assert main(["verify", "--config", cfg, "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "geoseq: input error: --trials must be >= 1\n"
 
     def test_transform_command_names_out_of_range_row(self, tmp_path, capsys):
         values = [1.0, 1.0, 1e308, -1e308, 1e308]

@@ -34,7 +34,7 @@ from geoseq import (
     windowed_logs,
 )
 from geoseq.harness import CheckOutcome, _default_spec, _run_trials, _scan_windows
-from geoseq.orlicz import small_argument_threshold
+from geoseq.orlicz_checks import small_argument_threshold
 
 
 def base_spec(**over):

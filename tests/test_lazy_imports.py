@@ -135,3 +135,68 @@ def test_command_loads_no_heavy_module(step, tmp_path):
 
 def test_verify_loads_the_harness(tmp_path):
     assert "geoseq.harness" in _loaded_after("verify", tmp_path)
+
+
+# what only verify and the tests run, and the membership verdicts, by name
+VERIFY_ONLY = {
+    "OrliczDiagnostics", "log_grid", "validate_on_grid", "Delta2Report", "delta2_constant",
+    "small_argument_threshold", "luxemburg_norm", "solve_scale", "suite_report_dict",
+}
+MEMBERSHIP = {
+    "CONVERGING", "MembershipReport", "classify_membership", "_decide_vanishing",
+    "_estimate_limit", "_median", "_short_truncation", "_slope", "_tail_slope",
+    "_tail_verdict",
+}
+POWER = {"kind": "power", "p": 2}
+TABLE = {"kind": "table", "points": [[0, 0], [0.5, 0.2], [1, 1], [2, 3.5], [4, 10]]}
+
+
+def _footprint(argv, orlicz, tmp_path):
+    """(modules, names): the modules a fresh interpreter loads for the CLI
+    command ``argv`` after ``site``, and the names the geoseq modules among
+    them define (their ``vars``, so no module ``__getattr__`` runs)."""
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"domain": "log", "values": [0.3, -0.2] * 30}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "lambda": {"kind": "half"}, "orlicz": orlicz, "transform": "identity",
+        "variant": "zero" if argv == "paranorm" else "limit",
+    }))
+    args = ["fib", "--n", "3"] if argv == "fib" else [
+        argv, "--in", str(seq), "--config", str(cfg), "--out", str(tmp_path / "report"),
+    ]
+    script = textwrap.dedent(f"""
+        import json, sys
+        before = set(sys.modules)
+        import geoseq.cli
+        if geoseq.cli.main({args!r}) != 0:
+            sys.exit("command failed")
+        loaded = [m for m in sys.modules if m not in before]
+        names = [n for m in loaded if m.startswith("geoseq") for n in vars(sys.modules[m])]
+        print(json.dumps([loaded, names]))
+    """)
+    src = str(Path(geoseq.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    modules, names = json.loads(run.stdout.splitlines()[-1])
+    return set(modules), set(names)
+
+
+@pytest.mark.parametrize("command, orlicz, modules, names", [
+    ("fib", None, {"geoseq.fileio", "geoseq.summability", "geoseq.orlicz", "dataclasses"},
+     set()),
+    ("paranorm", POWER,
+     {"geoseq.fibonacci", "geoseq.membership", "geoseq.orlicz_checks", "fractions"},
+     VERIFY_ONLY | MEMBERSHIP),
+    ("paranorm", TABLE,
+     {"geoseq.fibonacci", "geoseq.membership", "geoseq.orlicz_checks", "fractions"},
+     VERIFY_ONLY | MEMBERSHIP),
+    ("analyze", POWER, {"geoseq.orlicz_checks"}, VERIFY_ONLY),
+], ids=["fib", "paranorm", "paranorm-table", "analyze"])
+def test_command_compiles_only_what_it_runs(command, orlicz, modules, names, tmp_path):
+    loaded, defined = _footprint(command, orlicz, tmp_path)
+    assert loaded & modules == set()
+    assert defined & names == set()

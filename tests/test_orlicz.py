@@ -18,13 +18,8 @@ from geoseq import (
     solve_scale,
     validate_on_grid,
 )
-from geoseq.orlicz import (
-    ScaleBracket,
-    _zeroin,
-    bracket_scale,
-    log_grid,
-    small_argument_threshold,
-)
+from geoseq.orlicz import ScaleBracket, _zeroin, bracket_scale
+from geoseq.orlicz_checks import log_grid, small_argument_threshold
 
 POWER2 = OrliczFunction.power(2.0)
 EXPM1 = OrliczFunction.exp_minus_one()

@@ -43,10 +43,11 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
-from geoseq import summability
+from geoseq import membership as summability
 from geoseq.harness import generate_member
 from geoseq.orlicz import _fsum_sat, _pow_sat
-from geoseq.summability import _estimate_limit, modular_mean, modular_trace, window_sums
+from geoseq.membership import _estimate_limit
+from geoseq.summability import modular_mean, modular_trace, window_sums
 
 P1 = OrliczFunction.power(1.0)
 P2 = OrliczFunction.power(2.0)
