@@ -101,20 +101,6 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# names that moved out of the submodule that first defined them, by that
-# submodule: (their new home, the names), which its __getattr__ still
-# serves.  bench/tracing.py imports delta2_constant, small_argument_threshold
-# and classify_membership from the old homes, and tests/test_lazy_imports.py
-# reads every public name there; this table and the two hooks go once
-# tracing.py imports them from geoseq.orlicz_checks and geoseq.membership.
-_MOVED = {
-    "geoseq.orlicz": ("orlicz_checks", (
-        *_EXPORTS["orlicz_checks"], "OrliczDiagnostics", "log_grid",
-        "small_argument_threshold",
-    )),
-    "geoseq.summability": ("membership", _EXPORTS["membership"]),
-}
-
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
@@ -128,14 +114,6 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value  # later lookups skip this hook
     return value
-
-
-def _moved(module: str, name: str):
-    """The attribute ``name`` of the submodule ``module``, if it moved out."""
-    home, names = _MOVED[module]
-    if name not in names:
-        raise AttributeError(f"module {module!r} has no attribute {name!r}")
-    return getattr(import_module(f".{home}", __name__), name)
 
 
 def __dir__() -> list:

@@ -64,14 +64,6 @@ def _write_output(data: bytes, out: str | None) -> None:
         write_bytes(out, data)
 
 
-def paranorm(x, spec):
-    """:func:`geoseq.summability.paranorm`, loaded on the first call; a
-    module attribute, so that a test can put a failing solver in its place."""
-    from .summability import paranorm
-
-    return paranorm(x, spec)
-
-
 def _add_report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
@@ -186,6 +178,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_paranorm(args) -> int:
     from .fileio import emit_report, load_config, parse_sequence_file
+    from .summability import paranorm
 
     x = parse_sequence_file(args.infile)
     cfg = load_config(args.config)

@@ -106,9 +106,9 @@ class FibonacciCache:
 _CACHE = FibonacciCache()
 
 
-def fib(n: int, cache: Optional[FibonacciCache] = None) -> int:
+def fib(n: int) -> int:
     """Exact n-th Fibonacci number under the f(0) = f(1) = 1 convention."""
-    return (cache or _CACHE).value(n)
+    return _CACHE.value(n)
 
 
 def fib_ratio(k: int) -> float:
@@ -119,7 +119,7 @@ def fib_inverse_ratio(k: int) -> float:
     return _CACHE.inverse_ratio(k)
 
 
-def cassini(n: int, cache: Optional[FibonacciCache] = None) -> int:
+def cassini(n: int) -> int:
     """f(n-1) f(n+1) - f(n)**2, which equals (-1)**(n+1) for n >= 1.
 
     The substituted form f(n-1)**2 + f(n) f(n-1) - f(n)**2 is recomputed
@@ -127,8 +127,7 @@ def cassini(n: int, cache: Optional[FibonacciCache] = None) -> int:
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    c = cache or _CACHE
-    a, b, d = c.value(n - 1), c.value(n), c.value(n + 1)
+    a, b, d = _CACHE.value(n - 1), _CACHE.value(n), _CACHE.value(n + 1)
     primary = a * d - b * b
     substituted = a * a + b * a - b * b
     if primary != substituted:
@@ -136,20 +135,16 @@ def cassini(n: int, cache: Optional[FibonacciCache] = None) -> int:
     return primary
 
 
-def fib_partial_sum(n: int, cache: Optional[FibonacciCache] = None) -> int:
+def fib_partial_sum(n: int) -> int:
     """Sum of f(0)..f(n); equals f(n+2) - 1."""
-    c = cache or _CACHE
-    c._ensure(n + 2)
-    return sum(c.value(k) for k in range(n + 1))
+    _CACHE._ensure(n + 2)
+    return sum(_CACHE.value(k) for k in range(n + 1))
 
 
-def identity_report(n_max: int, cache: Optional[FibonacciCache] = None) -> dict:
+def identity_report(n_max: int) -> dict:
     """Exact-integer status of the product and sum identities up to n_max."""
-    c = cache or _CACHE
-    cassini_ok = all(cassini(n, c) == (-1) ** (n + 1) for n in range(1, n_max + 1))
-    sum_ok = all(
-        fib_partial_sum(n, c) == c.value(n + 2) - 1 for n in range(n_max + 1)
-    )
+    cassini_ok = all(cassini(n) == (-1) ** (n + 1) for n in range(1, n_max + 1))
+    sum_ok = all(fib_partial_sum(n) == fib(n + 2) - 1 for n in range(n_max + 1))
     return {"n_max": n_max, "cassini_ok": cassini_ok, "sum_ok": sum_ok}
 
 
@@ -203,7 +198,7 @@ def difference_transform(
     return GeoSequence.from_log(difference_transform_log(x.logs))
 
 
-def kernel_log_sequence(n_terms: int, cache: Optional[FibonacciCache] = None) -> list:
+def kernel_log_sequence(n_terms: int) -> list:
     """Log-views u(k) = f(k+1)**2, the non-trivial kernel of the transform.
 
     Exact telescoping, u(k) = u(k-1) * (f(k+1)/f(k))**2, makes every
@@ -212,11 +207,10 @@ def kernel_log_sequence(n_terms: int, cache: Optional[FibonacciCache] = None) ->
     paranorm is not total.  Raises :class:`GeoRangeError` naming the
     first k whose f(k+1)**2 leaves double range.
     """
-    c = cache or _CACHE
     out = []
     for k in range(n_terms):
         try:
-            out.append(float(c.value(k + 1) ** 2))
+            out.append(float(_CACHE.value(k + 1) ** 2))
         except OverflowError:
             raise GeoRangeError(
                 f"kernel term u({k}) = f({k + 1})**2 leaves double range"

@@ -577,6 +577,7 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     tols = config.tolerances
 
     profiles = _p_profiles()
+    # the space of both statistical checks: stat_density windows the fhat view
     density_spec = replace(
         spec, exponents=Exponents.constant(1.0), variant="limit", transform="fhat"
     )
@@ -661,11 +662,8 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         return _scan_windows("density_bound", lhs, rhs, slack, upper=False)
 
     def consistency(trial: int) -> CheckOutcome:
-        sample = generate_member(
-            replace(spec, variant="limit"), config.seed, N, "consistency_member", trial
-        )
-        m_spec = replace(spec, variant="limit", exponents=Exponents.constant(1.0))
-        report = classify_membership(sample.sequence, m_spec, tols)
+        sample = generate_member(density_spec, config.seed, N, "consistency_member", trial)
+        report = classify_membership(sample.sequence, density_spec, tols)
         if report.verdict != CONVERGING:
             return CheckOutcome(
                 "stat_consistency",
@@ -704,9 +702,9 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         except DegenerateOrliczError as exc:
             delta, no_delta = math.nan, str(exc)
 
-    # every consistency member has this many windows; too few, and
+    # every consistency member has N - 1 fhat windows; too few, and
     # classify_membership can only answer inconclusive
-    short = _short_truncation(N if spec.transform == "identity" else N - 1, tols)
+    short = _short_truncation(N - 1, tols)
 
     plan = [  # (name, trial function, reason to skip)
         ("linear_combination", linear, None),

@@ -398,7 +398,10 @@ def bracket_scale(
     return ScaleBracket(lo, hi, g_hi, probes)
 
 
-def __getattr__(name: str):  # names moved to geoseq.orlicz_checks; see geoseq._MOVED
-    from . import _moved
+def __getattr__(name: str):
+    # bench/tracing.py imports these two from here; they live in orlicz_checks
+    if name in ("delta2_constant", "small_argument_threshold"):
+        from . import orlicz_checks
 
-    return _moved(__name__, name)
+        return getattr(orlicz_checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -195,16 +195,21 @@ def luxemburg_norm(
     return rho
 
 
-def small_argument_threshold(
-    M: OrliczFunction, eps: float, cap: float = 0.999, iters: int = 80
-) -> float:
-    """Largest delta in (0, cap] with M(t) <= eps for all t <= delta."""
+def small_argument_threshold(M: OrliczFunction, eps: float) -> float:
+    """Largest delta in (0, 0.999] with M(t) <= eps for all t <= delta.
+
+    Found by 80 bisections from 0.999, so it is at most 0.999 * 2**-80
+    below the true threshold.  A threshold below 0.999 * 2**-80 (about
+    8e-25) leaves no bisection point admissible and is reported as
+    missing: :class:`DegenerateOrliczError`.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    cap = 0.999
     if M.eval(cap) <= eps:
         return cap
     lo, hi = 0.0, cap  # M(lo) = 0 <= eps < M(hi)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if M.eval(mid) <= eps:
             lo = mid

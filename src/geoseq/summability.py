@@ -162,19 +162,17 @@ class LambdaSequence:
         return list(self._plan(m, 1.0))
 
     def windows(self, m: int) -> list:
-        """[I(1), ..., I(m)], equal to :meth:`window` for each n.
-
-        ``custom`` lambdas, and subclasses that override :meth:`window` or
-        :meth:`at`, call :meth:`window` once per n.
-        """
-        if not self._builtin("at", "window"):
-            return list(map(self.window, range(1, m + 1)))
+        """[I(1), ..., I(m)], equal to :meth:`window` for each n."""
         return [range(s + 1, n + 1) for n, s in enumerate(self._starts(m), 1)]
 
     def _starts(self, m: int) -> list:
-        """[n - lam(n) for n = 1..m]: I(n) is range(starts[n-1] + 1, n + 1)."""
+        """[n - lam(n) for n = 1..m]: I(n) is range(starts[n-1] + 1, n + 1).
+
+        ``custom`` lambdas, and subclasses that override :meth:`window` or
+        :meth:`at`, ask :meth:`window` once per n.
+        """
         if not self._builtin("at", "window"):
-            return [w.start - 1 for w in self.windows(m)]
+            return [self.window(n).start - 1 for n in range(1, m + 1)]
         return list(map(sub, range(1, m + 1), self._plan(m, 1)))
 
     def describe(self) -> dict:
@@ -637,7 +635,10 @@ def paranorm(
     )
 
 
-def __getattr__(name: str):  # names moved to geoseq.membership; see geoseq._MOVED
-    from . import _moved
+def __getattr__(name: str):
+    # bench/tracing.py imports these two from here; they live in membership
+    if name in ("CONVERGING", "classify_membership"):
+        from . import membership
 
-    return _moved(__name__, name)
+        return getattr(membership, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

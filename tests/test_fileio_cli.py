@@ -569,7 +569,7 @@ class TestCli:
         def failing(*args, **kwargs):
             raise ScaleSolverError("constraint map increased with the scale")
 
-        monkeypatch.setattr("geoseq.cli.paranorm", failing)
+        monkeypatch.setattr("geoseq.summability.paranorm", failing)
         seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": [1.0] * 4}))
         cfg = write(tmp_path / "c.json", json.dumps({"transform": "identity"}))
         assert main(["paranorm", "--in", seq, "--config", cfg]) == 4
@@ -596,7 +596,7 @@ class TestCli:
 
     def test_solver_out_of_probes_exits_4(self, tmp_path, capsys, monkeypatch):
         # three probes bracket the scale but cannot close it to rel_tol
-        monkeypatch.setattr("geoseq.cli.paranorm", functools.partial(paranorm, max_iter=3))
+        monkeypatch.setattr("geoseq.summability.paranorm", functools.partial(paranorm, max_iter=3))
         seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": [2.7] * 8}))
         cfg = write(tmp_path / "c.json", json.dumps({"transform": "identity"}))
         assert main(["paranorm", "--in", seq, "--config", cfg]) == 4

@@ -340,6 +340,14 @@ class TestRunSuite:
             "stat_consistency",
         ]
 
+    def test_identity_transform_passes_consistency(self):
+        # the statistical checks window the fhat view under either transform
+        spec = base_spec(transform="identity")
+        rep = run_suite(TrialConfig(seed=42, trials=10, length=56, spec=spec))
+        check = rep.checks[-1]
+        assert (check.name, check.trials, check.failures) == ("stat_consistency", 10, 0)
+        assert rep.all_passed
+
     def test_zero_trials_empty_report(self):
         rep = run_suite(TrialConfig(seed=1, trials=0, length=56))
         assert rep.all_passed
@@ -424,7 +432,7 @@ class TestRunSuite:
             TrialConfig(trials=0, length=11, spec=base_spec(lam=lam))
 
     @pytest.mark.parametrize("transform, length, windows", [
-        ("fhat", 40, 39), ("fhat", 8, 7), ("identity", 39, 39),
+        ("fhat", 40, 39), ("fhat", 8, 7), ("identity", 40, 39),
     ])
     def test_short_truncation_skips_consistency(self, transform, length, windows):
         spec = base_spec(transform=transform)
@@ -437,7 +445,7 @@ class TestRunSuite:
         assert (check.trials, check.failures, check.first_failure) == (0, 0, None)
         assert not any(row[0] == "stat_consistency" for row in rep.rows)
 
-    @pytest.mark.parametrize("transform, length", [("fhat", 41), ("identity", 40)])
+    @pytest.mark.parametrize("transform, length", [("fhat", 41), ("identity", 41)])
     def test_forty_windows_run_consistency(self, transform, length):
         spec = base_spec(transform=transform)
         rep = run_suite(TrialConfig(seed=1, trials=2, length=length, spec=spec))

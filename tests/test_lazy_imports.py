@@ -12,7 +12,8 @@ import pytest
 
 import geoseq
 
-# every name ``geoseq`` exported when it imported its submodules eagerly
+# every name ``geoseq`` exported when it imported its submodules eagerly, by
+# the submodule that defines it
 EXPORTED = {
     "geometric": [
         "GEO_IDENTITY", "GEO_ZERO", "GeoRangeError", "GeoScalar", "GeoSequence",
@@ -23,15 +24,17 @@ EXPORTED = {
         "difference_transform_log", "fib", "fib_ratio", "fib_inverse_ratio",
         "kernel_log_sequence",
     ],
-    "orlicz": [
-        "Delta2Report", "DegenerateOrliczError", "OrliczFunction", "ScaleSolverError",
-        "delta2_constant", "luxemburg_norm", "solve_scale", "validate_on_grid",
+    "orlicz": ["DegenerateOrliczError", "OrliczFunction", "ScaleSolverError"],
+    "orlicz_checks": [
+        "Delta2Report", "delta2_constant", "luxemburg_norm", "solve_scale", "validate_on_grid",
     ],
     "summability": [
-        "BOUNDED", "CONVERGING", "DIVERGING", "INCONCLUSIVE", "Exponents",
-        "LambdaSequence", "MembershipReport", "ParanormResult", "SpaceSpec",
-        "Tolerances", "classify_membership", "modular_window", "paranorm", "vp_mean",
-        "window", "window_trace", "windowed_logs",
+        "Exponents", "LambdaSequence", "ParanormResult", "SpaceSpec", "Tolerances",
+        "modular_window", "paranorm", "vp_mean", "window", "window_trace", "windowed_logs",
+    ],
+    "membership": [
+        "BOUNDED", "CONVERGING", "DIVERGING", "INCONCLUSIVE", "MembershipReport",
+        "classify_membership",
     ],
     "statconv": ["DensityTrace", "modular_density_bound", "stat_converges", "stat_density"],
     "harness": [
@@ -79,6 +82,26 @@ def test_dir_lists_every_name():
 def test_submodules_are_attributes():
     for module in EXPORTED:
         assert getattr(geoseq, module) is importlib.import_module(f"geoseq.{module}")
+
+
+# (a module names first moved out of, their home, the names bench/tracing.py
+# still imports from the old module, moved names it no longer serves)
+OLD_HOMES = [
+    ("orlicz", "orlicz_checks", ["delta2_constant", "small_argument_threshold"],
+     ["luxemburg_norm", "solve_scale", "Delta2Report", "log_grid"]),
+    ("summability", "membership", ["CONVERGING", "classify_membership"],
+     ["MembershipReport", "BOUNDED", "INCONCLUSIVE"]),
+]
+
+
+@pytest.mark.parametrize("old, home, served, gone", OLD_HOMES, ids=["orlicz", "summability"])
+def test_old_home_serves_only_the_benchmarks_names(old, home, served, gone):
+    module = importlib.import_module(f"geoseq.{old}")
+    for name in served:
+        assert getattr(module, name) is getattr(importlib.import_module(f"geoseq.{home}"), name)
+    for name in gone:
+        with pytest.raises(AttributeError, match=f"'geoseq.{old}' has no attribute '{name}'"):
+            getattr(module, name)
 
 
 def test_unknown_name_raises_attribute_error():
