@@ -22,14 +22,16 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import gt, mul, sub
 from typing import Optional, Sequence
 
 from .fibonacci import fib_ratio
 from .geometric import GeoScalar, GeoSequence
-from .membership import CONVERGING, _short_truncation, classify_membership
+from .membership import CONVERGING, _classify, _short_truncation
 from .orlicz import DegenerateOrliczError, OrliczFunction
 from .orlicz_checks import Delta2Report, delta2_constant, small_argument_threshold
-from .statconv import stat_converges, stat_density
+from .statconv import _density, stat_converges
 from .summability import (
     Exponents,
     LambdaSequence,
@@ -39,7 +41,6 @@ from .summability import (
     _modular_terms,
     _window_means,
     modular_trace,
-    window_trace,
     windowed_logs,
 )
 
@@ -170,8 +171,8 @@ def generate_member(
     seq = GeoSequence.from_log(u)
 
     realised = windowed_logs(seq, spec.transform)
-    scale = max(1.0, max(abs(t) for t in target))
-    worst = max(abs(a - b) for a, b in zip(realised, target))
+    scale = max(1.0, max(map(abs, target)))
+    worst = max(map(abs, map(sub, realised, target)))
     if worst > 1e-10 * scale:
         raise ArithmeticError(
             f"member reconstruction drifted: {worst:.3e} on scale {scale:.3e}"
@@ -195,32 +196,37 @@ def _scan_windows(
     """Check lhs <= rhs (``upper``) or lhs >= rhs on every window.
 
     ``slack`` is relative to max(1, |rhs|).  The outcome names the first
-    failing window and carries the worst violation seen up to it.
+    failing window and carries the worst violation seen up to it: the
+    largest violation above 0.0, the first of equal ones, NaN never.
     """
-    worst = 0.0
-    for n, (l, r) in enumerate(zip(lhs, rhs), 1):
-        violation = l - r if upper else r - l
-        if violation > worst:
-            worst = violation
-        if violation > slack * max(1.0, abs(r)):
-            return CheckOutcome(
-                name, False, worst, f"window {n}: {l} {'>' if upper else '<'} {r}"
-            )
-    return CheckOutcome(name, True, worst)
+    violations = list(map(sub, lhs, rhs) if upper else map(sub, rhs, lhs))
+    limits = map(mul, repeat(slack), map(max, repeat(1.0), map(abs, rhs)))
+    failed = list(map(gt, violations, limits))
+    if not any(failed):
+        return CheckOutcome(name, True, max(chain((0.0,), violations)))
+    n = failed.index(True)
+    worst = max(chain((0.0,), violations[: n + 1]))
+    detail = f"window {n + 1}: {lhs[n]} {'>' if upper else '<'} {rhs[n]}"
+    return CheckOutcome(name, False, worst, detail)
 
 
 def _end_to_end(
-    outcome: CheckOutcome, x: GeoSequence, strong: SpaceSpec, weak: SpaceSpec,
+    outcome: CheckOutcome, z: Sequence[float], strong: SpaceSpec, weak: SpaceSpec,
     tols: Tolerances, labels: tuple,
 ) -> CheckOutcome:
     """Fail a passed ``outcome`` when x converges under ``strong`` but not
     under ``weak`` (the stronger space lies inside the weaker one);
-    ``labels`` name the two verdicts in the detail."""
+    ``z`` is x's windowed view under the transform both specs share, and
+    ``labels`` name the two verdicts in the detail.  The weak verdict is
+    computed only when the strong one converges: otherwise it cannot fail
+    the check."""
     if not outcome.passed:
         return outcome
-    strong_verdict = classify_membership(x, strong, tols).verdict
-    weak_verdict = classify_membership(x, weak, tols).verdict
-    if strong_verdict == CONVERGING and weak_verdict != CONVERGING:
+    strong_verdict = _classify(z, strong, tols).verdict
+    if strong_verdict != CONVERGING:
+        return outcome
+    weak_verdict = _classify(z, weak, tols).verdict
+    if weak_verdict != CONVERGING:
         detail = f"end-to-end: {labels[0]} {strong_verdict} but {labels[1]} {weak_verdict}"
         return replace(outcome, passed=False, detail=detail)
     return outcome
@@ -340,7 +346,7 @@ def check_delta2_inclusion(
     raw_spec = replace(spec, orlicz=raw, exponents=unit, variant=variant)
     m_spec = replace(spec, orlicz=orlicz, exponents=unit, variant=variant)
     labels = ("raw verdict", "M-modular verdict")
-    return _end_to_end(outcome, x, raw_spec, m_spec, tols, labels)
+    return _end_to_end(outcome, z, raw_spec, m_spec, tols, labels)
 
 
 def check_exponent_inclusion(
@@ -379,7 +385,7 @@ def check_exponent_inclusion(
     rhs = [tm + vm ** mu for tm, vm in zip(t_means, v_means)]
     outcome = _scan_windows("exponent_inclusion", lhs, rhs, slack)
     q_spec, p_spec = replace(spec, exponents=q), replace(spec, exponents=p)
-    return _end_to_end(outcome, x, q_spec, p_spec, tols, ("q-verdict", "p-verdict"))
+    return _end_to_end(outcome, z, q_spec, p_spec, tols, ("q-verdict", "p-verdict"))
 
 
 @dataclass
@@ -438,14 +444,6 @@ def suite_report_dict(report: SuiteReport) -> dict:
             for check, trial, passed, worst in report.rows
         ],
     }
-
-
-def _p_profiles() -> list:
-    return [
-        Exponents.constant(1.0),
-        Exponents.constant(1.5),
-        Exponents.formula(1.0, 1.0),  # mixed: p(k) = 1 + 1/k
-    ]
 
 
 def _outcomes(fns: Sequence, lo: int, hi: int) -> list:
@@ -576,11 +574,20 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     slack = config.slack
     tols = config.tolerances
 
-    profiles = _p_profiles()
+    # each check's spaces, built once per suite
+    unit = Exponents.constant(1.0)
+    linear_specs = [  # p(k) = 1, 1.5 and the mixed 1 + 1/k, in turn
+        replace(spec, exponents=p)
+        for p in (unit, Exponents.constant(1.5), Exponents.formula(1.0, 1.0))
+    ]
+    solidity_member_spec = replace(spec, transform="identity", variant="zero")
+    solidity_spec = replace(spec, transform="identity")
+    limit_spec = replace(spec, variant="limit")
+    # q(k) = 2, and q(k) = p(k) + 1/k, against p(k) = 1
+    exponent_qs = [Exponents.constant(2.0), Exponents.formula(1.0, 1.0)]
+    exponent_specs = [replace(spec, exponents=q) for q in exponent_qs]
     # the space of both statistical checks: stat_density windows the fhat view
-    density_spec = replace(
-        spec, exponents=Exponents.constant(1.0), variant="limit", transform="fhat"
-    )
+    density_spec = replace(spec, exponents=unit, variant="limit", transform="fhat")
 
     def linear(trial: int) -> CheckOutcome:
         rng = _rng(config.seed, "linear_combination", trial)
@@ -590,19 +597,14 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         b = rng.uniform(-3.0, 3.0)
         rho1 = rng.uniform(0.5, 2.0)
         rho2 = rng.uniform(0.5, 2.0)
-        p = profiles[trial % len(profiles)]
         return check_linear_combination(
-            x, y, a, b, replace(spec, exponents=p), rho1, rho2, slack
+            x, y, a, b, linear_specs[trial % len(linear_specs)], rho1, rho2, slack
         )
 
     def solidity(trial: int) -> CheckOutcome:
         rng = _rng(config.seed, "solidity", trial)
         sample = generate_member(
-            replace(spec, transform="identity", variant="zero"),
-            config.seed,
-            N,
-            "solidity_member",
-            trial,
+            solidity_member_spec, config.seed, N, "solidity_member", trial
         )
         n_terms = len(sample.sequence)
         if trial % 2 == 0:
@@ -614,20 +616,16 @@ def run_suite(config: TrialConfig) -> SuiteReport:
             alphas = [
                 GeoScalar.from_log(float(rng.randint(0, 1))) for _ in range(n_terms)
             ]
-        return check_solidity(
-            sample.sequence, alphas, replace(spec, transform="identity"), slack
-        )
+        return check_solidity(sample.sequence, alphas, solidity_spec, slack)
 
     def delta2(trial: int) -> CheckOutcome:
-        sample = generate_member(
-            replace(spec, variant="limit"), config.seed, N, "delta2_member", trial
-        )
+        sample = generate_member(limit_spec, config.seed, N, "delta2_member", trial)
         if no_delta is not None:
             raise DegenerateOrliczError(no_delta)
         return check_delta2_inclusion(
             sample.sequence,
             spec.orlicz,
-            replace(spec, variant="limit"),
+            limit_spec,
             delta,
             d2_eps,
             ell=sample.ell,
@@ -637,17 +635,11 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         )
 
     def exponents(trial: int) -> CheckOutcome:
-        if trial % 2 == 0:
-            p = Exponents.constant(1.0)
-            q = Exponents.constant(2.0)
-        else:
-            p = Exponents.constant(1.0)
-            q = Exponents.formula(1.0, 1.0)  # q(k) = p(k) + 1/k
         sample = generate_member(
-            replace(spec, exponents=q), config.seed, N, "exponent_member", trial
+            exponent_specs[trial % 2], config.seed, N, "exponent_member", trial
         )
         return check_exponent_inclusion(
-            sample.sequence, p, q, spec, tols=tols, slack=slack
+            sample.sequence, unit, exponent_qs[trial % 2], spec, tols=tols, slack=slack
         )
 
     def density(trial: int) -> CheckOutcome:
@@ -655,15 +647,17 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         x = GeoSequence.from_log([rng.uniform(-3.0, 3.0) for _ in range(N)])
         ell = GeoScalar.from_log(rng.uniform(-1.0, 1.0))
         epsilon = GeoScalar.from_log(rng.uniform(0.1, 2.0))
-        # statconv.modular_density_bound on every window at once
-        lhs = window_trace(x, density_spec, ell)
+        # statconv.modular_density_bound on every window at once, on one fhat view
+        z = windowed_logs(x, "fhat")
+        lhs = modular_trace(z, spec.lam, spec.orlicz, unit, spec.rho, ell.log)
         m_eps = spec.orlicz.eval(epsilon.log / spec.rho)
-        rhs = [m_eps * d for d in stat_density(x, spec.lam, ell, epsilon).densities]
+        rhs = [m_eps * d for d in _density(z, spec.lam, ell, epsilon).densities]
         return _scan_windows("density_bound", lhs, rhs, slack, upper=False)
 
     def consistency(trial: int) -> CheckOutcome:
         sample = generate_member(density_spec, config.seed, N, "consistency_member", trial)
-        report = classify_membership(sample.sequence, density_spec, tols)
+        z = windowed_logs(sample.sequence, "fhat")
+        report = _classify(z, density_spec, tols)
         if report.verdict != CONVERGING:
             return CheckOutcome(
                 "stat_consistency",
@@ -672,12 +666,8 @@ def run_suite(config: TrialConfig) -> SuiteReport:
                 f"generated member classified {report.verdict}",
             )
         for eps_log in (0.1, 1.0, 2.0):
-            trace = stat_density(
-                sample.sequence,
-                spec.lam,
-                report.limit_estimate,
-                GeoScalar.from_log(eps_log),
-            )
+            epsilon = GeoScalar.from_log(eps_log)
+            trace = _density(z, spec.lam, report.limit_estimate, epsilon)
             verdict = stat_converges(trace, tols)
             if verdict != CONVERGING:
                 return CheckOutcome(
@@ -702,8 +692,8 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         except DegenerateOrliczError as exc:
             delta, no_delta = math.nan, str(exc)
 
-    # every consistency member has N - 1 fhat windows; too few, and
-    # classify_membership can only answer inconclusive
+    # every consistency member has N - 1 fhat windows; too few, and the
+    # membership verdict can only answer inconclusive
     short = _short_truncation(N - 1, tols)
 
     plan = [  # (name, trial function, reason to skip)

@@ -237,7 +237,12 @@ def classify_membership(
     and no growth trend shows.  Anything the evidence cannot settle is
     inconclusive.
     """
-    z = windowed_logs(x, spec.transform)
+    return _classify(windowed_logs(x, spec.transform), spec, tols)
+
+
+def _classify(z: Sequence[float], spec: SpaceSpec, tols: Tolerances) -> MembershipReport:
+    """:func:`classify_membership` on the windowed view ``z`` of x under
+    ``spec.transform``, for callers that already hold it."""
     m = len(z)
     params = {
         "spec": spec.describe(),

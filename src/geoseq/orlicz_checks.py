@@ -199,22 +199,37 @@ def small_argument_threshold(M: OrliczFunction, eps: float) -> float:
     """Largest delta in (0, 0.999] with M(t) <= eps for all t <= delta.
 
     Found by 80 bisections from 0.999, so it is at most 0.999 * 2**-80
-    below the true threshold.  A threshold below 0.999 * 2**-80 (about
-    8e-25) leaves no bisection point admissible and is reported as
-    missing: :class:`DegenerateOrliczError`.
+    below the true threshold.  When no bisection point is admissible (a
+    threshold below 0.999 * 2**-80, about 8e-25), the upper end keeps
+    halving until M(t) <= eps, and [t, 2t] is bisected 80 times in turn,
+    which reaches the spacing of the doubles there.  Only when not even
+    the smallest positive double is admissible is the threshold reported
+    as missing: :class:`DegenerateOrliczError`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     cap = 0.999
     if M.eval(cap) <= eps:
         return cap
-    lo, hi = 0.0, cap  # M(lo) = 0 <= eps < M(hi)
+    lo, hi = _bisect_threshold(M, eps, 0.0, cap)
+    if lo == 0.0:
+        t = 0.5 * hi
+        while t > 0.0 and not M.eval(t) <= eps:
+            t *= 0.5  # exact down to the subnormals, then 5e-324, then 0
+        if t == 0.0:
+            raise DegenerateOrliczError(
+                f"no positive small-argument threshold at eps={eps}"
+            )
+        lo, hi = _bisect_threshold(M, eps, t, 2.0 * t)
+    return lo
+
+
+def _bisect_threshold(M: OrliczFunction, eps: float, lo: float, hi: float) -> tuple:
+    """80 bisections of [lo, hi], keeping M(lo) <= eps < M(hi)."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if M.eval(mid) <= eps:
             lo = mid
         else:
             hi = mid
-    if lo == 0.0:
-        raise DegenerateOrliczError(f"no positive small-argument threshold at eps={eps}")
-    return lo
+    return lo, hi

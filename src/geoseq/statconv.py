@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import ge, sub, truediv
+from typing import Sequence
 
 from .geometric import GeoScalar, GeoSequence
 from .membership import _tail_verdict
@@ -77,13 +78,19 @@ def stat_density(
     ``epsilon`` is a geometric threshold and must exceed the geometric
     zero (ln(epsilon) > 0).
     """
-    eps_c = epsilon.log
-    if eps_c <= 0.0:
+    if epsilon.log <= 0.0:
         raise ValueError(
             "threshold must exceed the geometric zero 1 (need ln(epsilon) > 0)"
         )
-    z = windowed_logs(x, "fhat")
-    center = ell.log
+    return _density(windowed_logs(x, "fhat"), lam, ell, epsilon)
+
+
+def _density(
+    z: Sequence[float], lam: LambdaSequence, ell: GeoScalar, epsilon: GeoScalar
+) -> DensityTrace:
+    """:func:`stat_density` on the ``fhat`` view ``z`` of x, for callers that
+    already hold it; ``epsilon`` is not checked again."""
+    eps_c, center = epsilon.log, ell.log
     flags = map(ge, map(abs, map(sub, z, repeat(center))), repeat(eps_c))
     counts = window_sums(list(flags), lam)  # bools, so the counts are ints
     lam_values = lam.head(len(z))

@@ -151,15 +151,38 @@ class LambdaSequence:
         runs = repeat(2) if self.kind == "half" else count(1, 2)
         return islice(chain.from_iterable(map(repeat, count(one), runs)), m)
 
+    # (m, starts, head) of the last m a built-in kind was asked for
+    _last_plan = (None, (), ())
+
+    def _window_plan(self, m: int) -> tuple:
+        """(m, starts, head) of a built-in kind: ``starts[n-1]`` is n - lam(n)
+        and ``head[n-1]`` is lam(n) as a float.
+
+        The plan of the last m asked for is kept in one attribute that is
+        replaced whole, so a caller that sweeps m holds one plan at a time
+        and no lock is needed.  Its lists are shared: callers read them.
+        """
+        plan = self._last_plan
+        if plan[0] != m:
+            head = list(self._plan(m, 1.0))
+            starts = list(map(sub, range(1, m + 1), self._plan(m, 1)))
+            plan = self._last_plan = (m, starts, head)
+        return plan
+
+    def _head(self, m: int) -> list:
+        """:meth:`head`, shared with the window plan for the built-in kinds."""
+        if not self._builtin("at"):
+            return list(map(self.at, range(1, m + 1)))
+        return self._window_plan(m)[2]
+
     def head(self, m: int) -> list:
-        """[lam(1), ..., lam(m)]: one iterator pass for the built-in kinds.
+        """[lam(1), ..., lam(m)] as a fresh list, from the window plan for
+        the built-in kinds.
 
         ``custom`` lambdas, and subclasses that override :meth:`at`, are
         asked once per n.
         """
-        if not self._builtin("at"):
-            return list(map(self.at, range(1, m + 1)))
-        return list(self._plan(m, 1.0))
+        return self._head(m)[:]
 
     def windows(self, m: int) -> list:
         """[I(1), ..., I(m)], equal to :meth:`window` for each n."""
@@ -168,12 +191,13 @@ class LambdaSequence:
     def _starts(self, m: int) -> list:
         """[n - lam(n) for n = 1..m]: I(n) is range(starts[n-1] + 1, n + 1).
 
+        For the built-in kinds this is the window plan's shared list.
         ``custom`` lambdas, and subclasses that override :meth:`window` or
         :meth:`at`, ask :meth:`window` once per n.
         """
         if not self._builtin("at", "window"):
             return [self.window(n).start - 1 for n in range(1, m + 1)]
-        return list(map(sub, range(1, m + 1), self._plan(m, 1)))
+        return self._window_plan(m)[1]
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -448,8 +472,22 @@ def _differences(terms: list, starts: list) -> list:
     return list(map(sub, islice(prefix, 1, None), map(prefix.__getitem__, starts)))
 
 
-def _rounded(totals: list, denom: int) -> list:
-    """Each ``totals[i] / denom`` correctly rounded; ``inf`` beyond range."""
+def _rounded(totals: list, s: int) -> list:
+    """Each ``totals[i] / 2**s`` correctly rounded; ``inf`` beyond range.
+
+    For s <= 1022 every nonzero integer total t has a normal quotient
+    (|t| / 2**s >= 2**-1022), so ``float(t)`` rounds once and the scaling
+    by 2**-s is exact: ``ldexp(float(t), -s)`` is ``t / 2**s`` bit for bit.
+    A total whose float leaves double range, and any s > 1022, where a
+    quotient can be subnormal and the scaling itself would round, take the
+    big-integer division instead.
+    """
+    if s <= 1022:
+        try:
+            return list(map(math.ldexp, map(float, totals), repeat(-s)))
+        except OverflowError:
+            pass
+    denom = 1 << s
     try:
         return list(map(truediv, totals, repeat(denom)))
     except OverflowError:
@@ -505,7 +543,8 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     sign).  A window holding an infinite term sums to that infinity, one
     holding both ``inf`` and ``-inf`` or any NaN raises ``ValueError``.
     All-integer input gives exact ``int`` sums.  The window starts come
-    from the built-in kinds' window plan; ``lam.window(n)``, which must end
+    from the built-in kinds' window plan, which each lambda keeps for the
+    last m it was asked for; ``lam.window(n)``, which must end
     at n, is called once per window only for ``custom`` lambdas and for
     subclasses that override ``window`` or ``at``.
     """
@@ -513,7 +552,7 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     if all(map(isinstance, values, repeat(int))):
         return _differences(values, starts)
     ints, s, pos, neg = _exact_terms(values)
-    sums = _rounded(_differences(ints, starts), 1 << s)
+    sums = _rounded(_differences(ints, starts), s)
     if pos is not None:
         up, down = _differences(pos, starts), _differences(neg, starts)
         for n, (u, d) in enumerate(zip(up, down), 1):
@@ -526,7 +565,9 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
 
 def _window_means(values: Sequence, lam: LambdaSequence, head=None) -> list:
     """:func:`window_sums` divided by lam(n); ``head`` is ``lam.head(len(values))``."""
-    return list(map(truediv, window_sums(values, lam), head or lam.head(len(values))))
+    if head is None:
+        head = lam._head(len(values))
+    return list(map(truediv, window_sums(values, lam), head))
 
 
 def modular_mean(

@@ -34,7 +34,8 @@ from geoseq import (
     windowed_logs,
 )
 from geoseq.harness import CheckOutcome, _default_spec, _run_trials, _scan_windows
-from geoseq.orlicz_checks import small_argument_threshold
+from geoseq.orlicz_checks import delta2_constant, small_argument_threshold
+from geoseq.statconv import modular_density_bound, stat_converges, stat_density
 
 
 def base_spec(**over):
@@ -265,19 +266,23 @@ class TestExponentInclusion:
 
 
 def fake_classifier(monkeypatch, verdicts):
-    """Replace the harness's classifier; call i returns verdicts[i]."""
+    """Replace the harness's view-level verdict; call i returns verdicts[i]."""
     calls = []
 
-    def fake(x, spec, tols):
+    def fake(z, spec, tols):
         calls.append(spec)
         return SimpleNamespace(verdict=verdicts[len(calls) - 1])
 
-    monkeypatch.setattr("geoseq.harness.classify_membership", fake)
+    monkeypatch.setattr("geoseq.harness._classify", fake)
     return calls
 
 
 class TestEndToEnd:
-    """The shared rule: converging in the stronger space only fails a passed check."""
+    """The shared rule: converging in the stronger space only fails a passed check.
+
+    The weaker space's verdict is asked for only after the stronger one
+    converges; otherwise it cannot fail the check.
+    """
 
     CASES = [
         (CONVERGING, INCONCLUSIVE, False),
@@ -294,7 +299,10 @@ class TestEndToEnd:
         out = check_delta2_inclusion(
             from_log([0.0] * 56), M, s, delta=0.3, epsilon=0.1, ell=GeoScalar(1.0)
         )
-        assert [c.orlicz for c in calls] == [OrliczFunction.power(1.0), M]
+        asked = [OrliczFunction.power(1.0), M] if strong == CONVERGING else [
+            OrliczFunction.power(1.0)
+        ]
+        assert [c.orlicz for c in calls] == asked
         assert out.passed is passed
         if not passed:
             assert out.detail == (
@@ -308,7 +316,7 @@ class TestEndToEnd:
         p, q = Exponents.constant(1.0), Exponents.constant(2.0)
         calls = fake_classifier(monkeypatch, [strong, weak])
         out = check_exponent_inclusion(from_log([0.0] * 56), p, q, base_spec())
-        assert [c.exponents for c in calls] == [q, p]
+        assert [c.exponents for c in calls] == ([q, p] if strong == CONVERGING else [q])
         assert out.passed is passed
         if not passed:
             assert out.detail == f"end-to-end: q-verdict {strong} but p-verdict {weak}"
@@ -397,14 +405,30 @@ class TestRunSuite:
         assert (d2.trials, d2.failures, d2.skipped) == (6, 0, None)
 
     def test_missing_small_argument_threshold_fails_every_trial(self):
-        # doubling holds on the grid, but M(t) > 0.1 down to t ~ 1e-24
-        M = OrliczFunction.table([[0, 0], [1e-30, 1.0], [2e-30, 2.5]])
+        # doubling holds on the grid, but M(t) > 0.1 at every positive double
+        M = OrliczFunction.table([[0, 0], [5e-324, 1.0], [1.0, 2.0], [2.0, 4.0]])
         rep = run_suite(TrialConfig(seed=3, trials=4, length=56, spec=base_spec(orlicz=M)))
         d2 = next(c for c in rep.checks if c.name == "delta2_inclusion")
         assert (d2.trials, d2.failures, d2.skipped) == (4, 4, None)
         assert d2.first_failure == "trial 0: no positive small-argument threshold at eps=0.1"
         rows = [row for row in rep.rows if row[0] == "delta2_inclusion"]
         assert rows == [("delta2_inclusion", t, False, math.inf) for t in range(4)]
+
+    def test_threshold_below_the_first_bisection_runs_the_check(self):
+        # M(t) = 1e30 t near 0: the threshold at eps = 0.1 is 1e-31, below
+        # every point of the 80 bisections from 0.999
+        M = OrliczFunction.table([[0, 0], [1e-30, 1.0], [2e-30, 2.5]])
+        delta = small_argument_threshold(M, 0.1)
+        assert delta == pytest.approx(1e-31, rel=1e-12) and M.eval(delta) <= 0.1
+        rep = run_suite(TrialConfig(seed=3, trials=4, length=56, spec=base_spec(orlicz=M)))
+        d2 = next(c for c in rep.checks if c.name == "delta2_inclusion")
+        assert (d2.trials, d2.skipped) == (4, None)
+        rows = [row for row in rep.rows if row[0] == "delta2_inclusion"]
+        assert [row[3] for row in rows] == [0.0] * 4  # every window scan ran and held
+        # the window bounds hold; M's scale makes the M-modular verdict inconclusive
+        assert d2.first_failure == (
+            "trial 0: end-to-end: raw verdict converging but M-modular verdict inconclusive"
+        )
 
     def test_deterministic_reports(self):
         a = run_suite(TrialConfig(seed=42, trials=10, length=48))
@@ -451,6 +475,201 @@ class TestRunSuite:
         rep = run_suite(TrialConfig(seed=1, trials=2, length=length, spec=spec))
         check = rep.checks[-1]
         assert (check.name, check.trials, check.skipped) == ("stat_consistency", 2, None)
+
+
+def _scan_reference(name, pairs, slack, upper=True):
+    """The window scan as one loop: the first failing window, the worst
+    violation up to it (above 0.0, NaN ignored)."""
+    worst = 0.0
+    for n, (l, r) in enumerate(pairs, 1):
+        violation = l - r if upper else r - l
+        if violation > worst:
+            worst = violation
+        if violation > slack * max(1.0, abs(r)):
+            detail = f"window {n}: {l} {'>' if upper else '<'} {r}"
+            return CheckOutcome(name, False, worst, detail)
+    return CheckOutcome(name, True, worst)
+
+
+class TestScanWindows:
+    """The column scan equals the one-loop scan: first failing window, worst
+    violation up to it, ties and NaN as the loop treats them."""
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_equals_the_loop(self, upper):
+        rng = random.Random(f"scan:{upper}")
+        pool = [0.0, -0.0, 1.0, -1.0, 1e-12, 2.5, 1e300, math.inf, -math.inf, math.nan]
+        for trial in range(3000):
+            m = rng.randint(0, 12)
+            lhs = [rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-3, 3)
+                   for _ in range(m)]
+            rhs = [rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-3, 3)
+                   for _ in range(m)]
+            slack = rng.choice([1e-12, 0.5, 10.0, -1.0])
+            got = _scan_windows("scan", lhs, rhs, slack, upper)
+            want = _scan_reference("scan", zip(lhs, rhs), slack, upper)
+            assert (got.passed, got.detail) == (want.passed, want.detail)
+            assert repr(got.worst_violation) == repr(want.worst_violation)
+
+    def test_worst_violation_stops_at_the_first_failing_window(self):
+        out = _scan_windows("scan", [0.0, 2.0, 9.0], [0.0, 1.0, 1.0], 0.5)
+        assert (out.passed, out.worst_violation, out.detail) == (
+            False, 1.0, "window 2: 2.0 > 1.0"
+        )
+        out = _scan_windows("scan", [1.0, 0.0, -0.5], [1.0, 0.25, 0.0], 1.0, upper=False)
+        assert (out.passed, out.worst_violation, out.detail) == (True, 0.5, None)
+
+
+def rebuild_suite(config):
+    """run_suite's checks, check by check and trial by trial, from the public
+    per-member calls: {check: [(passed, worst_violation, detail)]}.
+
+    The density bound is asked window by window (``modular_density_bound``)
+    and the consistency check classifies and counts from the sequence, as
+    before run_suite shared one view per member.
+    """
+    spec, N, slack, tols, seed = (
+        config.spec, config.length, config.slack, config.tolerances, config.seed
+    )
+    profiles = [
+        Exponents.constant(1.0), Exponents.constant(1.5), Exponents.formula(1.0, 1.0)
+    ]
+    limit_spec = replace(spec, variant="limit")
+    density_spec = replace(spec, exponents=Exponents.constant(1.0), variant="limit",
+                           transform="fhat")
+
+    def linear(trial):
+        rng = random.Random(f"{seed}:linear_combination:{trial}")
+        x = from_log([rng.uniform(-5.0, 5.0) for _ in range(N)])
+        y = from_log([rng.uniform(-5.0, 5.0) for _ in range(N)])
+        a, b = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        rho1, rho2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        p = replace(spec, exponents=profiles[trial % 3])
+        return check_linear_combination(x, y, a, b, p, rho1, rho2, slack)
+
+    def solidity(trial):
+        rng = random.Random(f"{seed}:solidity:{trial}")
+        member = replace(spec, transform="identity", variant="zero")
+        sample = generate_member(member, seed, N, "solidity_member", trial)
+        draw = (lambda: rng.uniform(-1.0, 1.0)) if trial % 2 == 0 else (
+            lambda: float(rng.randint(0, 1)))
+        alphas = [GeoScalar.from_log(draw()) for _ in range(len(sample.sequence))]
+        return check_solidity(sample.sequence, alphas, replace(spec, transform="identity"),
+                              slack)
+
+    def delta2(trial):
+        sample = generate_member(limit_spec, seed, N, "delta2_member", trial)
+        delta = small_argument_threshold(spec.orlicz, 0.1)
+        return check_delta2_inclusion(sample.sequence, spec.orlicz, limit_spec, delta, 0.1,
+                                      ell=sample.ell, tols=tols, slack=slack)
+
+    def exponents(trial):
+        p = Exponents.constant(1.0)
+        q = Exponents.constant(2.0) if trial % 2 == 0 else Exponents.formula(1.0, 1.0)
+        member = replace(spec, exponents=q)
+        sample = generate_member(member, seed, N, "exponent_member", trial)
+        return check_exponent_inclusion(sample.sequence, p, q, spec, tols=tols, slack=slack)
+
+    def density(trial):
+        rng = random.Random(f"{seed}:density_bound:{trial}")
+        x = from_log([rng.uniform(-3.0, 3.0) for _ in range(N)])
+        ell = GeoScalar.from_log(rng.uniform(-1.0, 1.0))
+        epsilon = GeoScalar.from_log(rng.uniform(0.1, 2.0))
+        pairs = [modular_density_bound(x, spec, ell, epsilon, n) for n in range(1, N)]
+        return _scan_reference("density_bound", pairs, slack, upper=False)
+
+    def consistency(trial):
+        sample = generate_member(density_spec, seed, N, "consistency_member", trial)
+        report = classify_membership(sample.sequence, density_spec, tols)
+        if report.verdict != CONVERGING:
+            return CheckOutcome("stat_consistency", False, math.inf,
+                                f"generated member classified {report.verdict}")
+        for eps_log in (0.1, 1.0, 2.0):
+            trace = stat_density(sample.sequence, spec.lam, report.limit_estimate,
+                                 GeoScalar.from_log(eps_log))
+            verdict = stat_converges(trace, tols)
+            if verdict != CONVERGING:
+                return CheckOutcome("stat_consistency", False, math.inf,
+                                    f"density verdict {verdict} at ln eps = {eps_log}")
+        return CheckOutcome("stat_consistency", True, 0.0)
+
+    checks = {"linear_combination": linear, "solidity": solidity,
+              "delta2_inclusion": delta2, "exponent_inclusion": exponents,
+              "density_bound": density, "stat_consistency": consistency}
+    if not delta2_constant(spec.orlicz).satisfied:
+        del checks["delta2_inclusion"]
+    out = {}
+    for name, fn in checks.items():
+        out[name] = []
+        for trial in range(config.trials):
+            try:
+                o = fn(trial)
+            except Exception as exc:
+                out[name].append((False, math.inf, str(exc)))
+            else:
+                out[name].append((o.passed, o.worst_violation, o.detail))
+    return out
+
+
+class TestSuiteEquivalence:
+    """run_suite, which shares each member's view, plan and verdicts between
+    the calls of one trial, equals the public per-member calls."""
+
+    ORLICZ = {
+        "power1": OrliczFunction.power(1.0),
+        "power2": OrliczFunction.power(2.0),
+        "x_log1p": OrliczFunction.x_log1p(),
+        "exp_minus_one": OrliczFunction.exp_minus_one(),
+        "table": OrliczFunction.table([[0, 0], [0.5, 0.2], [1.0, 1.0], [2.0, 3.5]]),
+        # the window bounds hold but the M-modular verdict does not converge:
+        # delta2_inclusion fails end to end, after both verdicts
+        "steep_table": OrliczFunction.table([[0, 0], [1e-30, 1.0], [2e-30, 2.5]]),
+        # no small-argument threshold: every delta2_inclusion trial raises
+        "no_threshold": OrliczFunction.table(
+            [[0, 0], [5e-324, 1.0], [1.0, 2.0], [2.0, 4.0]]
+        ),
+    }
+
+    @staticmethod
+    def assert_equal(config):
+        rep = run_suite(config)
+        want = rebuild_suite(config)
+        ran = [c for c in rep.checks if c.skipped is None]
+        assert [c.name for c in ran] == list(want)
+        rows = [(name, trial, passed, worst)
+                for name, outs in want.items()
+                for trial, (passed, worst, _) in enumerate(outs)]
+        assert rep.rows == rows
+        for check in ran:
+            failed = [(t, d) for t, (ok, _, d) in enumerate(want[check.name]) if not ok]
+            assert check.failures == len(failed)
+            assert check.first_failure == (
+                f"trial {failed[0][0]}: {failed[0][1]}" if failed else None
+            )
+        return rep
+
+    @pytest.mark.parametrize("orlicz", ORLICZ)
+    @pytest.mark.parametrize("variant, transform", [
+        ("zero", "fhat"), ("limit", "fhat"), ("zero", "identity"), ("limit", "identity"),
+    ])
+    def test_rows_and_details(self, orlicz, variant, transform):
+        spec = base_spec(orlicz=self.ORLICZ[orlicz], variant=variant, transform=transform)
+        self.assert_equal(TrialConfig(seed=7, trials=4, length=56, spec=spec))
+
+    def test_failing_configs(self):
+        # tol = 0: no verdict converges, so consistency fails every trial and
+        # the end-to-end checks stop after the strong verdict
+        rep = self.assert_equal(TrialConfig(seed=2, trials=4, length=56,
+                                            tolerances=Tolerances(tol=0.0)))
+        assert rep.checks[-1].failures == 4
+        rep = self.assert_equal(TrialConfig(
+            seed=2, trials=4, length=56, spec=base_spec(orlicz=self.ORLICZ["steep_table"])))
+        d2 = rep.checks[2]
+        assert d2.failures == 4 and "M-modular verdict inconclusive" in d2.first_failure
+        rep = self.assert_equal(TrialConfig(
+            seed=2, trials=4, length=56, spec=base_spec(orlicz=self.ORLICZ["no_threshold"])))
+        missing = "no positive small-argument threshold at eps=0.1"
+        assert rep.checks[2].first_failure == f"trial 0: {missing}"
 
 
 def _fake_cpus(monkeypatch, n):

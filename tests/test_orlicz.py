@@ -443,3 +443,44 @@ class TestSmallArgumentThreshold:
 
     def test_large_eps_hits_cap(self):
         assert small_argument_threshold(OrliczFunction.power(1.0), 10.0) == 0.999
+
+    @staticmethod
+    def eighty_bisections(M, eps):
+        """The search before thresholds below 0.999 * 2**-80 were looked for."""
+        if M.eval(0.999) <= eps:
+            return 0.999
+        lo, hi = 0.0, 0.999
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if M.eval(mid) <= eps:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    @pytest.mark.parametrize("M", [
+        POWER2, EXPM1, XLOG, OrliczFunction.power(1.0), OrliczFunction.power(3.5),
+        OrliczFunction.table([[0, 0], [0.5, 0.2], [1.0, 1.0], [2.0, 3.5]]),
+        OrliczFunction.table([[0, 0], [1e-20, 1.0], [2e-20, 2.5]]),
+    ], ids=lambda M: f"{M.kind}{M.p or ''}{len(M.points or ())}")
+    @pytest.mark.parametrize("eps", [1e-40, 1e-12, 0.04, 0.1, 0.5, 10.0])
+    def test_thresholds_found_by_eighty_bisections_are_unchanged(self, M, eps):
+        old = self.eighty_bisections(M, eps)
+        if old > 0.0:
+            assert small_argument_threshold(M, eps) == old
+
+    @pytest.mark.parametrize("M, eps, delta", [
+        (OrliczFunction.table([[0, 0], [1e-30, 1.0], [2e-30, 2.5]]), 0.1, 1e-31),
+        (OrliczFunction.power(2.0), 1e-60, 1e-30),
+        (OrliczFunction.power(1.0), 1e-300, 1e-300),
+        (OrliczFunction.power(1.0), 1e-310, 1e-310),  # a subnormal threshold
+    ])
+    def test_threshold_below_two_to_the_minus_eighty(self, M, eps, delta):
+        d = small_argument_threshold(M, eps)
+        assert d == pytest.approx(delta, rel=1e-9 if d >= 2.0 ** -1022 else 1e-4)
+        assert M.eval(d) <= eps
+
+    def test_no_positive_double_qualifies(self):
+        M = OrliczFunction.table([[0, 0], [5e-324, 1.0], [1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(DegenerateOrliczError, match="no positive small-argument"):
+            small_argument_threshold(M, 0.1)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import textwrap
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +44,8 @@ from geoseq import (
     windowed_logs,
 )
 from geoseq import membership as summability
-from geoseq.harness import generate_member
+from geoseq import summability as summability_mod
+from geoseq.harness import _default_spec, generate_member
 from geoseq.orlicz import _fsum_sat, _pow_sat
 from geoseq.membership import _estimate_limit
 from geoseq.summability import modular_mean, modular_trace, window_sums
@@ -876,6 +877,134 @@ class TestExactWindowSums:
         assert lam.calls == m
 
 
+def _exact_window_sums(values, lam):
+    """Window sums from exact ``Fraction`` prefix sums, each rounded once by
+    ``float(Fraction)``; ``inf`` with its sign where that leaves double range."""
+    prefix = [Fraction(0)]
+    for v in values:
+        prefix.append(prefix[-1] + Fraction(v))
+    out = []
+    for n in range(1, len(values) + 1):
+        exact = prefix[n] - prefix[lam.window(n).start - 1]
+        try:
+            out.append(float(exact))
+        except OverflowError:
+            out.append(math.inf if exact > 0 else -math.inf)
+    return out
+
+
+class TestOneRounding:
+    """``_rounded`` and ``window_sums`` against exact ``Fraction`` sums and a
+    ``math.fsum`` per window, on both sides of the one-rounding float path
+    (s <= 1022) and through its fallbacks."""
+
+    KINDS = ("identity", "half", "sqrt")
+    SIZES = (1, 55, 56, 2000)
+
+    @staticmethod
+    def same(got, want):
+        # a zero sum is +0.0 (math.fsum's sign of zero is not checked)
+        assert [v.hex() if v else "0" for v in got] == [v.hex() if v else "0" for v in want]
+        assert all(math.copysign(1.0, v) == 1.0 for v in got if v == 0.0)
+
+    def check(self, values, lam):
+        got = window_sums(values, lam)
+        self.same(got, _exact_window_sums(values, lam))
+        m = len(values)
+        for n in range(1, m + 1) if m <= 100 else [*range(1, m, 37), m - 1, m]:
+            w = [values[k - 1] for k in lam.window(n)]
+            try:
+                want = math.fsum(w)
+            except OverflowError:  # an intermediate partial left double range
+                continue
+            self.same([got[n - 1]], [want])
+        return got
+
+    @pytest.mark.parametrize("s", [0, 1, 52, 500, 1022, 1023, 1074])
+    def test_rounded_equals_the_exact_quotient(self, s):
+        rng = random.Random(f"rounded:{s}")
+        totals = [0, 1, -1, 3, 2**53 + 1, -(2**53 + 1), 2**1023 + 2**970 - 1]
+        totals += [
+            rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 1100)) for _ in range(300)
+        ]
+        totals += [2**1024 - 2**970, 2**1024, -(2**1024 + 1), 2**1100]
+        want = []
+        for t in totals:
+            try:
+                want.append(float(Fraction(t, 2**s)))
+            except OverflowError:
+                want.append(math.inf if t > 0 else -math.inf)
+        self.same(summability_mod._rounded(totals, s), want)
+        self.same(summability_mod._rounded(totals[:7], s), want[:7])  # no fallback
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_signed_terms_from_1e_minus_300_to_1e300(self, kind, m):
+        rng = random.Random(f"wide:{kind}:{m}")
+        lam = getattr(LambdaSequence, kind)()
+        self.check(_mixed_terms(rng, m), lam)
+        # normal terms only, scaled so that s <= 1022: the float path
+        normal = [
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-290, 300) for _ in range(m)
+        ]
+        assert summability_mod._exact_terms(normal)[1] <= 1022
+        self.check(normal, lam)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_subnormal_terms(self, kind, m):
+        rng = random.Random(f"subnormal:{kind}:{m}")
+        lam = getattr(LambdaSequence, kind)()
+        values = [rng.choice((-1.0, 1.0)) * rng.choice([5e-324, 2.5e-320, 1.1e-310, 0.7])
+                  for _ in range(m)]
+        values[0] = 5e-324
+        assert summability_mod._exact_terms(values)[1] > 1022
+        self.check(values, lam)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_totals_of_2_to_the_1024_and_above_are_infinite(self, kind, m):
+        rng = random.Random(f"huge:{kind}:{m}")
+        lam = getattr(LambdaSequence, kind)()
+        big = math.ldexp(1.0, 1023)  # two of them make 2**1024
+        values = [rng.choice((big, -big, 1.0, 1e-300)) for _ in range(m)]
+        self.check(values, lam)  # the exact reference is inf where |sum| >= 2**1024
+        if m >= 3:  # I(3) holds 2 and 3 under every kind
+            tail = [0.5] * (m - 3)
+            assert window_sums([1.0, big, big] + tail, lam)[2] == math.inf
+            assert window_sums([1.0, -big, -big] + tail, lam)[2] == -math.inf
+            assert window_sums([1.0, big, -big] + tail, lam)[2] in (0.0, 1.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_zeros_of_both_signs(self, kind, m):
+        lam = getattr(LambdaSequence, kind)()
+        self.check([0.0] * m, lam)
+        got = self.check([(-0.0, 0.0)[k % 2] for k in range(m)], lam)
+        assert got == [0.0] * m
+        self.check([-0.0] * m, lam)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_infinities_and_nan(self, kind, m):
+        lam = getattr(LambdaSequence, kind)()
+        rng = random.Random(f"inf:{kind}:{m}")
+        values = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        values[m // 2] = math.inf
+        got = window_sums(values, lam)
+        finite = [v if math.isfinite(v) else 0.0 for v in values]
+        rest = window_sums(finite, lam)
+        for n in range(1, m + 1):
+            holds = m // 2 + 1 in lam.window(n)
+            assert got[n - 1] == (math.inf if holds else rest[n - 1])
+        assert window_sums([-v for v in values], lam)[m - 1] in (-math.inf, -rest[m - 1])
+        if m >= 3:  # I(m) holds m - 1 and m under every kind
+            with pytest.raises(ValueError, match=f"window {m} holds both inf and -inf"):
+                window_sums([1.0] * (m - 2) + [math.inf, -math.inf], lam)
+        with pytest.raises(ValueError, match=f"term {m} is NaN"):
+            window_sums([0.5] * (m - 1) + [math.nan], lam)
+
+
 class CountingAt(LambdaSequence):
     def __init__(self, base):
         super().__init__(base.kind, base.values)
@@ -960,6 +1089,80 @@ class TestWindowPlan:
         lam, k = getattr(LambdaSequence, kind)(), 1001
         for m in (k * k - 1, k * k, k * k + 1):
             self.check(lam, m, [1, 2, (k - 1) ** 2, (k - 1) ** 2 + 1, m - 1, m])
+
+
+    # the plan of the last m asked for is kept; a sweep must not see a stale one
+    SWEEP = (55, 56, 55, 2000, 1, 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_alternating_m_on_one_instance(self, kind):
+        lam = getattr(LambdaSequence, kind)()
+        fresh = getattr(LambdaSequence, kind)
+        rng = random.Random(f"sweep:{kind}")
+        values = [rng.uniform(-1.0, 1.0) for _ in range(2000)]
+        for m in self.SWEEP * 2:
+            ns = range(1, m + 1)
+            assert [v.hex() for v in lam.head(m)] == [lam.at(n).hex() for n in ns]
+            assert lam._starts(m) == [lam.window(n).start - 1 for n in ns]
+            assert lam.windows(m) == [lam.window(n) for n in ns] == fresh().windows(m)
+            sums = window_sums(values[:m], lam)
+            assert sums == window_sums(values[:m], fresh())
+            assert sums == [math.fsum(values[k - 1] for k in lam.window(n)) for n in ns]
+            assert lam._last_plan[0] == m
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mutating_a_returned_head_changes_nothing(self, kind):
+        lam = getattr(LambdaSequence, kind)()
+        want = lam.head(56)
+        head = lam.head(56)
+        head[:] = [-1.0] * 56
+        head.append(7.0)
+        assert lam.head(56) == want
+        assert modular_trace([1.0] * 56, lam, P1, E1, 1.0)[-1] == 1.0  # sum / lam(56)
+        assert lam.head(56) is not lam.head(56)
+
+    @staticmethod
+    def plan_workload(lam):
+        """Every caller of the window bounds, at the sizes verify asks for."""
+        rng = random.Random(5)
+        x = from_log([rng.uniform(-1, 1) for _ in range(56)])
+        for m in (55, 56, 55, 200, 1, 0):
+            lam.head(m)
+            lam.windows(m)
+            window_sums([0.5] * m, lam)
+            modular_trace([0.25] * m, lam, P2, E1, 1.0)
+        for variant in ("zero", "limit"):
+            classify_membership(x, replace(_default_spec(), lam=lam, variant=variant))
+        stat_density(x, lam, GeoScalar(1.0), GeoScalar(2.0))
+        paranorm(x, replace(_default_spec(), lam=lam))
+
+    # calls of plan_workload before built-in kinds kept a window plan
+    AT_CALLS, WINDOW_CALLS = 2606, 1487
+
+    @pytest.mark.parametrize("kind", ["half", "sqrt", "custom"])
+    def test_overriding_subclasses_are_asked_as_often_as_before(self, kind):
+        lam = _lambda_of(kind, 300)
+        by_at, by_window = CountingAt(lam), CountingWindows(lam)
+        self.plan_workload(by_at)
+        self.plan_workload(by_window)
+        assert (by_at.calls, by_window.calls) == (self.AT_CALLS, self.WINDOW_CALLS)
+
+    def test_custom_lambda_is_asked_as_often_as_before(self, monkeypatch):
+        calls = {"at": 0, "window": 0}
+        real_at, real_window = LambdaSequence.at, LambdaSequence.window
+
+        def at(self, n):
+            calls["at"] += 1
+            return real_at(self, n)
+
+        def window(self, n):
+            calls["window"] += 1
+            return real_window(self, n)
+
+        monkeypatch.setattr(LambdaSequence, "at", at)
+        monkeypatch.setattr(LambdaSequence, "window", window)
+        self.plan_workload(_lambda_of("custom", 300))
+        assert calls == {"at": self.AT_CALLS, "window": self.WINDOW_CALLS}
 
 
 def _reference_trace(z, lam, M, p, scale, center=0.0):
