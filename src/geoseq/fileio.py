@@ -507,8 +507,10 @@ def _report_csv(doc: dict) -> bytes:
         columns = [trace.get(k) or blank for k in ("S_n", "d_n")]
         return _csv("n,lambda_n,S_n,d_n", trace["n"], trace["lambda_n"], *columns)
     if kind == "suite":
-        keys = ("check", "trial", "passed", "worst_violation")
-        return _csv(",".join(keys), *([r[k] for r in doc["rows"]] for k in keys))
+        from .harness import _SUITE_ROW
+
+        rows = doc["rows"]
+        return _csv(",".join(_SUITE_ROW), *([r[k] for r in rows] for k in _SUITE_ROW))
     if kind == "paranorm":
         g_geo = doc["g_geo"]
         log = g_geo["log"] if g_geo else ""

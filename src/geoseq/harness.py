@@ -404,13 +404,17 @@ class SuiteCheck:
         return self.failures == 0
 
 
+# the members of one suite row, in the order of its tuple in SuiteReport.rows
+_SUITE_ROW = ("check", "trial", "passed", "worst_violation")
+
+
 @dataclass
 class SuiteReport:
     """Deterministic aggregate of a full suite run."""
 
     config: dict
     checks: list
-    rows: list  # (check, trial, passed, worst_violation)
+    rows: list  # _SUITE_ROW tuples
 
     @property
     def all_passed(self) -> bool:
@@ -434,15 +438,7 @@ def suite_report_dict(report: SuiteReport) -> dict:
             }
             for c in report.checks
         ],
-        "rows": [
-            {
-                "check": check,
-                "trial": trial,
-                "passed": passed,
-                "worst_violation": worst,
-            }
-            for check, trial, passed, worst in report.rows
-        ],
+        "rows": [dict(zip(_SUITE_ROW, row)) for row in report.rows],
     }
 
 

@@ -71,6 +71,20 @@ def _check_kind(what: str, params: dict, kind, **given) -> None:
             raise ValueError(f"{kind} {what} {verb} {name!r}")
 
 
+def _describe(params: dict, record) -> dict:
+    """The record's kind and the parameters ``params`` gives that kind, in
+    table order, with tuples written as lists: the config section that
+    builds the record again."""
+    d = {"kind": record.kind}
+    for name in params[record.kind]:
+        d[name] = _listed(getattr(record, name))
+    return d
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 # the built-in families and the parameters each takes
 _FAMILIES = {"power": ("p",), "exp_minus_one": (), "x_log1p": (), "table": ("points",)}
 
@@ -104,8 +118,12 @@ class OrliczFunction:
                 if not math.isfinite(pts[i][0]) or not math.isfinite(pts[i][1]):
                     raise ValueError("table knots must be finite")
             object.__setattr__(self, "points", pts)
-            # the knot abscissae, which one bisect_right searches for a segment
+            # the knot abscissae, which one bisect_right searches for a
+            # segment, and each segment's slope
             object.__setattr__(self, "_abscissae", tuple(t for t, _ in pts))
+            segments = zip(pts, pts[1:])
+            slopes = tuple((m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in segments)
+            object.__setattr__(self, "_slopes", slopes)
 
     @classmethod
     def power(cls, p: float) -> "OrliczFunction":
@@ -191,8 +209,7 @@ class OrliczFunction:
                 return list(map(math.exp, ts))
             except OverflowError:
                 return [math.exp(t) if t <= _LN_MAX else math.inf for t in ts]
-        pts, xs = self.points, self._abscissae
-        slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
+        xs, slopes = self._abscissae, self._slopes
         last = len(slopes) - 1  # the final segment continues beyond the last knot
         return [slopes[min(bisect_right(xs, t) - 1, last)] for t in ts]
 
@@ -200,10 +217,10 @@ class OrliczFunction:
         pts = self.points
         i = bisect_right(self._abscissae, t)
         if i == len(pts):
-            # extrapolate with the final segment's slope
-            (t0, m0), (t1, m1) = pts[-2], pts[-1]
-            slope = (m1 - m0) / (t1 - t0)
-            return m1 + slope * (t - t1)
+            # the last knot's value, and beyond it the final segment's slope,
+            # which may be inf (inf * 0 would be NaN at the knot itself)
+            t1, m1 = pts[-1]
+            return m1 if t == t1 else m1 + self._slopes[-1] * (t - t1)
         (t0, m0), (t1, m1) = pts[i - 1], pts[i]
         return m0 + (m1 - m0) * (t - t0) / (t1 - t0)
 
@@ -219,12 +236,7 @@ class OrliczFunction:
         return None
 
     def describe(self) -> dict:
-        d = {"kind": self.kind}
-        if self.p is not None:
-            d["p"] = self.p
-        if self.points is not None:
-            d["points"] = [list(pt) for pt in self.points]
-        return d
+        return _describe(_FAMILIES, self)
 
 
 def _check_non_increasing(g_small: float, g_large: float) -> None:

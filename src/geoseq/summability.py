@@ -36,7 +36,14 @@ from operator import sub, truediv
 from typing import Optional, Sequence, Tuple
 
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
-from .orlicz import OrliczFunction, _check_kind, _fsum_sat, _pow_sat, bracket_scale
+from .orlicz import (
+    OrliczFunction,
+    _check_kind,
+    _describe,
+    _fsum_sat,
+    _pow_sat,
+    bracket_scale,
+)
 from .record import FrozenRecord
 
 __all__ = [
@@ -69,10 +76,11 @@ class LambdaSequence:
     windows are the integer lattice inside [n - lam(n) + 1, n].
     """
 
+    values = None
+
     def __init__(self, kind: str, values: Optional[Sequence[float]] = None):
         _check_kind("lambda", _LAMBDAS, kind, values=values)
         self.kind = kind
-        self.values = None
         if kind == "custom":
             vals = [float(v) for v in values]
             self._validate(vals)
@@ -200,10 +208,7 @@ class LambdaSequence:
         return self._window_plan(m)[1]
 
     def describe(self) -> dict:
-        d = {"kind": self.kind}
-        if self.values is not None:
-            d["values"] = list(self.values)
-        return d
+        return _describe(_LAMBDAS, self)
 
 
 def window(n: int, lam: LambdaSequence) -> range:
@@ -229,9 +234,12 @@ _EXPONENTS = {"constant": ("value",), "list": ("values",), "formula": ("c", "d")
 class Exponents:
     """The strictly positive, bounded exponent sequence p(1), p(2), ...
 
-    ``H`` is max(1, sup p) and ``B`` is max(1, 2**(H-1)); both use the
-    analytic supremum of the chosen kind, not a truncation maximum.
+    ``sup`` and ``inf`` are the analytic bounds of the chosen kind, not a
+    truncation's extremes; ``H`` is max(1, sup p) and ``B`` is
+    max(1, 2**(H-1)).
     """
+
+    value = values = c = d = None
 
     def __init__(
         self,
@@ -243,15 +251,11 @@ class Exponents:
     ):
         _check_kind("exponent", _EXPONENTS, kind, value=value, values=values, c=c, d=d)
         self.kind = kind
-        self.value = None
-        self.values = None
-        self.c = None
-        self.d = None
         if kind == "constant":
             v = float(value)
             if not math.isfinite(v) or v <= 0:
                 raise ValueError(f"constant exponent must be positive, got {value!r}")
-            self.value = v
+            self.value = self.sup = self.inf = v
         elif kind == "list":
             vals = tuple(float(v) for v in values)
             if not vals:
@@ -259,6 +263,7 @@ class Exponents:
             if any((not math.isfinite(v)) or v <= 0 for v in vals):
                 raise ValueError("exponents must be positive and finite")
             self.values = vals
+            self.sup, self.inf = max(vals), min(vals)
         else:
             # p(k) = c + d/k
             self.c = float(c)
@@ -267,6 +272,10 @@ class Exponents:
                 raise ValueError("formula coefficients must be finite")
             if self.c <= 0 or self.c + self.d <= 0:
                 raise ValueError("formula exponents must stay positive")
+            ends = (self.c, self.c + self.d)
+            self.sup, self.inf = max(ends), min(ends)
+        self.H = max(1.0, self.sup)
+        self.B = max(1.0, 2.0 ** (self.H - 1.0))
 
     @classmethod
     def constant(cls, value: float) -> "Exponents":
@@ -293,36 +302,8 @@ class Exponents:
             )
         return self.values[k - 1]
 
-    @property
-    def sup(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "formula":
-            return max(self.c, self.c + self.d)
-        return max(self.values)
-
-    @property
-    def inf(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "formula":
-            return min(self.c, self.c + self.d)
-        return min(self.values)
-
-    @property
-    def H(self) -> float:
-        return max(1.0, self.sup)
-
-    @property
-    def B(self) -> float:
-        return max(1.0, 2.0 ** (self.H - 1.0))
-
     def describe(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "formula":
-            return {"kind": "formula", "c": self.c, "d": self.d}
-        return {"kind": "list", "values": list(self.values)}
+        return _describe(_EXPONENTS, self)
 
 
 _VARIANTS = ("zero", "limit", "bounded")
@@ -480,7 +461,7 @@ def _rounded(totals: list, s: int) -> list:
     by 2**-s is exact: ``ldexp(float(t), -s)`` is ``t / 2**s`` bit for bit.
     A total whose float leaves double range, and any s > 1022, where a
     quotient can be subnormal and the scaling itself would round, take the
-    big-integer division instead.
+    big-integer division, one total at a time.
     """
     if s <= 1022:
         try:
@@ -488,10 +469,6 @@ def _rounded(totals: list, s: int) -> list:
         except OverflowError:
             pass
     denom = 1 << s
-    try:
-        return list(map(truediv, totals, repeat(denom)))
-    except OverflowError:
-        pass
     out = []
     for t in totals:
         try:

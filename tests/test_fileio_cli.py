@@ -594,6 +594,29 @@ class TestCli:
             assert rho == pytest.approx(2e-300, rel=1e-11)
         assert 1e-301 < rho < 1e-299
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_table_with_an_overflowing_final_slope(self, tmp_path, capsys, fmt):
+        # M(1e-323) is the last knot's 2.5, and beyond it M is inf, so every
+        # window but the first sums to inf: no term is NaN
+        values = [1e-323] + [0.01 * (-1) ** k / (k + 1) for k in range(1, 40)]
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": values}))
+        points = [[0, 0], [5e-324, 1.0], [1e-323, 2.5]]
+        cfg = write(tmp_path / "c.json", json.dumps({
+            "orlicz": {"kind": "table", "points": points},
+            "transform": "identity", "lambda": {"kind": "half"},
+        }))
+        outputs = {}
+        for command in ("analyze", "paranorm"):
+            args = [command, "--in", seq, "--config", cfg, "--format", fmt]
+            assert main(args) == 0
+            outputs[command] = capsys.readouterr().out
+            assert "nan" not in outputs[command].lower()
+        if fmt == "json":
+            membership = json.loads(outputs["analyze"])
+            assert membership["verdict"] == "diverging"
+            assert membership["trace"]["S_n"][:2] == [2.5, "inf"]
+            assert json.loads(outputs["paranorm"])["g"] == "inf"
+
     def test_solver_out_of_probes_exits_4(self, tmp_path, capsys, monkeypatch):
         # three probes bracket the scale but cannot close it to rel_tol
         monkeypatch.setattr("geoseq.summability.paranorm", functools.partial(paranorm, max_iter=3))

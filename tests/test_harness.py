@@ -757,6 +757,36 @@ class TestParallelTrials:
         assert 0 < sum(c.failures for c in serial.checks[:-1]) < 5 * 7
         assert serial.checks[-1].failures == 7  # tol = 0: every member inconclusive
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_density_verdict_failure(self, monkeypatch, cpus):
+        # every generated member classifies converging at this seed, so each
+        # trial reaches the density verdicts and fails at the first epsilon
+        seen = []
+
+        def inconclusive(trace, tols):
+            seen.append(trace.epsilon.log)
+            return INCONCLUSIVE
+
+        monkeypatch.setattr("geoseq.harness.stat_converges", inconclusive)
+        forked = _counting_forks(monkeypatch)
+        report = self.suite(monkeypatch, cpus, TrialConfig(seed=42, trials=5, length=56))
+        assert len(forked) == cpus - 1
+        *others, check = report.checks
+        assert all(c.passed for c in others)
+        assert (check.name, check.trials, check.failures, check.worst_violation) == (
+            "stat_consistency", 5, 5, math.inf
+        )
+        assert check.first_failure == "trial 0: density verdict inconclusive at ln eps = 0.1"
+        assert [row for row in report.rows if row[0] == check.name] == [
+            (check.name, trial, False, math.inf) for trial in range(5)
+        ]
+        # one density verdict per trial run in this process; forked workers
+        # run the other trials
+        assert set(seen) == {0.1} and len(seen) <= 5
+        if cpus == 1:
+            assert len(seen) == 5
+        assert_no_child_left()
+
     def test_the_parent_runs_the_first_slice(self, monkeypatch):
         parent = os.getpid()
         members = []

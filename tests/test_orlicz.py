@@ -55,6 +55,36 @@ class TestEval:
         assert M.eval(1.5) == 2.0
         assert M.eval(4.0) == pytest.approx(7.0)  # final slope 2 continues
 
+    # a finite final slope, and two that overflow to inf: 1.5 / 5e-324 on
+    # subnormal knots, and 5e307 / 2**-51 after finite segments
+    TABLES = [
+        [[0, 0], [0.5, 0.2], [1, 1], [2, 3.5], [4, 10]],
+        [[0, 0], [5e-324, 1.0], [1e-323, 2.5]],
+        [[0, 0], [1.0, 2.0], [2.0, 1e308], [2.0 + 2 ** -51, 1.5e308]],
+    ]
+
+    @pytest.mark.parametrize("points", TABLES, ids=["finite", "steep", "steep_last"])
+    def test_table_is_its_knot_value_at_every_knot(self, points):
+        M = OrliczFunction.table(points)
+        knots = [float(t) for t, _ in points]
+        values = [float(m) for _, m in points]
+        assert [M.eval(t) for t in knots] == values
+        assert M.eval_many(knots) == values
+
+    @pytest.mark.parametrize("points", TABLES, ids=["finite", "steep", "steep_last"])
+    def test_table_extrapolates_beyond_the_last_knot_without_nan(self, points):
+        M = OrliczFunction.table(points)
+        (t0, m0), (t1, m1) = (tuple(map(float, pt)) for pt in points[-2:])
+        slope = (m1 - m0) / (t1 - t0)
+        beyond = [math.nextafter(t1, math.inf), 2.0 * t1, t1 + 1.0, 1e300]
+        want = [m1 + slope * (t - t1) for t in beyond]  # inf for an infinite slope
+        assert [M.eval(t) for t in beyond] == want
+        assert M.eval_many(beyond) == want
+        if math.isinf(slope):
+            assert want == [math.inf] * len(beyond)
+        ts = beyond + [t for t, _ in M.points] + list(_BATCH_INPUTS)
+        assert not any(map(math.isnan, M.eval_many(ts)))
+
     def test_table_structure_validated(self):
         with pytest.raises(ValueError):
             OrliczFunction.table([(0, 0)])

@@ -219,11 +219,54 @@ class TestSpaceSpec:
         with pytest.raises(ValueError):
             spec(rho=0.0)
 
-    def test_describe_round_trips_through_config(self):
+    # (record, its description) for every kind; the descriptions are
+    # literals, so ints written as floats and tuples as lists are pinned
+    LAMBDAS = {
+        "identity": (LambdaSequence.identity(), {"kind": "identity"}),
+        "half": (LambdaSequence.half(), {"kind": "half"}),
+        "sqrt": (LambdaSequence.sqrt(), {"kind": "sqrt"}),
+        "custom": (
+            LambdaSequence.custom([1, 1.5, 2.5, 3]),
+            {"kind": "custom", "values": [1.0, 1.5, 2.5, 3.0]},
+        ),
+    }
+    EXPONENTS = {
+        "constant": (Exponents.constant(2), {"kind": "constant", "value": 2.0}),
+        "list": (
+            Exponents.from_list((1, 2.5, 1.5)),
+            {"kind": "list", "values": [1.0, 2.5, 1.5]},
+        ),
+        "formula": (Exponents.formula(1, 0.5), {"kind": "formula", "c": 1.0, "d": 0.5}),
+    }
+    ORLICZ = {
+        "power": (OrliczFunction.power(2), {"kind": "power", "p": 2.0}),
+        "exp_minus_one": (OrliczFunction.exp_minus_one(), {"kind": "exp_minus_one"}),
+        "x_log1p": (OrliczFunction.x_log1p(), {"kind": "x_log1p"}),
+        "table": (
+            OrliczFunction.table(((0, 0), (1, 1), (2, 3))),
+            {"kind": "table", "points": [[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]},
+        ),
+    }
+
+    @pytest.mark.parametrize("lam", list(LAMBDAS))
+    @pytest.mark.parametrize("p", list(EXPONENTS))
+    @pytest.mark.parametrize("M", list(ORLICZ))
+    def test_describe_round_trips_through_config(self, lam, p, M):
         from geoseq.fileio import config_from_dict
 
-        s = spec(lam="half", M=P2, p=Exponents.formula(1.0, 0.5), rho=2.0)
+        (lam_obj, lam_d), (p_obj, p_d), (M_obj, M_d) = (
+            self.LAMBDAS[lam], self.EXPONENTS[p], self.ORLICZ[M]
+        )
+        s = SpaceSpec(lam=lam_obj, orlicz=M_obj, exponents=p_obj, rho=2.0)
         d = s.describe()
+        expected = {
+            "lambda": lam_d, "orlicz": M_d, "exponents": p_d,
+            "variant": "zero", "transform": "fhat", "rho": 2.0,
+        }
+        assert repr(d) == repr(expected)  # types and member order too
+        assert repr(lam_obj.describe()) == repr(lam_d)
+        assert repr(p_obj.describe()) == repr(p_d)
+        assert repr(M_obj.describe()) == repr(M_d)
         cfg = config_from_dict(
             {
                 "lambda": d["lambda"],
@@ -234,7 +277,7 @@ class TestSpaceSpec:
                 "rho": d["rho"],
             }
         )
-        assert cfg.space_spec().describe() == d
+        assert repr(cfg.space_spec().describe()) == repr(d)
 
 
 class TestWindowedView:
