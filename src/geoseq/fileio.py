@@ -265,7 +265,11 @@ def write_bytes(path: Union[str, Path], data: bytes) -> None:
 
 
 class RunConfig(Record):
-    """Validated run configuration (one JSON document)."""
+    """Validated run configuration (one JSON document).
+
+    ``RunConfig()`` holds the defaults of every key; :func:`config_from_dict`
+    builds one and then sets the keys a document gives.
+    """
 
     __slots__ = (
         "lam",
@@ -279,27 +283,16 @@ class RunConfig(Record):
         "trials",
     )
 
-    def __init__(
-        self,
-        lam: Optional[LambdaSequence] = None,
-        orlicz: Optional[OrliczFunction] = None,
-        exponents: Optional[Exponents] = None,
-        variant: str = "zero",
-        transform: str = "fhat",
-        rho: float = 1.0,
-        tolerances: Optional[Tolerances] = None,
-        seed: int = 42,
-        trials: int = 100,
-    ):
-        self.lam = LambdaSequence.identity() if lam is None else lam
-        self.orlicz = OrliczFunction.power(1.0) if orlicz is None else orlicz
-        self.exponents = Exponents.constant(1.0) if exponents is None else exponents
-        self.variant = variant
-        self.transform = transform
-        self.rho = rho
-        self.tolerances = Tolerances() if tolerances is None else tolerances
-        self.seed = seed
-        self.trials = trials
+    def __init__(self):
+        self.lam = LambdaSequence.identity()
+        self.orlicz = OrliczFunction.power(1.0)
+        self.exponents = Exponents.constant(1.0)
+        self.variant = "zero"
+        self.transform = "fhat"
+        self.rho = 1.0
+        self.tolerances = Tolerances()
+        self.seed = 42
+        self.trials = 100
 
     def space_spec(self) -> SpaceSpec:
         return SpaceSpec(
@@ -312,7 +305,7 @@ class RunConfig(Record):
         )
 
     def trial_config(
-        self, seed: Optional[int] = None, trials: Optional[int] = None, length: int = 56
+        self, length: int, seed: Optional[int] = None, trials: Optional[int] = None
     ) -> TrialConfig:
         from .harness import TrialConfig
 

@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 
+# relative slack of every window comparison (see _scan_windows)
+_WINDOW_SLACK = 1e-12
+
+
 def _default_spec() -> SpaceSpec:
     return SpaceSpec(
         lam=LambdaSequence.half(),
@@ -79,16 +83,14 @@ class TrialConfig:
     trials: int = 100
     length: int = 56
     spec: SpaceSpec = field(default_factory=_default_spec)
-    slack: float = 1e-12
     tolerances: Tolerances = field(default_factory=Tolerances)
+    slack = _WINDOW_SLACK  # a class attribute, not a field
 
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
         if self.length < 8:
             raise ValueError("length must be >= 8")
-        if self.slack <= 0:
-            raise ValueError("slack must be positive")
         lam = self.spec.lam
         if lam.kind == "custom" and len(lam.values) < self.length:
             # solidity windows the identity view: one window per term
@@ -240,7 +242,7 @@ def check_linear_combination(
     spec: SpaceSpec,
     rho1: float,
     rho2: float,
-    slack: float = 1e-12,
+    slack: float = _WINDOW_SLACK,
 ) -> CheckOutcome:
     """Windowed modular bound for the scaled geometric combination.
 
@@ -273,7 +275,7 @@ def check_solidity(
     y_member: GeoSequence,
     alphas: Sequence[GeoScalar],
     spec: SpaceSpec,
-    slack: float = 1e-12,
+    slack: float = _WINDOW_SLACK,
 ) -> CheckOutcome:
     """Scalar damping never increases the windowed modular.
 
@@ -307,7 +309,7 @@ def check_delta2_inclusion(
     ell: Optional[GeoScalar] = None,
     delta2: Optional[Delta2Report] = None,
     tols: Tolerances = Tolerances(),
-    slack: float = 1e-12,
+    slack: float = _WINDOW_SLACK,
 ) -> CheckOutcome:
     """Raw windowed summability dominates the Orlicz-modular one.
 
@@ -354,19 +356,17 @@ def check_exponent_inclusion(
     p: Exponents,
     q: Exponents,
     spec: SpaceSpec,
-    ell: Optional[GeoScalar] = None,
     tols: Tolerances = Tolerances(),
-    slack: float = 1e-12,
+    slack: float = _WINDOW_SLACK,
 ) -> CheckOutcome:
     """Larger exponents give the smaller space: q-membership forces p-membership.
 
-    Per window, with t_k = M(|z_k - center|/rho)**q_k and mu_k = p_k/q_k,
+    Per window, with t_k = M(|z_k|/rho)**q_k and mu_k = p_k/q_k,
     splitting t at 1 gives
         mean t_k**mu_k  <=  mean t_k + (mean v_k)**mu,
     where v_k = t_k when t_k < 1 (else 0) and mu = inf mu_k clipped into
     (0, 1].  End to end, membership under q implies membership under p.
     """
-    center = ell.log if ell is not None else 0.0
     z = windowed_logs(x, spec.transform)
     m = len(z)
     mus = []
@@ -378,7 +378,7 @@ def check_exponent_inclusion(
     mu = min(1.0, max(1e-3, min(mus)))
 
     lam, M, rho = spec.lam, spec.orlicz, spec.rho
-    t = _modular_terms(z, _exponent_values(q, range(1, m + 1)), M, rho, center)
+    t = _modular_terms(z, _exponent_values(q, range(1, m + 1)), M, rho, 0.0)
     lhs = _window_means([tk ** mu_k for tk, mu_k in zip(t, mus)], lam)
     t_means = _window_means(t, lam)
     v_means = _window_means([tk if tk < 1.0 else 0.0 for tk in t], lam)
@@ -567,7 +567,6 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     """
     spec = config.spec
     N = config.length
-    slack = config.slack
     tols = config.tolerances
 
     # each check's spaces, built once per suite
@@ -594,7 +593,7 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         rho1 = rng.uniform(0.5, 2.0)
         rho2 = rng.uniform(0.5, 2.0)
         return check_linear_combination(
-            x, y, a, b, linear_specs[trial % len(linear_specs)], rho1, rho2, slack
+            x, y, a, b, linear_specs[trial % len(linear_specs)], rho1, rho2
         )
 
     def solidity(trial: int) -> CheckOutcome:
@@ -612,7 +611,7 @@ def run_suite(config: TrialConfig) -> SuiteReport:
             alphas = [
                 GeoScalar.from_log(float(rng.randint(0, 1))) for _ in range(n_terms)
             ]
-        return check_solidity(sample.sequence, alphas, solidity_spec, slack)
+        return check_solidity(sample.sequence, alphas, solidity_spec)
 
     def delta2(trial: int) -> CheckOutcome:
         sample = generate_member(limit_spec, config.seed, N, "delta2_member", trial)
@@ -627,7 +626,6 @@ def run_suite(config: TrialConfig) -> SuiteReport:
             ell=sample.ell,
             delta2=d2_report,
             tols=tols,
-            slack=slack,
         )
 
     def exponents(trial: int) -> CheckOutcome:
@@ -635,7 +633,7 @@ def run_suite(config: TrialConfig) -> SuiteReport:
             exponent_specs[trial % 2], config.seed, N, "exponent_member", trial
         )
         return check_exponent_inclusion(
-            sample.sequence, unit, exponent_qs[trial % 2], spec, tols=tols, slack=slack
+            sample.sequence, unit, exponent_qs[trial % 2], spec, tols=tols
         )
 
     def density(trial: int) -> CheckOutcome:
@@ -648,7 +646,7 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         lhs = modular_trace(z, spec.lam, spec.orlicz, unit, spec.rho, ell.log)
         m_eps = spec.orlicz.eval(epsilon.log / spec.rho)
         rhs = [m_eps * d for d in _density(z, spec.lam, ell, epsilon).densities]
-        return _scan_windows("density_bound", lhs, rhs, slack, upper=False)
+        return _scan_windows("density_bound", lhs, rhs, _WINDOW_SLACK, upper=False)
 
     def consistency(trial: int) -> CheckOutcome:
         sample = generate_member(density_spec, config.seed, N, "consistency_member", trial)

@@ -224,17 +224,6 @@ class OrliczFunction:
         (t0, m0), (t1, m1) = pts[i - 1], pts[i]
         return m0 + (m1 - m0) * (t - t0) / (t1 - t0)
 
-    @property
-    def delta2_analytic(self) -> Optional[bool]:
-        """Closed-form doubling verdict for built-in families, if known."""
-        if self.kind == "power":
-            return True
-        if self.kind == "exp_minus_one":
-            return False
-        if self.kind == "x_log1p":
-            return True
-        return None
-
     def describe(self) -> dict:
         return _describe(_FAMILIES, self)
 
@@ -252,6 +241,8 @@ def _check_non_increasing(g_small: float, g_large: float) -> None:
 _UP = tuple(2.0 ** (2 ** k) for k in range(10)) + (sys.float_info.max,)
 _DOWN = tuple(2.0 ** -(2 ** k) for k in range(11)) + (math.ulp(0.0),)
 _LN_MAX = math.log(sys.float_info.max)  # math.exp stays finite up to here
+# the default probe cap of every scale solve
+_MAX_PROBES = 200
 
 
 def _ln(g: float) -> float:
@@ -344,7 +335,7 @@ def _zeroin(
 
 
 def bracket_scale(
-    constraint: Callable[[float], float], rel_tol: float, max_iter: int = 200
+    constraint: Callable[[float], float], rel_tol: float, max_iter: int = _MAX_PROBES
 ) -> ScaleBracket:
     """Bracket inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
 

@@ -37,6 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
 from .orlicz import (
+    _MAX_PROBES,
     OrliczFunction,
     _check_kind,
     _describe,
@@ -617,7 +618,7 @@ def paranorm(
     x: GeoSequence,
     spec: SpaceSpec,
     rel_tol: float = 1e-11,
-    max_iter: int = 200,
+    max_iter: int = _MAX_PROBES,
 ) -> ParanormResult:
     """Luxemburg-style paranorm of the vanishing-variant space.
 

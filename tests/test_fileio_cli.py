@@ -21,6 +21,7 @@ from geoseq import (
     GeoScalar,
     InputError,
     LambdaSequence,
+    RunConfig,
     ScaleSolverError,
     TrialConfig,
     emit_report,
@@ -145,6 +146,40 @@ class TestConfig:
         assert cfg.transform == "fhat"
         assert cfg.lam.kind == "identity"
         assert cfg.trials == 100
+
+    # the block under "Run configuration" in README.md, key for key
+    README_DEFAULTS = {
+        "lambda": {"kind": "identity"},
+        "orlicz": {"kind": "power", "p": 1.0},
+        "exponents": {"kind": "constant", "value": 1.0},
+        "variant": "zero",
+        "transform": "fhat",
+        "rho": 1.0,
+        "tolerances": {"tol": 1e-6, "window_count": 10, "bound_cap": 1e9},
+        "seed": 42,
+        "trials": 100,
+    }
+
+    @staticmethod
+    def described(cfg):
+        return list({
+            **cfg.space_spec().describe(),
+            "tolerances": cfg.tolerances.describe(),
+            "seed": cfg.seed,
+            "trials": cfg.trials,
+        }.items())
+
+    @pytest.mark.parametrize("build", [
+        lambda: config_from_dict({}),
+        RunConfig,
+        lambda: config_from_dict(TestConfig.README_DEFAULTS),
+    ], ids=["empty", "RunConfig", "documented"])
+    def test_defaults_are_the_documented_ones(self, build):
+        assert self.described(build()) == list(self.README_DEFAULTS.items())
+
+    def test_run_config_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            RunConfig(seed=1)
 
     def test_full_document(self, config_path):
         cfg = load_config(config_path)

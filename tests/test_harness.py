@@ -446,8 +446,11 @@ class TestRunSuite:
             TrialConfig(trials=-1)
         with pytest.raises(ValueError):
             TrialConfig(length=4)
-        with pytest.raises(ValueError):
-            TrialConfig(slack=0.0)
+
+    def test_window_slack_is_fixed(self):
+        assert TrialConfig().describe()["slack"] == 1e-12
+        with pytest.raises(TypeError):
+            TrialConfig(slack=1.0)
 
     def test_custom_lambda_must_cover_the_length(self):
         lam = LambdaSequence.custom([1, 1, 2, 2, 3, 3, 4, 4, 5, 5])

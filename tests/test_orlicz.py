@@ -19,7 +19,7 @@ from geoseq import (
     validate_on_grid,
 )
 from geoseq.orlicz import ScaleBracket, _zeroin, bracket_scale
-from geoseq.orlicz_checks import log_grid, small_argument_threshold
+from geoseq.orlicz_checks import Delta2Report, log_grid, small_argument_threshold
 
 POWER2 = OrliczFunction.power(2.0)
 EXPM1 = OrliczFunction.exp_minus_one()
@@ -241,6 +241,83 @@ class TestDelta2:
         with pytest.raises(DegenerateOrliczError):
             delta2_constant(M, grid=[0.25, 0.5, 1.0])
 
+    # every built-in family, and every table this file builds: convex,
+    # non-convex, flat at zero (M(u) = 0 on the grid) and overflowing slopes
+    FAMILIES = [
+        OrliczFunction.power(1.0), POWER2, OrliczFunction.power(2.5),
+        OrliczFunction.power(3.0), EXPM1, XLOG,
+    ] + [OrliczFunction.table(points) for points in TestEval.TABLES + [
+        [(0, 0), (0.5, 0.2), (1, 1), (2, 3.5), (4, 10)],
+        [(0, 0), (0.5, 0.2), (1, 1), (2, 3.5)],
+        [(0, 0), (1, 1), (2, 3)],
+        [(0, 0), (1, 2)],
+        [(0, 0), (1, 2), (2, 5)],
+        [(0, 0), (1, 2), (2, 1)],
+        [(0, 0), (1, 10), (2, 11)],
+        [(0, 0), (1, 0), (2, 1)],
+        [(0, 0), (1, 0.5), (2, 5), (3, 0.2), (4, 6)],
+        [(0, 0), (1e-20, 1.0), (2e-20, 2.5)],
+        [(0, 0), (1e-30, 1.0), (2e-30, 2.5)],
+        [(0, 0), (5e-324, 1.0), (1.0, 2.0), (2.0, 4.0)],
+    ]]
+    # ends past where power(3) and e**t - 1 overflow, and a point where the
+    # flat table is zero after positive values (M(3) = 0 for [(0,0),(1,2),(2,1)])
+    USER_GRID = [1e-3, 0.25, 0.5, 1.0, 3.0, 400.0, 800.0, 1e120, 1e200]
+
+    @staticmethod
+    def scalar_reference(M, grid=None):
+        """The doubling report by one scalar ``eval`` pair per grid point."""
+        if grid is None:
+            grid, desc = log_grid(), "log-spaced [1e-06, 1e+06], 60 points/decade"
+        else:
+            grid, desc = [float(g) for g in grid], f"user grid, {len(grid)} points"
+        ratios, clipped = [], 0
+        for u in grid:
+            mu, m2u = M.eval(u), M.eval(2.0 * u)
+            if mu == 0.0:
+                raise DegenerateOrliczError(
+                    f"M({u}) = 0 for positive argument; doubling ratio undefined"
+                )
+            if math.isinf(mu):
+                clipped += 1
+            else:
+                ratios.append((u, m2u / mu))
+        if not ratios:
+            raise DegenerateOrliczError("no finite doubling ratios on the grid")
+        K = max(r for _, r in ratios)
+        log_lo, log_hi = math.log(ratios[0][0]), math.log(ratios[-1][0])
+        cut = log_lo + (2.0 / 3.0) * (log_hi - log_lo)
+        head = [r for u, r in ratios if math.log(u) <= cut]
+        tail = [r for u, r in ratios if math.log(u) > cut]
+        growth = max(tail) / max(head) if head and tail else 1.0
+        satisfied = math.isfinite(K) and growth <= 1.0 + 1e-6 and clipped == 0
+        analytic = {"power": True, "exp_minus_one": False, "x_log1p": True}.get(M.kind)
+        return Delta2Report(satisfied, K, analytic, desc, growth, clipped)
+
+    @pytest.mark.parametrize("grid", [None, USER_GRID], ids=["log_grid", "user_grid"])
+    @pytest.mark.parametrize("M", FAMILIES, ids=repr)
+    def test_batch_report_equals_the_scalar_loop(self, M, grid):
+        try:
+            want = self.scalar_reference(M, grid)
+        except DegenerateOrliczError as exc:
+            with pytest.raises(DegenerateOrliczError) as got:
+                delta2_constant(M, grid)
+            assert str(got.value) == str(exc)
+            return
+        assert repr(delta2_constant(M, grid)) == repr(want)  # repr: NaN and -0.0 too
+
+    def test_reference_covers_clipping_and_both_errors(self):
+        assert self.scalar_reference(EXPM1).clipped > 0
+        flat = OrliczFunction.table([(0, 0), (1, 0), (2, 1)])
+        with pytest.raises(DegenerateOrliczError, match=r"M\(1e-06\) = 0"):
+            self.scalar_reference(flat)
+        falls = OrliczFunction.table([(0, 0), (1, 2), (2, 1)])
+        with pytest.raises(DegenerateOrliczError, match=r"M\(3.0\) = 0"):
+            self.scalar_reference(falls, self.USER_GRID)
+        steep = OrliczFunction.table(TestEval.TABLES[1])
+        with pytest.raises(DegenerateOrliczError, match="no finite doubling ratios"):
+            self.scalar_reference(steep)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("scale", [2.0, 3.0, 4.0])
     def test_power_scaling_form(self, p, scale):
@@ -255,6 +332,12 @@ class TestDelta2:
 class TestLuxemburgNorm:
     def test_power2_closed_form(self):
         assert luxemburg_norm([3.0, 4.0], POWER2) == pytest.approx(5.0, rel=1e-10)
+
+    def test_tolerance_and_probe_cap_are_fixed(self):
+        with pytest.raises(TypeError):
+            luxemburg_norm([3.0, 4.0], POWER2, rel_tol=1e-6)
+        with pytest.raises(TypeError):
+            luxemburg_norm([3.0, 4.0], POWER2, max_iter=20)
 
     def test_zero_sequence(self):
         assert luxemburg_norm([0.0, 0.0, 0.0], POWER2) == 0.0
