@@ -91,13 +91,13 @@ class TrialConfig:
             raise ValueError("trials must be >= 0")
         if self.length < 8:
             raise ValueError("length must be >= 8")
-        lam = self.spec.lam
-        if lam.kind == "custom" and len(lam.values) < self.length:
-            # solidity windows the identity view: one window per term
-            raise ValueError(
-                f"custom lambda of length {len(lam.values)} is shorter than"
-                f" the suite length {self.length}"
-            )
+        # solidity windows the identity view: one window and one exponent per term
+        for what, seq in ("custom lambda", self.spec.lam), ("exponent list", self.spec.exponents):
+            if seq.values is not None and len(seq.values) < self.length:
+                raise ValueError(
+                    f"{what} of length {len(seq.values)} is shorter than"
+                    f" the suite length {self.length}"
+                )
 
     def describe(self) -> dict:
         return {

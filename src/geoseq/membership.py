@@ -269,7 +269,7 @@ def _classify(z: Sequence[float], spec: SpaceSpec, tols: Tolerances) -> Membersh
 
     ps = _exponent_values(spec.exponents, range(1, m + 1))
     terms = _modular_terms(z, ps, spec.orlicz, spec.rho, center)
-    values = _window_means(terms, spec.lam, lam_values)
+    values = _window_means(terms, spec.lam)
 
     if spec.variant == "bounded":
         slope = _tail_slope(values)

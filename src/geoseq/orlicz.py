@@ -71,14 +71,28 @@ def _check_kind(what: str, params: dict, kind, **given) -> None:
             raise ValueError(f"{kind} {what} {verb} {name!r}")
 
 
-def _describe(params: dict, record) -> dict:
-    """The record's kind and the parameters ``params`` gives that kind, in
-    table order, with tuples written as lists: the config section that
-    builds the record again."""
-    d = {"kind": record.kind}
-    for name in params[record.kind]:
-        d[name] = _listed(getattr(record, name))
-    return d
+class _KindRecord:
+    """A record of a ``kind`` and the parameters its ``_PARAMS`` table gives
+    that kind (the table :func:`_check_kind` reads): equal, and hashed
+    alike, by type, kind and those parameters, and described as the config
+    section that builds it again, tuples written as lists.  A dataclass
+    (:class:`OrliczFunction`) compares its fields instead, to the same effect.
+    """
+
+    def _key(self) -> tuple:
+        return type(self), self.kind, *(getattr(self, n) for n in self._PARAMS[self.kind])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, _KindRecord) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def describe(self) -> dict:
+        d = {"kind": self.kind}
+        for name in self._PARAMS[self.kind]:
+            d[name] = _listed(getattr(self, name))
+        return d
 
 
 def _listed(value):
@@ -92,9 +106,10 @@ _FAMILIES = {"power": ("p",), "exp_minus_one": (), "x_log1p": (), "table": ("poi
 # a dataclass still: bench/tracing.py subclasses it as one (CountingOrlicz),
 # so it becomes a plain record once tracing.py counts without subclassing
 @dataclass(frozen=True)
-class OrliczFunction:
+class OrliczFunction(_KindRecord):
     """Descriptor plus evaluator for an Orlicz function."""
 
+    _PARAMS = _FAMILIES
     kind: str
     p: Optional[float] = None
     points: Optional[Tuple[Tuple[float, float], ...]] = None
@@ -163,14 +178,16 @@ class OrliczFunction:
     def eval_many(self, ts: Sequence[float]) -> list:
         """``[self.eval(t) for t in ts]`` for floats t >= 0, bit for bit.
 
-        One dispatch on ``kind`` per list instead of one per term.  A list
-        that overflows somewhere is redone through :meth:`eval`, which
-        saturates to ``inf``.  ``table`` functions, and subclasses that
-        override :meth:`eval`, are evaluated term by term through
+        One dispatch on ``kind`` per list instead of one per term, for every
+        family, tables included.  A list that overflows somewhere is redone
+        through :meth:`eval`, which saturates to ``inf``.  Only a subclass
+        that overrides :meth:`eval` is evaluated term by term through
         ``self.eval``, so a batch never bypasses an overriding ``eval``.
         """
-        if self.kind == "table" or type(self).eval is not OrliczFunction.eval:
+        if type(self).eval is not OrliczFunction.eval:
             return list(map(self.eval, ts))
+        if self.kind == "table":
+            return list(map(self._eval_table, ts))
         try:
             if self.kind == "power":
                 p = self.p
@@ -188,10 +205,12 @@ class OrliczFunction:
 
         ``power`` p * t**(p - 1); ``x_log1p`` log1p(t) + t / (1 + t);
         ``exp_minus_one`` e**t; ``table`` the slope of the segment right of
-        t.  The form follows ``kind``, also for a subclass that overrides
-        :meth:`eval`: right for M up to a constant factor (a counting or
-        scaling wrapper), which keeps the sign of a modular's derivative.
-        A subclass that changes M's shape must override this too.
+        t.  One batch per list for every family: :meth:`eval` is the only
+        per-term hook, and this does not call it.  The form follows
+        ``kind``, also for a subclass that overrides :meth:`eval`: right
+        for M up to a constant factor (a counting or scaling wrapper),
+        which keeps the sign of a modular's derivative.  A subclass that
+        changes M's shape must override this too.
         """
         if self.kind == "power":
             p, q = self.p, self.p - 1.0
@@ -223,9 +242,6 @@ class OrliczFunction:
             return m1 if t == t1 else m1 + self._slopes[-1] * (t - t1)
         (t0, m0), (t1, m1) = pts[i - 1], pts[i]
         return m0 + (m1 - m0) * (t - t0) / (t1 - t0)
-
-    def describe(self) -> dict:
-        return _describe(_FAMILIES, self)
 
 
 def _check_non_increasing(g_small: float, g_large: float) -> None:

@@ -40,7 +40,7 @@ from .orlicz import (
     _MAX_PROBES,
     OrliczFunction,
     _check_kind,
-    _describe,
+    _KindRecord,
     _fsum_sat,
     _pow_sat,
     bracket_scale,
@@ -67,7 +67,7 @@ __all__ = [
 _LAMBDAS = {"identity": (), "half": (), "sqrt": (), "custom": ("values",)}
 
 
-class LambdaSequence:
+class LambdaSequence(_KindRecord):
     """The window-generating sequence lam(1), lam(2), ...
 
     Built-in kinds are lazy formulas valid for every n; ``custom`` wraps
@@ -77,6 +77,7 @@ class LambdaSequence:
     windows are the integer lattice inside [n - lam(n) + 1, n].
     """
 
+    _PARAMS = _LAMBDAS
     values = None
 
     def __init__(self, kind: str, values: Optional[Sequence[float]] = None):
@@ -140,19 +141,10 @@ class LambdaSequence:
 
     def window(self, n: int) -> range:
         """I(n) = integer k with n - lam(n) + 1 <= k <= n (and k >= 0)."""
-        lam_n = self.at(n)
-        lo = max(0, math.ceil(n - lam_n + 1.0 - 1e-12))
-        return range(lo, n + 1)
-
-    def _builtin(self, *methods: str) -> bool:
-        # a formula kind whose named methods are not overridden
-        return self.kind != "custom" and all(
-            getattr(type(self), name) is getattr(LambdaSequence, name)
-            for name in methods
-        )
+        return range(_window_start(n, self.at(n)), n + 1)
 
     def _plan(self, m: int, one):
-        """lam(1), ..., lam(m) of a built-in kind, as ints or floats as ``one``
+        """lam(1), ..., lam(m) of a formula kind, as ints or floats as ``one``
         is 1 or 1.0: the value k holds for 1 (identity), 2 (half) or 2k - 1
         (sqrt: ceil(sqrt(n)) = k on (k-1)**2 < n <= k**2) consecutive n."""
         if self.kind == "identity":
@@ -160,12 +152,13 @@ class LambdaSequence:
         runs = repeat(2) if self.kind == "half" else count(1, 2)
         return islice(chain.from_iterable(map(repeat, count(one), runs)), m)
 
-    # (m, starts, head) of the last m a built-in kind was asked for
+    # (m, starts, head) of the last m asked for
     _last_plan = (None, (), ())
 
     def _window_plan(self, m: int) -> tuple:
-        """(m, starts, head) of a built-in kind: ``starts[n-1]`` is n - lam(n)
-        and ``head[n-1]`` is lam(n) as a float.
+        """(m, starts, head): ``starts[n-1]`` is ``window(n).start - 1``
+        (n - lam(n) for the formula kinds) and ``head[n-1]`` is lam(n) as a
+        float, both built in one pass of the kind's formula or ``values``.
 
         The plan of the last m asked for is kept in one attribute that is
         replaced whole, so a caller that sweeps m holds one plan at a time
@@ -173,25 +166,21 @@ class LambdaSequence:
         """
         plan = self._last_plan
         if plan[0] != m:
-            head = list(self._plan(m, 1.0))
-            starts = list(map(sub, range(1, m + 1), self._plan(m, 1)))
+            if self.kind != "custom":
+                head = list(self._plan(m, 1.0))
+                starts = list(map(sub, range(1, m + 1), self._plan(m, 1)))
+            elif m > len(self.values):  # the error at() raises for the first missing n
+                LambdaSequence.at(self, len(self.values) + 1)
+            else:
+                head = list(self.values[:m])
+                starts = [_window_start(n, v) - 1 for n, v in enumerate(head, 1)]
             plan = self._last_plan = (m, starts, head)
         return plan
 
-    def _head(self, m: int) -> list:
-        """:meth:`head`, shared with the window plan for the built-in kinds."""
-        if not self._builtin("at"):
-            return list(map(self.at, range(1, m + 1)))
-        return self._window_plan(m)[2]
-
     def head(self, m: int) -> list:
-        """[lam(1), ..., lam(m)] as a fresh list, from the window plan for
-        the built-in kinds.
-
-        ``custom`` lambdas, and subclasses that override :meth:`at`, are
-        asked once per n.
-        """
-        return self._head(m)[:]
+        """[lam(1), ..., lam(m)] as a fresh list, from the window plan;
+        :meth:`at` is not asked."""
+        return self._window_plan(m)[2][:]
 
     def windows(self, m: int) -> list:
         """[I(1), ..., I(m)], equal to :meth:`window` for each n."""
@@ -200,16 +189,18 @@ class LambdaSequence:
     def _starts(self, m: int) -> list:
         """[n - lam(n) for n = 1..m]: I(n) is range(starts[n-1] + 1, n + 1).
 
-        For the built-in kinds this is the window plan's shared list.
-        ``custom`` lambdas, and subclasses that override :meth:`window` or
-        :meth:`at`, ask :meth:`window` once per n.
+        This is the window plan's shared list, for every kind.  Only a
+        subclass that overrides :meth:`window` is asked, once per n, so a
+        counting subclass sees every window; :meth:`at` is not asked.
         """
-        if not self._builtin("at", "window"):
+        if type(self).window is not LambdaSequence.window:
             return [self.window(n).start - 1 for n in range(1, m + 1)]
         return self._window_plan(m)[1]
 
-    def describe(self) -> dict:
-        return _describe(_LAMBDAS, self)
+
+def _window_start(n: int, lam_n: float) -> int:
+    """The first index of I(n), given lam(n)."""
+    return max(0, math.ceil(n - lam_n + 1.0 - 1e-12))
 
 
 def window(n: int, lam: LambdaSequence) -> range:
@@ -232,7 +223,7 @@ def vp_mean(x: Sequence[float], n: int, lam: LambdaSequence) -> float:
 _EXPONENTS = {"constant": ("value",), "list": ("values",), "formula": ("c", "d")}
 
 
-class Exponents:
+class Exponents(_KindRecord):
     """The strictly positive, bounded exponent sequence p(1), p(2), ...
 
     ``sup`` and ``inf`` are the analytic bounds of the chosen kind, not a
@@ -240,6 +231,7 @@ class Exponents:
     max(1, 2**(H-1)).
     """
 
+    _PARAMS = _EXPONENTS
     value = values = c = d = None
 
     def __init__(
@@ -276,6 +268,8 @@ class Exponents:
             ends = (self.c, self.c + self.d)
             self.sup, self.inf = max(ends), min(ends)
         self.H = max(1.0, self.sup)
+        if self.H >= 1025.0:  # 2**(H - 1) would leave double range
+            raise ValueError(f"the bound B = 2**(sup p - 1) needs sup p < 1025, got {self.sup!r}")
         self.B = max(1.0, 2.0 ** (self.H - 1.0))
 
     @classmethod
@@ -302,9 +296,6 @@ class Exponents:
                 f"exponent index {k} beyond list of length {len(self.values)}"
             )
         return self.values[k - 1]
-
-    def describe(self) -> dict:
-        return _describe(_EXPONENTS, self)
 
 
 _VARIANTS = ("zero", "limit", "bounded")
@@ -366,11 +357,7 @@ class Tolerances(FrozenRecord):
         self._freeze(tol_f, n, cap)
 
     def describe(self) -> dict:
-        return {
-            "tol": self.tol,
-            "window_count": self.window_count,
-            "bound_cap": self.bound_cap,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
 class ParanormResult(FrozenRecord):
@@ -521,10 +508,9 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     sign).  A window holding an infinite term sums to that infinity, one
     holding both ``inf`` and ``-inf`` or any NaN raises ``ValueError``.
     All-integer input gives exact ``int`` sums.  The window starts come
-    from the built-in kinds' window plan, which each lambda keeps for the
-    last m it was asked for; ``lam.window(n)``, which must end
-    at n, is called once per window only for ``custom`` lambdas and for
-    subclasses that override ``window`` or ``at``.
+    from the window plan, which each lambda of every kind keeps for the
+    last m it was asked for; ``lam.window(n)``, which must end at n, is
+    called once per window only for a subclass that overrides ``window``.
     """
     starts = lam._starts(len(values))
     if all(map(isinstance, values, repeat(int))):
@@ -541,10 +527,9 @@ def window_sums(values: Sequence, lam: LambdaSequence) -> list:
     return sums
 
 
-def _window_means(values: Sequence, lam: LambdaSequence, head=None) -> list:
-    """:func:`window_sums` divided by lam(n); ``head`` is ``lam.head(len(values))``."""
-    if head is None:
-        head = lam._head(len(values))
+def _window_means(values: Sequence, lam: LambdaSequence) -> list:
+    """:func:`window_sums` divided by lam(n), read from the window plan."""
+    head = lam._window_plan(len(values))[2]
     return list(map(truediv, window_sums(values, lam), head))
 
 

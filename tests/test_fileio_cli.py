@@ -35,7 +35,7 @@ from geoseq import (
 )
 from geoseq import fibonacci
 from geoseq.cli import main
-from geoseq.fileio import config_from_dict, density_report_dict, render_json
+from geoseq.fileio import _KEYS, config_from_dict, density_report_dict, render_json
 from geoseq.membership import classify_membership
 from geoseq.summability import paranorm
 
@@ -160,22 +160,18 @@ class TestConfig:
         "trials": 100,
     }
 
-    @staticmethod
-    def described(cfg):
-        return list({
-            **cfg.space_spec().describe(),
-            "tolerances": cfg.tolerances.describe(),
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-        }.items())
-
     @pytest.mark.parametrize("build", [
         lambda: config_from_dict({}),
         RunConfig,
         lambda: config_from_dict(TestConfig.README_DEFAULTS),
     ], ids=["empty", "RunConfig", "documented"])
     def test_defaults_are_the_documented_ones(self, build):
-        assert self.described(build()) == list(self.README_DEFAULTS.items())
+        assert list(self.README_DEFAULTS) == list(_KEYS)  # every key is documented
+        documented = config_from_dict(self.README_DEFAULTS)
+        cfg = build()
+        assert cfg == documented and cfg == build()
+        assert cfg.space_spec() == cfg.space_spec() == documented.space_spec()
+        assert hash(cfg.space_spec()) == hash(documented.space_spec())
 
     def test_run_config_takes_no_arguments(self):
         with pytest.raises(TypeError):
@@ -499,6 +495,37 @@ class TestCli:
         assert proc.stderr == (
             "geoseq: input error: custom lambda of length 10 is shorter than"
             " the suite length 11\n"
+        )
+
+    def test_verify_exponent_list_shorter_than_length(self, tmp_path):
+        p = {"kind": "list", "values": [1, 2, 3]}
+        cfg = write(tmp_path / "c.json", json.dumps({"exponents": p}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoseq", "verify", "--config", cfg,
+             "--trials", "3", "--length", "12"],
+            capture_output=True, text=True, env=_env_with_package_path(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "geoseq: input error: exponent list of length 3 is shorter than"
+            " the suite length 12\n"
+        )
+
+    @pytest.mark.parametrize("exponents, sup", [
+        ({"kind": "constant", "value": 1025}, "1025.0"),
+        ({"kind": "list", "values": [1, 2000]}, "2000.0"),
+        ({"kind": "formula", "c": 1, "d": 3000}, "3001.0"),
+    ], ids=["constant", "list", "formula"])
+    def test_exponents_too_large_for_B(self, tmp_path, capsys, exponents, sup):
+        seq = write(tmp_path / "s.json", json.dumps({"domain": "log", "values": [0.5] * 20}))
+        cfg = write(tmp_path / "c.json", json.dumps({"exponents": exponents}))
+        assert main(["analyze", "--in", seq, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"geoseq: input error: {cfg}: exponents: the bound B = 2**(sup p - 1)"
+            f" needs sup p < 1025, got {sup}\n"
         )
 
     def test_usage_error_exit_code(self, capsys):

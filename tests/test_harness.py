@@ -458,6 +458,16 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="custom lambda of length 10 is shorter"):
             TrialConfig(trials=0, length=11, spec=base_spec(lam=lam))
 
+    def test_exponent_list_must_cover_the_length(self):
+        # solidity windows the configured exponents over the identity view
+        p = Exponents.from_list([1.0, 1.5, 2.0] * 4)
+        config = TrialConfig(trials=3, length=12, spec=base_spec(exponents=p))
+        report = run_suite(config)
+        assert all("beyond list" not in (c.first_failure or "") for c in report.checks)
+        message = "exponent list of length 12 is shorter than the suite length 13"
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(trials=3, length=13, spec=base_spec(exponents=p))
+
     @pytest.mark.parametrize("transform, length, windows", [
         ("fhat", 40, 39), ("fhat", 8, 7), ("identity", 40, 39),
     ])

@@ -149,6 +149,27 @@ class TestEvalMany:
         want = [M.eval(t) for t in _BATCH_INPUTS]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
+    # TestEval's tables (one with a finite final slope, two whose final slope
+    # overflows), _TABLE, and a deliberately non-convex one with a negative knot
+    @pytest.mark.parametrize(
+        "points",
+        TestEval.TABLES + [_TABLE.points, [[0, 0], [1, -1], [3, 4], [3.5, 4.25]]],
+        ids=["finite", "steep", "steep_last", "workload", "non_convex"],
+    )
+    def test_table_equals_per_term_eval_bit_for_bit(self, points):
+        M = OrliczFunction.table(points)
+        knots = [t for t, _ in M.points]
+        segments = zip(knots, knots[1:])
+        between = [t0 + f * (t1 - t0) for t0, t1 in segments for f in (0.25, 0.5, 0.9)]
+        near = [math.nextafter(t, d) for t in knots[1:] for d in (0.0, math.inf)]
+        last = knots[-1]
+        beyond = [2.0 * last, last + 1.0, 1e300, sys.float_info.max, math.inf]
+        ts = [0.0] + between + knots + near + beyond + list(_BATCH_INPUTS)
+        got = M.eval_many(ts)
+        want = [M.eval(t) for t in ts]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert got[0] == 0.0 and not any(map(math.isnan, got))
+
     def test_overflow_saturates_like_eval(self):
         assert POWER2.eval_many([1.0, 1e200, 3.0]) == [1.0, math.inf, 9.0]
         assert EXPM1.eval_many([0.0, 800.0]) == [0.0, math.inf]
@@ -157,11 +178,16 @@ class TestEvalMany:
         for M in (POWER2, EXPM1, XLOG, _TABLE):
             assert M.eval_many([]) == []
 
-    @pytest.mark.parametrize("kind, p", [("power", 2.0), ("power", 1.0), ("exp_minus_one", None)])
-    def test_overriding_eval_is_called_once_per_term(self, kind, p):
-        M = ShiftedOrlicz(kind, p)
+    @pytest.mark.parametrize("kind, p, points", [
+        ("power", 2.0, None),
+        ("power", 1.0, None),
+        ("exp_minus_one", None, None),
+        ("table", None, _TABLE.points),
+    ], ids=["power-2.0", "power-1.0", "exp_minus_one-None", "table"])
+    def test_overriding_eval_is_called_once_per_term(self, kind, p, points):
+        M = ShiftedOrlicz(kind, p, points)
         ts = [0.0, 0.5, 1.5, 1e200]
-        assert M.eval_many(ts) == [2.0 * OrliczFunction(kind, p).eval(t) for t in ts]
+        assert M.eval_many(ts) == [2.0 * OrliczFunction(kind, p, points).eval(t) for t in ts]
         assert M.calls[0] == len(ts)
 
 

@@ -193,6 +193,76 @@ class TestExponents:
         with pytest.raises(ValueError, match=message):
             Exponents(kind, **params)
 
+    @pytest.mark.parametrize("p, sup", [
+        (lambda: Exponents.constant(1025), "1025.0"),
+        (lambda: Exponents.from_list([1.0, 2000.0, 3.0]), "2000.0"),
+        (lambda: Exponents.formula(1.0, 3000.0), "3001.0"),
+        (lambda: Exponents.formula(1e308, 0.0), "1e+308"),
+    ], ids=["constant", "list", "formula", "huge"])
+    def test_sup_too_large_for_B_is_a_value_error(self, p, sup):
+        with pytest.raises(ValueError) as exc:
+            p()
+        assert str(exc.value) == f"the bound B = 2**(sup p - 1) needs sup p < 1025, got {sup}"
+
+    def test_largest_sup_below_the_bound(self):
+        below = math.nextafter(1025.0, 0.0)
+        assert Exponents.constant(1024.0).B == 2.0 ** 1023
+        assert math.isfinite(Exponents.constant(below).B)
+        assert Exponents.from_list([1.0, below]).sup == below
+
+
+class TestKindRecordEquality:
+    """LambdaSequence and Exponents are equal, and hash alike, by type, kind
+    and the parameters their kind takes."""
+
+    SAME = [
+        (LambdaSequence.half, lambda: LambdaSequence("half")),
+        (lambda: LambdaSequence.custom([1, 2, 3]), lambda: LambdaSequence.custom([1.0, 2.0, 3.0])),
+        (lambda: Exponents.constant(2), lambda: Exponents("constant", value=2.0)),
+        (lambda: Exponents.from_list([1, 2]), lambda: Exponents.from_list((1.0, 2.0))),
+        (lambda: Exponents.formula(1, 1), lambda: Exponents.formula(1.0, 1.0)),
+    ]
+    DIFFERENT = [
+        (LambdaSequence.half, LambdaSequence.sqrt),
+        (lambda: LambdaSequence.custom([1, 2, 3]), lambda: LambdaSequence.custom([1, 2, 2.5])),
+        (lambda: LambdaSequence.custom([1, 2]), lambda: LambdaSequence.custom([1, 2, 3])),
+        (lambda: Exponents.constant(2), lambda: Exponents.constant(3)),
+        (lambda: Exponents.constant(2), lambda: Exponents.from_list([2.0])),
+        (lambda: Exponents.formula(1, 1), lambda: Exponents.formula(1, 2)),
+        (LambdaSequence.identity, lambda: CountingWindows(LambdaSequence.identity())),
+        (LambdaSequence.identity, lambda: Exponents.constant(1.0)),
+    ]
+
+    @pytest.mark.parametrize("a, b", SAME)
+    def test_equal_records_hash_alike(self, a, b):
+        assert a() == b() and not a() != b()
+        assert hash(a()) == hash(b())
+        assert len({a(), b()}) == 1
+
+    @pytest.mark.parametrize("a, b", DIFFERENT)
+    def test_different_records_differ(self, a, b):
+        assert a() != b() and b() != a()
+        assert len({a(), b()}) == 2
+
+    def test_a_kept_window_plan_is_not_compared(self):
+        planned, fresh = LambdaSequence.sqrt(), LambdaSequence.sqrt()
+        planned.head(100)
+        assert planned._last_plan[0] == 100 and fresh._last_plan[0] is None
+        assert planned == fresh and hash(planned) == hash(fresh)
+
+    def test_other_objects_are_not_equal(self):
+        assert LambdaSequence.half() != "half"
+        assert Exponents.constant(1.0) != 1.0
+        assert LambdaSequence.half() != LambdaSequence.half().describe()
+
+    def test_space_specs_from_equal_parts_are_equal(self):
+        def build():
+            return spec(lam="sqrt", p=Exponents.formula(1.0, 0.5))
+
+        assert build() == build()
+        assert hash(build()) == hash(build())
+        assert build() != spec(lam="half", p=Exponents.formula(1.0, 0.5))
+
 
 class TestTolerances:
     def test_bounds_are_numbers(self):
@@ -1075,12 +1145,14 @@ class TestBulkWindowBounds:
         window_sums([1.0] * 25, lam)
         assert lam.calls == 65
 
-    def test_subclass_overriding_at_is_asked_per_n(self):
-        lam = CountingAt(LambdaSequence.half())
-        assert lam.head(30) == LambdaSequence.half().head(30)
-        assert lam.calls == 30
-        assert lam.windows(30) == LambdaSequence.half().windows(30)
-        assert lam.calls == 60  # windows() goes through window(), which asks at()
+    @pytest.mark.parametrize("lam_kind", ["identity", "half", "sqrt", "custom"])
+    def test_subclass_overriding_at_is_not_asked(self, lam_kind):
+        base = _lambda_of(lam_kind, 30)
+        lam = CountingAt(base)
+        assert lam.head(30) == base.head(30)
+        assert lam.windows(30) == base.windows(30)
+        assert window_sums([0.5] * 30, lam) == window_sums([0.5] * 30, base)
+        assert lam.calls == 0  # the window plan reads the kind's formula or values
 
     def test_classify_lambda_values(self):
         rng = random.Random(47)
@@ -1091,10 +1163,10 @@ class TestBulkWindowBounds:
 
 
 class TestWindowPlan:
-    """head, window starts and window sums from the built-in kinds' iterator
-    passes equal the per-n formulas of ``at`` and ``window``."""
+    """head, window starts and window sums from each kind's one-pass window
+    plan equal the per-n formulas of ``at`` and ``window``."""
 
-    KINDS = ("identity", "half", "sqrt")
+    KINDS = ("identity", "half", "sqrt", "custom")
 
     @staticmethod
     def check(lam, m, ns):
@@ -1106,7 +1178,7 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_m_up_to_200(self, kind):
-        lam = getattr(LambdaSequence, kind)()
+        lam = _lambda_of(kind, 200)
         rng = random.Random(kind)
         values = [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-20, 20) for _ in range(200)]
         for m in range(201):
@@ -1118,7 +1190,8 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_around_a_square(self, kind):
-        lam, k = getattr(LambdaSequence, kind)(), 120
+        k = 120
+        lam = _lambda_of(kind, k * k + 1)
         rng = random.Random(k)
         values = [rng.uniform(-1.0, 1.0) for _ in range(k * k + 1)]
         for m in (k * k - 1, k * k, k * k + 1):
@@ -1129,7 +1202,8 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_at_the_ends_around_a_large_square(self, kind):
-        lam, k = getattr(LambdaSequence, kind)(), 1001
+        k = 1001
+        lam = _lambda_of(kind, k * k + 1)
         for m in (k * k - 1, k * k, k * k + 1):
             self.check(lam, m, [1, 2, (k - 1) ** 2, (k - 1) ** 2 + 1, m - 1, m])
 
@@ -1139,8 +1213,11 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_alternating_m_on_one_instance(self, kind):
-        lam = getattr(LambdaSequence, kind)()
-        fresh = getattr(LambdaSequence, kind)
+        lam = _lambda_of(kind, max(self.SWEEP))
+
+        def fresh():
+            return _lambda_of(kind, max(self.SWEEP))
+
         rng = random.Random(f"sweep:{kind}")
         values = [rng.uniform(-1.0, 1.0) for _ in range(2000)]
         for m in self.SWEEP * 2:
@@ -1155,7 +1232,7 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_mutating_a_returned_head_changes_nothing(self, kind):
-        lam = getattr(LambdaSequence, kind)()
+        lam = _lambda_of(kind, 56)
         want = lam.head(56)
         head = lam.head(56)
         head[:] = [-1.0] * 56
@@ -1179,18 +1256,21 @@ class TestWindowPlan:
         stat_density(x, lam, GeoScalar(1.0), GeoScalar(2.0))
         paranorm(x, replace(_default_spec(), lam=lam))
 
-    # calls of plan_workload before built-in kinds kept a window plan
-    AT_CALLS, WINDOW_CALLS = 2606, 1487
+    # window() calls of plan_workload: one per window of every pass, and the
+    # limit variant's centre estimate asks for its final window once more
+    WINDOW_CALLS, LIMIT_WINDOWS = 1487, 1
 
-    @pytest.mark.parametrize("kind", ["half", "sqrt", "custom"])
-    def test_overriding_subclasses_are_asked_as_often_as_before(self, kind):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overriding_window_is_asked_once_per_window(self, kind):
         lam = _lambda_of(kind, 300)
         by_at, by_window = CountingAt(lam), CountingWindows(lam)
         self.plan_workload(by_at)
         self.plan_workload(by_window)
-        assert (by_at.calls, by_window.calls) == (self.AT_CALLS, self.WINDOW_CALLS)
+        # the plan does not consult at(); only that one direct window() does
+        assert (by_at.calls, by_window.calls) == (self.LIMIT_WINDOWS, self.WINDOW_CALLS)
 
-    def test_custom_lambda_is_asked_as_often_as_before(self, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_is_planned_without_per_n_calls(self, kind, monkeypatch):
         calls = {"at": 0, "window": 0}
         real_at, real_window = LambdaSequence.at, LambdaSequence.window
 
@@ -1204,8 +1284,19 @@ class TestWindowPlan:
 
         monkeypatch.setattr(LambdaSequence, "at", at)
         monkeypatch.setattr(LambdaSequence, "window", window)
-        self.plan_workload(_lambda_of("custom", 300))
-        assert calls == {"at": self.AT_CALLS, "window": self.WINDOW_CALLS}
+        self.plan_workload(_lambda_of(kind, 300))
+        one = self.LIMIT_WINDOWS
+        assert calls == {"at": one, "window": one}
+
+    def test_custom_lambda_too_short_for_m(self):
+        lam = _custom_lambda(40)
+        msg = "window index 41 beyond custom lambda of length 40"
+        for ask in (lam.head, lam.windows, lam._starts, CountingWindows(lam)._starts):
+            with pytest.raises(ValueError, match=msg):
+                ask(41)
+        with pytest.raises(ValueError, match=msg):
+            window_sums([1.0] * 50, lam)
+        assert lam.head(40) == list(lam.values)
 
 
 def _reference_trace(z, lam, M, p, scale, center=0.0):
