@@ -23,7 +23,7 @@ import random
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
-from operator import gt, mul, sub
+from operator import gt, mul, sub, truediv
 from typing import Optional, Sequence
 
 from .fibonacci import fib_ratio
@@ -37,7 +37,6 @@ from .summability import (
     LambdaSequence,
     SpaceSpec,
     Tolerances,
-    _exponent_values,
     _modular_terms,
     _window_means,
     modular_trace,
@@ -364,21 +363,23 @@ def check_exponent_inclusion(
     Per window, with t_k = M(|z_k|/rho)**q_k and mu_k = p_k/q_k,
     splitting t at 1 gives
         mean t_k**mu_k  <=  mean t_k + (mean v_k)**mu,
-    where v_k = t_k when t_k < 1 (else 0) and mu = inf mu_k clipped into
-    (0, 1].  End to end, membership under q implies membership under p.
+    where v_k = t_k when t_k < 1 (else 0) and mu = inf mu_k, in (0, 1]
+    because 0 < p_k <= q_k.  mu has no floor: the split needs
+    t_k**mu_k <= t_k**mu for t_k < 1, that is mu <= mu_k.  p and q are
+    each read once, over the whole view.  End to end, membership under q
+    implies membership under p.
     """
     z = windowed_logs(x, spec.transform)
-    m = len(z)
-    mus = []
-    for k in range(1, m + 1):
-        pk, qk = p.at(k), q.at(k)
+    ks = range(1, len(z) + 1)
+    ps, qs = p._over(ks), q._over(ks)
+    for k, pk, qk in zip(ks, ps, qs):
         if not (0.0 < pk <= qk):
             raise ValueError(f"need 0 < p <= q at every index; index {k}: {pk} > {qk}")
-        mus.append(pk / qk)
-    mu = min(1.0, max(1e-3, min(mus)))
+    mus = list(map(truediv, ps, qs))
+    mu = min(mus)
 
     lam, M, rho = spec.lam, spec.orlicz, spec.rho
-    t = _modular_terms(z, _exponent_values(q, range(1, m + 1)), M, rho, 0.0)
+    t = _modular_terms(z, qs, M, rho, 0.0)
     lhs = _window_means([tk ** mu_k for tk, mu_k in zip(t, mus)], lam)
     t_means = _window_means(t, lam)
     v_means = _window_means([tk if tk < 1.0 else 0.0 for tk in t], lam)

@@ -24,9 +24,8 @@ from .record import Record
 from .summability import (
     SpaceSpec,
     Tolerances,
-    _exponent_values,
     _modular_terms,
-    _window_means,
+    modular_trace,
     windowed_logs,
 )
 
@@ -139,24 +138,27 @@ _EPS = math.ulp(1.0)
 
 
 def _slope(
-    zs: Sequence[float], ps, orlicz: OrliczFunction, scale: float, c: float
+    zs: Sequence[float], ps: list, orlicz: OrliczFunction, scale: float, c: float
 ) -> float:
     """D(c) = sum_k s_k phi_k'(|z_k - c| / scale), phi_k = M ** p_k, s_k = +1
     for z_k <= c and -1 otherwise: ``len(zs) * scale`` times the right
     derivative of the modular around c.  ``zs`` is sorted, and ``ps`` lists
-    the exponents in its order, or is None for all 1: then phi' is M' and M
-    is not evaluated.  Each side sums to ``inf`` at most; two give 0.
+    the exponents in its order.  When every exponent is 1.0 (the test
+    :func:`~geoseq.summability._modular_terms` uses), phi' is M' and M is
+    not evaluated.  Each side sums to ``inf`` at most; two give 0.
     """
-    def side(us: list, qs) -> float:
+    unit = ps.count(1.0) == len(ps)
+
+    def side(us: list, qs: list) -> float:
         ds = orlicz.derivative_many(us)
-        if qs:  # phi' = p M**(p - 1) M'
+        if not unit:  # phi' = p M**(p - 1) M'
             ms = orlicz.eval_many(us)
             ds = [p * _pow_sat(m, p - 1.0) * d for p, m, d in zip(qs, ms, ds)]
         return _fsum_sat(ds)
 
     k = bisect_right(zs, c)
-    up = side([(c - v) / scale for v in zs[:k]], ps and ps[:k])
-    down = side([(v - c) / scale for v in zs[k:]], ps and ps[k:])
+    up = side([(c - v) / scale for v in zs[:k]], ps[:k])
+    down = side([(v - c) / scale for v in zs[k:]], ps[k:])
     return up - down if up != down else 0.0
 
 
@@ -177,17 +179,20 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     below that term, or [lo, hi] for a smooth h, to 4 eps max(|lo|, |hi|),
     and its end with the smaller |D| is the estimate, unless a term in
     that final bracket has a smaller h (a near-kink, where exponents just
-    above 1 almost put a kink in h at each term).  Exponents below 1
-    make h non-convex, so the search raises them to 1.  A final window of
-    one value is its own centre; one whose range overflows gets the
-    midpoint 0.5 lo + 0.5 hi.
+    above 1 almost put a kink in h at each term).  The final window's
+    exponents are read in one pass, ``Exponents._over(window)``, and sorted
+    with its terms; exponents below 1 make h non-convex, so the search
+    raises them to 1.  A final window of one value is its own centre; one
+    whose range overflows gets the midpoint 0.5 lo + 0.5 hi.
     """
     ks = spec.lam.window(len(z))
     zs = [z[k - 1] for k in ks]
-    ps = _exponent_values(spec.exponents, ks)
-    ps = [max(p, 1.0) for p in ([ps] * len(zs) if isinstance(ps, float) else ps)]
+    ps = [max(p, 1.0) for p in spec.exponents._over(ks)]
     kinked = [v for v, p in zip(zs, ps) if p == 1.0]
-    zs, ps = (sorted(zs), None) if len(kinked) == len(zs) else zip(*sorted(zip(zs, ps)))
+    if len(kinked) == len(zs):  # all exponents 1.0: the order of ps holds
+        zs = sorted(zs)
+    else:
+        zs, ps = map(list, zip(*sorted(zip(zs, ps))))
     lo, hi = zs[0], zs[-1]
     if not 0.0 < hi - lo < math.inf:
         return lo if lo == hi else 0.5 * lo + 0.5 * hi
@@ -212,7 +217,7 @@ def _estimate_limit(z: Sequence[float], spec: SpaceSpec) -> float:
     near = zs[bisect_left(zs, ends[0][0]) : bisect_right(zs, ends[1][0])]
     if near:
         def h(c):  # lambda times the modular the search minimises
-            return _fsum_sat(_modular_terms(zs, ps or 1.0, spec.orlicz, spec.rho, c))
+            return _fsum_sat(_modular_terms(zs, ps, spec.orlicz, spec.rho, c))
 
         return min([est, *near], key=h)  # the first, est, on a tie
     return est
@@ -267,9 +272,7 @@ def _classify(z: Sequence[float], spec: SpaceSpec, tols: Tolerances) -> Membersh
         center = _estimate_limit(z, spec)
         ell = GeoScalar.from_log(center)
 
-    ps = _exponent_values(spec.exponents, range(1, m + 1))
-    terms = _modular_terms(z, ps, spec.orlicz, spec.rho, center)
-    values = _window_means(terms, spec.lam)
+    values = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho, center)
 
     if spec.variant == "bounded":
         slope = _tail_slope(values)

@@ -285,17 +285,25 @@ class Exponents(_KindRecord):
         return cls("formula", c=c, d=d)
 
     def at(self, k: int) -> float:
+        """p(k) for one index k >= 1; the traces read :meth:`_over`."""
         if k < 1:
             raise ValueError(f"exponent index must be >= 1, got {k}")
+        return self._over(range(k, k + 1))[0]
+
+    def _over(self, ks: range) -> list:
+        """[p(k) for k in ks] in one pass of the kind's formula or ``values``;
+        ``ks`` holds indices k >= 1.  A list shorter than ``ks.stop - 1``
+        raises for its first missing index in ``ks``."""
         if self.kind == "constant":
-            return self.value
+            return [self.value] * len(ks)
         if self.kind == "formula":
-            return self.c + self.d / k
-        if k > len(self.values):
+            return [self.c + self.d / k for k in ks]
+        n = len(self.values)
+        if ks.stop - 1 > n:
             raise ValueError(
-                f"exponent index {k} beyond list of length {len(self.values)}"
+                f"exponent index {max(ks.start, n + 1)} beyond list of length {n}"
             )
-        return self.values[k - 1]
+        return list(self.values[ks.start - 1 : ks.stop - 1])
 
 
 _VARIANTS = ("zero", "limit", "bounded")
@@ -466,35 +474,26 @@ def _rounded(totals: list, s: int) -> list:
     return out
 
 
-def _exponent_values(exponents: Exponents, ks: range):
-    """p_k for k in ks: one float for constant exponents, else a list."""
-    if exponents.kind == "constant":
-        return exponents.value
-    return list(map(exponents.at, ks))
-
-
 def _modular_terms(
-    zs: Sequence[float], ps, orlicz: OrliczFunction, scale: float, center: float
+    zs: Sequence[float], ps: list, orlicz: OrliczFunction, scale: float, center: float
 ) -> list:
-    """[M(|z - center| / scale) ** p] over aligned ``zs`` and ``ps``.
+    """[M(|z - center| / scale) ** p] over aligned ``zs`` and exponents ``ps``.
 
-    ``ps`` is a list of exponents or one float for all terms (see
-    :func:`_exponent_values`).  M is evaluated by one ``eval_many`` call;
-    the power is skipped for the exponent 1.0 (``m ** 1.0 == m`` for
-    every float), and a list whose power overflows is redone with the
-    saturating form, so a term beyond double range is ``inf``.
+    M is evaluated by one ``eval_many`` call; the power is skipped when
+    every exponent is 1.0 (``m ** 1.0 == m`` for every float), and a list
+    whose power overflows is redone with the saturating form, so a term
+    beyond double range is ``inf``.
     """
     ts = map(abs, map(sub, zs, repeat(center)))
     if scale != 1.0:  # t / 1.0 == t for every float
         ts = map(truediv, ts, repeat(scale))
     ms = orlicz.eval_many(list(ts))
-    if ps == 1.0:
+    if ps.count(1.0) == len(ps):
         return ms
-    qs = repeat(ps) if isinstance(ps, float) else ps
     try:
-        return list(map(pow, ms, qs))
+        return list(map(pow, ms, ps))
     except OverflowError:
-        return list(map(_pow_sat, ms, qs))
+        return list(map(_pow_sat, ms, ps))
 
 
 def window_sums(values: Sequence, lam: LambdaSequence) -> list:
@@ -554,7 +553,7 @@ def modular_mean(
         raise ValueError(f"scale must be positive, got {scale!r}")
     ks = lam.window(n)
     zs = [z[k - 1] for k in ks]
-    terms = _modular_terms(zs, _exponent_values(exponents, ks), orlicz, scale, center)
+    terms = _modular_terms(zs, exponents._over(ks), orlicz, scale, center)
     return _fsum_sat(terms) / lam.at(n)
 
 
@@ -573,7 +572,7 @@ def modular_trace(
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    ps = _exponent_values(exponents, range(1, len(z) + 1))
+    ps = exponents._over(range(1, len(z) + 1))
     return _window_means(_modular_terms(z, ps, orlicz, scale, center), lam)
 
 
@@ -622,7 +621,7 @@ def paranorm(
     if not z or max(map(abs, z)) == 0.0:
         return ParanormResult(rho_star=0.0, g=0.0, g_geo=GEO_ZERO)
 
-    ps = _exponent_values(spec.exponents, range(1, len(z) + 1))
+    ps = spec.exponents._over(range(1, len(z) + 1))
 
     def sup_constraint(r: float) -> float:
         return max(_window_means(_modular_terms(z, ps, spec.orlicz, r, 0.0), spec.lam))

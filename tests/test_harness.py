@@ -256,6 +256,17 @@ class TestExponentInclusion:
         assert out.name == "exponent_inclusion"
         assert out.passed, out.detail  # inf <= inf on the one window holding it
 
+    @pytest.mark.parametrize("p_value", [0.0005, 0.002, 1e-6])
+    def test_tiny_exponent_ratio_needs_no_floor_on_mu(self, p_value):
+        # t = M(1e-150) = 1e-300 on every term, mu_k = p: t**p <= t + t**mu
+        # holds only for mu <= p, so a floor of mu at 1e-3 failed p < 1e-3
+        s = base_spec(lam=LambdaSequence.identity(), transform="identity")
+        x = from_log([1e-150] * 12)
+        out = check_exponent_inclusion(
+            x, Exponents.constant(p_value), Exponents.constant(1.0), s
+        )
+        assert out.passed, out.detail
+
     def test_precondition_rejected(self):
         s = base_spec()
         x = from_log([0.0] * 20)
@@ -927,9 +938,10 @@ class TestParallelTrials:
             __call__ = eval
 
         class CountingExponents(Exponents):
-            def at(self, k):
-                calls.append(k)
-                return Exponents.at(self, k)
+            # the traces read whole profiles, never at(k)
+            def _over(self, ks):
+                calls.append(ks)
+                return Exponents._over(self, ks)
 
         subclass = {
             "lam": CountingLambda.half(),

@@ -7,6 +7,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -171,6 +172,45 @@ class TestExponents:
         assert p.sup == 3.0
         with pytest.raises(ValueError):
             p.at(4)
+
+    @pytest.mark.parametrize(
+        "p, formula",
+        [
+            (Exponents.constant(1.5), lambda k: 1.5),
+            (Exponents.constant(1.0), lambda k: 1.0),
+            (Exponents.formula(1.0, 1.0), lambda k: 1.0 + 1.0 / k),
+            (Exponents.formula(2.0, -0.75), lambda k: 2.0 + -0.75 / k),
+            (Exponents.formula(0.3, 2.9), lambda k: 0.3 + 2.9 / k),
+            (
+                Exponents.from_list([1.0 + k / 7 for k in range(40)]),
+                lambda k: 1.0 + (k - 1) / 7,
+            ),
+        ],
+        ids=["constant", "constant1", "formula", "formula-neg-d", "formula-small-c", "list"],
+    )
+    def test_over_is_each_kinds_formula_bit_for_bit(self, p, formula):
+        lam = LambdaSequence.half()
+        ranges = [range(1, m + 1) for m in (0, 1, 2, 17, 40)]
+        ranges += [range(5, 5), range(40, 41)]
+        ranges += lam.windows(40)  # windows start past 1 from n = 3 on
+        for ks in ranges:
+            got = p._over(ks)
+            assert type(got) is list
+            assert [v.hex() for v in got] == [float(formula(k)).hex() for k in ks]
+            assert [v.hex() for v in got] == [p.at(k).hex() for k in ks]
+
+    def test_short_list_names_its_first_missing_index(self):
+        p = Exponents.from_list([1.0, 2.0, 3.0])
+        msg = "exponent index {} beyond list of length 3"
+        for ks, first in [(range(1, 5), 4), (range(2, 9), 4), (range(6, 8), 6)]:
+            with pytest.raises(ValueError, match=msg.format(first)):
+                p._over(ks)
+        for k in (4, 9):
+            with pytest.raises(ValueError, match=msg.format(k)):
+                p.at(k)
+        assert p._over(range(2, 4)) == [2.0, 3.0]
+        with pytest.raises(ValueError, match="exponent index must be >= 1, got 0"):
+            p.at(0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1368,11 +1408,15 @@ class TestBatchedTerms:
 class CountingExponents(Exponents):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.calls = 0
+        self.calls = Counter()
 
     def at(self, k):
-        self.calls += 1
+        self.calls["at"] += 1
         return Exponents.at(self, k)
+
+    def _over(self, ks):
+        self.calls["_over"] += 1
+        return Exponents._over(self, ks)
 
 
 class TestParanormPreparation:
@@ -1419,8 +1463,10 @@ class TestParanormPreparation:
         else:
             p = CountingExponents("list", values=[rng.uniform(1, 2) for _ in range(m)])
         x = from_log([rng.uniform(-2.0, 2.0) for _ in range(m)])
-        paranorm(x, spec(lam="half", M=OrliczFunction.x_log1p(), p=p))
-        assert p.calls == m
+        res = paranorm(x, spec(lam="half", M=OrliczFunction.x_log1p(), p=p))
+        assert res.probes > 1
+        # one profile read for the whole solve, none per probe or per index
+        assert p.calls == {"_over": 1}
 
 
 class TestEstimateLimit:
