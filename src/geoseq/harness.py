@@ -21,16 +21,17 @@ import math
 import os
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import chain, repeat
 from operator import gt, mul, sub, truediv
 from typing import Optional, Sequence
 
-from .fibonacci import fib_ratio
+from .fibonacci import _RATIOS
 from .geometric import GeoScalar, GeoSequence
-from .membership import CONVERGING, _classify, _short_truncation
+from .membership import CONVERGING, _short_truncation, _verdict
 from .orlicz import DegenerateOrliczError, OrliczFunction
 from .orlicz_checks import Delta2Report, delta2_constant, small_argument_threshold
+from .record import FrozenRecord, Record
 from .statconv import _density, stat_converges
 from .summability import (
     Exponents,
@@ -74,29 +75,35 @@ def _default_spec() -> SpaceSpec:
     )
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """Reproducible parameterisation of one suite run."""
+class TrialConfig(FrozenRecord):
+    """Reproducible parameterisation of one suite run; ``spec`` and
+    ``tolerances`` default to :func:`_default_spec` and ``Tolerances()``."""
 
-    seed: int = 42
-    trials: int = 100
-    length: int = 56
-    spec: SpaceSpec = field(default_factory=_default_spec)
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    __slots__ = ("seed", "trials", "length", "spec", "tolerances")
     slack = _WINDOW_SLACK  # a class attribute, not a field
 
-    def __post_init__(self):
-        if self.trials < 0:
+    def __init__(
+        self,
+        seed: int = 42,
+        trials: int = 100,
+        length: int = 56,
+        spec: Optional[SpaceSpec] = None,
+        tolerances: Optional[Tolerances] = None,
+    ):
+        if trials < 0:
             raise ValueError("trials must be >= 0")
-        if self.length < 8:
+        if length < 8:
             raise ValueError("length must be >= 8")
+        spec = _default_spec() if spec is None else spec
         # solidity windows the identity view: one window and one exponent per term
-        for what, seq in ("custom lambda", self.spec.lam), ("exponent list", self.spec.exponents):
-            if seq.values is not None and len(seq.values) < self.length:
+        for what, seq in ("custom lambda", spec.lam), ("exponent list", spec.exponents):
+            if seq.values is not None and len(seq.values) < length:
                 raise ValueError(
                     f"{what} of length {len(seq.values)} is shorter than"
-                    f" the suite length {self.length}"
+                    f" the suite length {length}"
                 )
+        tolerances = Tolerances() if tolerances is None else tolerances
+        self._freeze(seed, trials, length, spec, tolerances)
 
     def describe(self) -> dict:
         return {
@@ -114,27 +121,51 @@ def _rng(seed, check: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{check}:{trial}")
 
 
-@dataclass(frozen=True)
-class MemberSample:
-    """A generated member plus the profile it was built to realise."""
+# The suite draws as random.Random does on Python 3.10 to 3.13, without its
+# per-draw calls, so every trial's stream and report stay the same:
+# rng.uniform(a, b) is a + (b - a) * rng.random(), written out with b - a
+# exact, and rng.choice of two items and rng.randint(0, 1) are each the
+# first rng.getrandbits(2) below 2 (tests/test_harness.py compares them).
 
-    sequence: GeoSequence
-    target: tuple  # prescribed windowed view, index k stored at [k-1]
-    ell: Optional[GeoScalar]
+
+def _bits(rng: random.Random, n: int) -> list:
+    """n draws of ``rng.randint(0, 1)``: the first n values below 2 of
+    ``rng.getrandbits(2)``, drawn no further than the n-th of them."""
+    getrandbits = rng.getrandbits
+    out = []
+    while len(out) < n:  # each draw gives at most one value
+        out += filter((2).__gt__, map(getrandbits, repeat(2, n - len(out))))
+    return out
+
+
+_SIGNS = (-1.0, 1.0)
+
+
+class MemberSample(FrozenRecord):
+    """A generated member plus the profile it was built to realise.
+
+    ``target`` is the prescribed windowed view, index k stored at [k-1].
+    """
+
+    __slots__ = ("sequence", "target", "ell")
+
+    def __init__(self, sequence: GeoSequence, target: tuple, ell: Optional[GeoScalar]):
+        self._freeze(sequence, target, ell)
 
 
 def _reconstruct_logs(target: Sequence[float], transform: str, anchor: float) -> list:
     """Log-view whose windowed view under ``transform`` equals ``target``."""
     if transform == "identity":
         return list(target)
-    m = len(target)
-    n_terms = m + 1
+    n_terms = len(target) + 1
+    # f(k)/f(k+1) for k < n_terms, the last tabulated ratio beyond the table
+    ratios = _RATIOS[:n_terms] + _RATIOS[-1:] * (n_terms - len(_RATIOS))
     u = [0.0] * n_terms
-    u[n_terms - 1] = anchor
+    u[n_terms - 1] = prev = anchor
     for k in range(n_terms - 1, 0, -1):
-        r_k = fib_ratio(k)
+        r_k = ratios[k]
         # solve target[k-1] = r_k u[k] - u[k-1]/r_k for u[k-1]
-        u[k - 1] = r_k * (r_k * u[k] - target[k - 1])
+        u[k - 1] = prev = r_k * (r_k * prev - target[k - 1])
     return u
 
 
@@ -147,27 +178,33 @@ def generate_member(
     geometric decay; limit: a level plus decay; bounded: uniform noise)
     and the stored sequence realises it to within 1e-10.
     """
+    return _generate(spec, seed, length, check, trial)[0]
+
+
+def _generate(spec: SpaceSpec, seed, length: int, check: str, trial: int) -> tuple:
+    """(sample, view): :func:`generate_member`'s sample and the member's
+    windowed view under ``spec.transform``, which the drift check
+    computes, for the checks that window the member in that view."""
     rng = _rng(seed, check, trial)
     m = length if spec.transform == "identity" else length - 1
     if m < 1:
         raise ValueError("length too short for the chosen transform")
 
+    rand = rng.random
     ell = None
-    amp = rng.uniform(0.5, 1.5)
-    decay = rng.uniform(0.35, 0.55)
+    amp = 0.5 + 1.0 * rand()  # uniform(0.5, 1.5)
+    decay = 0.35 + (0.55 - 0.35) * rand()  # uniform(0.35, 0.55)
     if spec.variant == "bounded":
-        target = [rng.uniform(-3.0, 3.0) for _ in range(m)]
+        target = [-3.0 + 6.0 * rand() for _ in range(m)]  # uniform(-3, 3)
     else:
         level = 0.0
         if spec.variant == "limit":
-            level = rng.uniform(-2.0, 2.0)
+            level = -2.0 + 4.0 * rand()  # uniform(-2, 2)
             ell = GeoScalar.from_log(level)
-        target = [
-            level + rng.choice((-1.0, 1.0)) * amp * decay ** k
-            for k in range(1, m + 1)
-        ]
+        signs = map(_SIGNS.__getitem__, _bits(rng, m))  # choice(_SIGNS) per term
+        target = [level + sign * amp * decay ** k for k, sign in enumerate(signs, 1)]
 
-    anchor = rng.uniform(-0.5, 0.5)
+    anchor = -0.5 + 1.0 * rand()  # uniform(-0.5, 0.5)
     u = _reconstruct_logs(target, spec.transform, anchor)
     seq = GeoSequence.from_log(u)
 
@@ -178,17 +215,21 @@ def generate_member(
         raise ArithmeticError(
             f"member reconstruction drifted: {worst:.3e} on scale {scale:.3e}"
         )
-    return MemberSample(sequence=seq, target=tuple(target), ell=ell)
+    return MemberSample(seq, tuple(target), ell), realised
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(Record):
     """Result of one inequality check over all windows of one instance."""
 
-    name: str
-    passed: bool
-    worst_violation: float
-    detail: Optional[str] = None
+    __slots__ = ("name", "passed", "worst_violation", "detail")
+
+    def __init__(
+        self, name: str, passed: bool, worst_violation: float, detail: Optional[str] = None
+    ):
+        self.name = name
+        self.passed = passed
+        self.worst_violation = worst_violation
+        self.detail = detail
 
 
 def _scan_windows(
@@ -213,23 +254,25 @@ def _scan_windows(
 
 def _end_to_end(
     outcome: CheckOutcome, z: Sequence[float], strong: SpaceSpec, weak: SpaceSpec,
-    tols: Tolerances, labels: tuple,
+    tols: Tolerances, labels: tuple, strong_trace: Optional[list] = None,
 ) -> CheckOutcome:
     """Fail a passed ``outcome`` when x converges under ``strong`` but not
     under ``weak`` (the stronger space lies inside the weaker one);
     ``z`` is x's windowed view under the transform both specs share, and
-    ``labels`` name the two verdicts in the detail.  The weak verdict is
+    ``labels`` name the two verdicts in the detail.  ``strong_trace`` is
+    x's window trace under ``strong`` around 0.0 when the caller holds it
+    (see :func:`~geoseq.membership._verdict`).  The weak verdict is
     computed only when the strong one converges: otherwise it cannot fail
     the check."""
     if not outcome.passed:
         return outcome
-    strong_verdict = _classify(z, strong, tols).verdict
+    strong_verdict = _verdict(z, strong, tols, strong_trace)[0]
     if strong_verdict != CONVERGING:
         return outcome
-    weak_verdict = _classify(z, weak, tols).verdict
+    weak_verdict = _verdict(z, weak, tols)[0]
     if weak_verdict != CONVERGING:
         detail = f"end-to-end: {labels[0]} {strong_verdict} but {labels[1]} {weak_verdict}"
-        return replace(outcome, passed=False, detail=detail)
+        return CheckOutcome(outcome.name, False, outcome.worst_violation, detail)
     return outcome
 
 
@@ -283,17 +326,24 @@ def check_solidity(
     magnitude at most e.  Masks of 0/1 log-views exercise the monotone
     (step-space) consequence.
     """
-    z = list(y_member.logs)
-    if len(alphas) != len(z):
+    return _solidity(
+        list(y_member.logs), [alpha.log for alpha in alphas], spec, slack
+    )
+
+
+def _solidity(
+    z: Sequence[float], a: Sequence[float], spec: SpaceSpec, slack: float
+) -> CheckOutcome:
+    """:func:`check_solidity` on the member's log-view ``z`` and the
+    scalars' log-views ``a``."""
+    if len(a) != len(z):
         raise ValueError("need one scalar per term")
-    a = []
-    for i, alpha in enumerate(alphas):
-        if abs(alpha.log) > 1.0 + 1e-15:
-            raise ValueError(
-                f"scalar {i}: geometric magnitude exceeds e (|log| = {abs(alpha.log)})"
-            )
-        a.append(alpha.log)
-    scaled = [ai * zi for ai, zi in zip(a, z)]
+    if max(map(abs, a), default=0.0) > 1.0 + 1e-15:
+        i = next(i for i, ai in enumerate(a) if abs(ai) > 1.0 + 1e-15)
+        raise ValueError(
+            f"scalar {i}: geometric magnitude exceeds e (|log| = {abs(a[i])})"
+        )
+    scaled = list(map(mul, a, z))
     lhs = modular_trace(scaled, spec.lam, spec.orlicz, spec.exponents, spec.rho)
     rhs = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho)
     return _scan_windows("solidity", lhs, rhs, slack)
@@ -319,6 +369,24 @@ def check_delta2_inclusion(
     K the doubling constant.  End to end, a truncation that converges in
     the raw sense must converge in the M-modular sense.
     """
+    center = ell.log if ell is not None else 0.0
+    z = windowed_logs(x, spec.transform)
+    return _delta2_inclusion(z, orlicz, spec, delta, epsilon, center, delta2, tols, slack)
+
+
+def _delta2_inclusion(
+    z: Sequence[float],
+    orlicz: OrliczFunction,
+    spec: SpaceSpec,
+    delta: float,
+    epsilon: float,
+    center: float,
+    delta2: Optional[Delta2Report],
+    tols: Tolerances,
+    slack: float,
+) -> CheckOutcome:
+    """:func:`check_delta2_inclusion` on x's windowed view ``z`` under
+    ``spec.transform``, around the log-limit ``center``."""
     if delta2 is None:
         delta2 = delta2_constant(orlicz)
     if not delta2.satisfied:
@@ -333,8 +401,6 @@ def check_delta2_inclusion(
     if orlicz.eval(delta) > epsilon + 1e-15:
         raise ValueError("delta too large: M(delta) exceeds epsilon")
 
-    center = ell.log if ell is not None else 0.0
-    z = windowed_logs(x, spec.transform)
     unit = Exponents.constant(1.0)
     raw = OrliczFunction.power(1.0)
     K = delta2.K
@@ -369,7 +435,15 @@ def check_exponent_inclusion(
     each read once, over the whole view.  End to end, membership under q
     implies membership under p.
     """
-    z = windowed_logs(x, spec.transform)
+    return _exponent_inclusion(windowed_logs(x, spec.transform), p, q, spec, tols, slack)
+
+
+def _exponent_inclusion(
+    z: Sequence[float], p: Exponents, q: Exponents, spec: SpaceSpec, tols: Tolerances,
+    slack: float,
+) -> CheckOutcome:
+    """:func:`check_exponent_inclusion` on x's windowed view ``z`` under
+    ``spec.transform``."""
     ks = range(1, len(z) + 1)
     ps, qs = p._over(ks), q._over(ks)
     for k, pk, qk in zip(ks, ps, qs):
@@ -386,19 +460,33 @@ def check_exponent_inclusion(
     rhs = [tm + vm ** mu for tm, vm in zip(t_means, v_means)]
     outcome = _scan_windows("exponent_inclusion", lhs, rhs, slack)
     q_spec, p_spec = replace(spec, exponents=q), replace(spec, exponents=p)
-    return _end_to_end(outcome, z, q_spec, p_spec, tols, ("q-verdict", "p-verdict"))
+    # t_means is the q-space trace around 0.0, the one the q-verdict reads
+    # unless the limit variant centres it elsewhere
+    held = None if spec.variant == "limit" else t_means
+    labels = ("q-verdict", "p-verdict")
+    return _end_to_end(outcome, z, q_spec, p_spec, tols, labels, held)
 
 
-@dataclass
-class SuiteCheck:
+class SuiteCheck(Record):
     """Aggregate of one named check across all trials."""
 
-    name: str
-    trials: int
-    failures: int
-    worst_violation: float
-    skipped: Optional[str] = None
-    first_failure: Optional[str] = None
+    __slots__ = ("name", "trials", "failures", "worst_violation", "skipped", "first_failure")
+
+    def __init__(
+        self,
+        name: str,
+        trials: int,
+        failures: int,
+        worst_violation: float,
+        skipped: Optional[str] = None,
+        first_failure: Optional[str] = None,
+    ):
+        self.name = name
+        self.trials = trials
+        self.failures = failures
+        self.worst_violation = worst_violation
+        self.skipped = skipped
+        self.first_failure = first_failure
 
     @property
     def passed(self) -> bool:
@@ -409,13 +497,16 @@ class SuiteCheck:
 _SUITE_ROW = ("check", "trial", "passed", "worst_violation")
 
 
-@dataclass
-class SuiteReport:
-    """Deterministic aggregate of a full suite run."""
+class SuiteReport(Record):
+    """Deterministic aggregate of a full suite run; ``rows`` holds
+    :data:`_SUITE_ROW` tuples."""
 
-    config: dict
-    checks: list
-    rows: list  # _SUITE_ROW tuples
+    __slots__ = ("config", "checks", "rows")
+
+    def __init__(self, config: dict, checks: list, rows: list):
+        self.config = config
+        self.checks = checks
+        self.rows = rows
 
     @property
     def all_passed(self) -> bool:
@@ -443,15 +534,24 @@ def suite_report_dict(report: SuiteReport) -> dict:
     }
 
 
-def _outcomes(fns: Sequence, lo: int, hi: int) -> list:
+class _ParentGone(Exception):
+    """The process a worker was forked from has exited."""
+
+
+def _outcomes(fns: Sequence, lo: int, hi: int, parent: Optional[int] = None) -> list:
     """(passed, worst_violation, detail) of trials lo..hi-1, one list per check.
 
     A trial that raised has worst_violation None and its error as detail.
+    A forked worker passes ``parent``, the pid it was forked from, and
+    stops before its next trial once its parent pid is another
+    (:class:`_ParentGone`): its parent has exited, and nobody reads it.
     """
     out = []
     for fn in fns:
         row = []
         for trial in range(lo, hi):
+            if parent is not None and os.getppid() != parent:
+                raise _ParentGone(f"parent {parent} has exited")
             try:
                 outcome = fn(trial)
             except Exception as exc:  # collected, not fatal
@@ -462,13 +562,52 @@ def _outcomes(fns: Sequence, lo: int, hi: int) -> list:
     return out
 
 
+# where the cgroup CPU quota is read (see _cpu_quota)
+_CGROUP = "/sys/fs/cgroup"
+
+
+def _read_ints(path: str) -> Optional[list]:
+    """The whitespace-separated integers of a file, "max" as -1; None when
+    the file cannot be read or holds anything else."""
+    try:
+        with open(path) as f:
+            words = f.read().split()
+        return [-1 if w == "max" else int(w) for w in words]
+    except (OSError, ValueError):
+        return None
+
+
+def _cpu_quota() -> Optional[int]:
+    """CPUs the cgroup CPU quota of this process allows, ceil(quota /
+    period), or None without a quota.
+
+    Read from cgroup v2 ``cpu.max`` ("quota period", quota "max" for
+    none), else from cgroup v1 ``cpu/cpu.cfs_quota_us`` (-1 for none) and
+    ``cpu/cpu.cfs_period_us``, under :data:`_CGROUP`.
+    """
+    pair = _read_ints(os.path.join(_CGROUP, "cpu.max"))
+    if pair is None:
+        v1 = os.path.join(_CGROUP, "cpu")
+        quota = _read_ints(os.path.join(v1, "cpu.cfs_quota_us"))
+        period = _read_ints(os.path.join(v1, "cpu.cfs_period_us"))
+        pair = quota + period if quota is not None and period is not None else None
+    if pair is None or len(pair) != 2:
+        return None
+    quota, period = pair
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
 def _worker_count(config: TrialConfig) -> int:
     """One process per CPU this one may run on, at most one per trial.
 
-    One, and no fork, without ``os.fork`` or ``os.sched_getaffinity``, in
-    a threaded process, or when the space's lambda, Orlicz function or
-    exponents are subclasses: a subclass may keep state of its calls
-    (counters, caches), and a child's calls would not reach this process.
+    The CPUs are those of the affinity mask, and no more than the cgroup
+    CPU quota allows (:func:`_cpu_quota`).  One, and no fork, without
+    ``os.fork`` or ``os.sched_getaffinity``, in a threaded process, or
+    when the space's lambda, Orlicz function or exponents are subclasses:
+    a subclass may keep state of its calls (counters, caches), and a
+    child's calls would not reach this process.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
@@ -479,7 +618,11 @@ def _worker_count(config: TrialConfig) -> int:
         LambdaSequence, OrliczFunction, Exponents
     ):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), config.trials))
+    cpus = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    if quota is not None:
+        cpus = min(cpus, quota)
+    return max(1, min(cpus, config.trials))
 
 
 def _fork_slice(fns: Sequence, lo: int, hi: int, readers: Sequence):
@@ -490,6 +633,7 @@ def _fork_slice(fns: Sequence, lo: int, hi: int, readers: Sequence):
     child closes its copies, so each pipe's only reader is this process.
     """
     r, w = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -501,7 +645,7 @@ def _fork_slice(fns: Sequence, lo: int, hi: int, readers: Sequence):
         try:
             for fd in (r, *readers):
                 os.close(fd)
-            data = memoryview(marshal.dumps(_outcomes(fns, lo, hi)))
+            data = memoryview(marshal.dumps(_outcomes(fns, lo, hi, parent)))
             while data:
                 data = data[os.write(w, data):]
             code = 0
@@ -585,63 +729,49 @@ def run_suite(config: TrialConfig) -> SuiteReport:
     # the space of both statistical checks: stat_density windows the fhat view
     density_spec = replace(spec, exponents=unit, variant="limit", transform="fhat")
 
+    epsilons = [(eps_log, GeoScalar.from_log(eps_log)) for eps_log in (0.1, 1.0, 2.0)]
+
     def linear(trial: int) -> CheckOutcome:
-        rng = _rng(config.seed, "linear_combination", trial)
-        x = GeoSequence.from_log([rng.uniform(-5.0, 5.0) for _ in range(N)])
-        y = GeoSequence.from_log([rng.uniform(-5.0, 5.0) for _ in range(N)])
-        a = rng.uniform(-3.0, 3.0)
-        b = rng.uniform(-3.0, 3.0)
-        rho1 = rng.uniform(0.5, 2.0)
-        rho2 = rng.uniform(0.5, 2.0)
+        rand = _rng(config.seed, "linear_combination", trial).random
+        x = GeoSequence.from_log([-5.0 + 10.0 * rand() for _ in range(N)])  # uniform(-5, 5)
+        y = GeoSequence.from_log([-5.0 + 10.0 * rand() for _ in range(N)])
+        a = -3.0 + 6.0 * rand()  # uniform(-3, 3)
+        b = -3.0 + 6.0 * rand()
+        rho1 = 0.5 + 1.5 * rand()  # uniform(0.5, 2)
+        rho2 = 0.5 + 1.5 * rand()
         return check_linear_combination(
             x, y, a, b, linear_specs[trial % len(linear_specs)], rho1, rho2
         )
 
     def solidity(trial: int) -> CheckOutcome:
         rng = _rng(config.seed, "solidity", trial)
-        sample = generate_member(
-            solidity_member_spec, config.seed, N, "solidity_member", trial
-        )
-        n_terms = len(sample.sequence)
+        _, z = _generate(solidity_member_spec, config.seed, N, "solidity_member", trial)
         if trial % 2 == 0:
-            alphas = [
-                GeoScalar.from_log(rng.uniform(-1.0, 1.0)) for _ in range(n_terms)
-            ]
+            rand = rng.random
+            alphas = [-1.0 + 2.0 * rand() for _ in z]  # uniform(-1, 1)
         else:
             # 0/1 mask in log-view: the step-space (monotone) consequence
-            alphas = [
-                GeoScalar.from_log(float(rng.randint(0, 1))) for _ in range(n_terms)
-            ]
-        return check_solidity(sample.sequence, alphas, solidity_spec)
+            alphas = list(map(float, _bits(rng, len(z))))  # randint(0, 1)
+        return _solidity(z, alphas, solidity_spec, _WINDOW_SLACK)
 
     def delta2(trial: int) -> CheckOutcome:
-        sample = generate_member(limit_spec, config.seed, N, "delta2_member", trial)
+        sample, z = _generate(limit_spec, config.seed, N, "delta2_member", trial)
         if no_delta is not None:
             raise DegenerateOrliczError(no_delta)
-        return check_delta2_inclusion(
-            sample.sequence,
-            spec.orlicz,
-            limit_spec,
-            delta,
-            d2_eps,
-            ell=sample.ell,
-            delta2=d2_report,
-            tols=tols,
+        return _delta2_inclusion(
+            z, spec.orlicz, limit_spec, delta, d2_eps, sample.ell.log, d2_report, tols,
+            _WINDOW_SLACK,
         )
 
     def exponents(trial: int) -> CheckOutcome:
-        sample = generate_member(
-            exponent_specs[trial % 2], config.seed, N, "exponent_member", trial
-        )
-        return check_exponent_inclusion(
-            sample.sequence, unit, exponent_qs[trial % 2], spec, tols=tols
-        )
+        _, z = _generate(exponent_specs[trial % 2], config.seed, N, "exponent_member", trial)
+        return _exponent_inclusion(z, unit, exponent_qs[trial % 2], spec, tols, _WINDOW_SLACK)
 
     def density(trial: int) -> CheckOutcome:
-        rng = _rng(config.seed, "density_bound", trial)
-        x = GeoSequence.from_log([rng.uniform(-3.0, 3.0) for _ in range(N)])
-        ell = GeoScalar.from_log(rng.uniform(-1.0, 1.0))
-        epsilon = GeoScalar.from_log(rng.uniform(0.1, 2.0))
+        rand = _rng(config.seed, "density_bound", trial).random
+        x = GeoSequence.from_log([-3.0 + 6.0 * rand() for _ in range(N)])  # uniform(-3, 3)
+        ell = GeoScalar.from_log(-1.0 + 2.0 * rand())  # uniform(-1, 1)
+        epsilon = GeoScalar.from_log(0.1 + (2.0 - 0.1) * rand())  # uniform(0.1, 2)
         # statconv.modular_density_bound on every window at once, on one fhat view
         z = windowed_logs(x, "fhat")
         lhs = modular_trace(z, spec.lam, spec.orlicz, unit, spec.rho, ell.log)
@@ -650,20 +780,18 @@ def run_suite(config: TrialConfig) -> SuiteReport:
         return _scan_windows("density_bound", lhs, rhs, _WINDOW_SLACK, upper=False)
 
     def consistency(trial: int) -> CheckOutcome:
-        sample = generate_member(density_spec, config.seed, N, "consistency_member", trial)
-        z = windowed_logs(sample.sequence, "fhat")
-        report = _classify(z, density_spec, tols)
-        if report.verdict != CONVERGING:
+        _, z = _generate(density_spec, config.seed, N, "consistency_member", trial)
+        verdict, center, _, _ = _verdict(z, density_spec, tols)
+        if verdict != CONVERGING:
             return CheckOutcome(
                 "stat_consistency",
                 False,
                 math.inf,
-                f"generated member classified {report.verdict}",
+                f"generated member classified {verdict}",
             )
-        for eps_log in (0.1, 1.0, 2.0):
-            epsilon = GeoScalar.from_log(eps_log)
-            trace = _density(z, spec.lam, report.limit_estimate, epsilon)
-            verdict = stat_converges(trace, tols)
+        ell = GeoScalar.from_log(center)
+        for eps_log, epsilon in epsilons:
+            verdict = stat_converges(_density(z, spec.lam, ell, epsilon), tols)
             if verdict != CONVERGING:
                 return CheckOutcome(
                     "stat_consistency",

@@ -10,7 +10,6 @@ tests use them; no analysis command does, so they live apart from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .orlicz import (
@@ -20,6 +19,7 @@ from .orlicz import (
     _fsum_sat,
     bracket_scale,
 )
+from .record import FrozenRecord
 
 __all__ = [
     "OrliczDiagnostics",
@@ -33,13 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrliczDiagnostics:
-    """Result of grid validation; carries the first violation found."""
+class OrliczDiagnostics(FrozenRecord):
+    """Result of grid validation; carries the first violation found:
+    ``failure_kind`` "monotone" or "convex" and ``witness`` (s, t, lhs, rhs)."""
 
-    passed: bool
-    failure_kind: Optional[str] = None  # "monotone" | "convex"
-    witness: Optional[tuple] = None     # (s, t, lhs, rhs)
+    __slots__ = ("passed", "failure_kind", "witness")
+
+    def __init__(
+        self, passed: bool, failure_kind: Optional[str] = None, witness: Optional[tuple] = None
+    ):
+        self._freeze(passed, failure_kind, witness)
 
 
 def log_grid(lo: float = 1e-6, hi: float = 1e6, per_decade: int = 60) -> list:
@@ -83,8 +86,7 @@ def validate_on_grid(M: OrliczFunction, grid: Sequence[float]) -> OrliczDiagnost
     return OrliczDiagnostics(True)
 
 
-@dataclass(frozen=True)
-class Delta2Report:
+class Delta2Report(FrozenRecord):
     """Numeric doubling-condition diagnosis M(2u) <= K M(u).
 
     ``K`` is the largest ratio seen on the grid (convexity with M(0) = 0
@@ -93,12 +95,18 @@ class Delta2Report:
     ``analytic`` carries the family's closed-form verdict when known.
     """
 
-    satisfied: bool
-    K: float
-    analytic: Optional[bool]
-    grid_description: str
-    growth: float
-    clipped: int = 0
+    __slots__ = ("satisfied", "K", "analytic", "grid_description", "growth", "clipped")
+
+    def __init__(
+        self,
+        satisfied: bool,
+        K: float,
+        analytic: Optional[bool],
+        grid_description: str,
+        growth: float,
+        clipped: int = 0,
+    ):
+        self._freeze(satisfied, K, analytic, grid_description, growth, clipped)
 
 
 # the closed-form doubling verdict of each built-in family; tables have none

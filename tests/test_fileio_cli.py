@@ -1,7 +1,6 @@
 """Sequence/config files, report emission, CLI commands and exit codes."""
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -23,6 +22,7 @@ from geoseq import (
     LambdaSequence,
     RunConfig,
     ScaleSolverError,
+    SuiteReport,
     TrialConfig,
     emit_report,
     from_log,
@@ -273,8 +273,8 @@ class TestEmission:
         )
         density = density_report_dict(trace, stat_converges(trace))
         suite = run_suite(TrialConfig(seed=3, trials=2, length=40))
-        suite = dataclasses.replace(
-            suite, rows=[("solidity", 7, False, math.inf)] + suite.rows
+        suite = SuiteReport(
+            suite.config, suite.checks, [("solidity", 7, False, math.inf)] + suite.rows
         )
         para = paranorm(from_log([1.0] + [0.0] * 39), load_spec_identity())
 

@@ -5,7 +5,6 @@ import os
 import random
 import threading
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,9 +32,23 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
-from geoseq.harness import CheckOutcome, _default_spec, _run_trials, _scan_windows
+from geoseq import membership
+from geoseq.fibonacci import fib_ratio
+from geoseq.harness import (
+    CheckOutcome,
+    _bits,
+    _default_spec,
+    _generate,
+    _outcomes,
+    _ParentGone,
+    _run_trials,
+    _scan_windows,
+    _solidity,
+    _worker_count,
+)
 from geoseq.orlicz_checks import delta2_constant, small_argument_threshold
 from geoseq.statconv import modular_density_bound, stat_converges, stat_density
+from geoseq.summability import modular_trace
 
 
 def base_spec(**over):
@@ -81,6 +94,68 @@ class TestGenerateMember:
         for trial in range(10):
             sample = generate_member(s, 7, 56, "bc", trial)
             assert classify_membership(sample.sequence, s).verdict == BOUNDED
+
+    @staticmethod
+    def reference_member(spec, seed, length, check, trial):
+        """generate_member as it drew with random.Random's own calls."""
+        rng = random.Random(f"{seed}:{check}:{trial}")
+        m = length if spec.transform == "identity" else length - 1
+        ell = None
+        amp = rng.uniform(0.5, 1.5)
+        decay = rng.uniform(0.35, 0.55)
+        if spec.variant == "bounded":
+            target = [rng.uniform(-3.0, 3.0) for _ in range(m)]
+        else:
+            level = 0.0
+            if spec.variant == "limit":
+                level = rng.uniform(-2.0, 2.0)
+                ell = GeoScalar.from_log(level)
+            target = [level + rng.choice((-1.0, 1.0)) * amp * decay ** k
+                      for k in range(1, m + 1)]
+        anchor = rng.uniform(-0.5, 0.5)
+        if spec.transform == "identity":
+            u = list(target)
+        else:
+            u = [0.0] * m + [anchor]
+            for k in range(m, 0, -1):
+                r_k = fib_ratio(k)
+                u[k - 1] = r_k * (r_k * u[k] - target[k - 1])
+        return from_log(u), tuple(target), ell
+
+    def test_draws_equal_random_random_calls(self):
+        # the inlined uniforms, sign draws and ratio table, over 1,000 seeds
+        specs = [base_spec(variant=v, transform=t)
+                 for v in ("zero", "limit", "bounded") for t in ("fhat", "identity")]
+        for seed in range(1000):
+            s = specs[seed % len(specs)]
+            sample = generate_member(s, seed, 56 + seed % 7, "draws", seed % 5)
+            want = self.reference_member(s, seed, 56 + seed % 7, "draws", seed % 5)
+            assert (sample.sequence, sample.target, sample.ell) == want
+
+    @pytest.mark.parametrize("values, draw", [
+        ((-1.0, 1.0), lambda rng: rng.choice((-1.0, 1.0))),
+        ((0.0, 1.0), lambda rng: float(rng.randint(0, 1))),
+    ], ids=["choice", "randint"])
+    def test_bits_equal_choice_and_randint(self, values, draw):
+        for seed in range(1000):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            n = 1 + seed % 90
+            assert [values[b] for b in _bits(ours, n)] == [draw(theirs) for _ in range(n)]
+            assert ours.random() == theirs.random()  # not one draw more or less
+
+    # every uniform(a, b) run_suite writes out, with b - a as it is written
+    UNIFORMS = [
+        (0.5, 1.5, 1.0), (0.35, 0.55, 0.55 - 0.35), (-3.0, 3.0, 6.0), (-2.0, 2.0, 4.0),
+        (-0.5, 0.5, 1.0), (-5.0, 5.0, 10.0), (0.5, 2.0, 1.5), (-1.0, 1.0, 2.0),
+        (0.1, 2.0, 2.0 - 0.1),
+    ]
+
+    @pytest.mark.parametrize("a, b, width", UNIFORMS)
+    def test_inlined_uniform_equals_random_uniform(self, a, b, width):
+        for seed in range(1000):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert a + width * ours.random() == theirs.uniform(a, b)
 
     def test_determinism(self):
         s = base_spec()
@@ -280,11 +355,11 @@ def fake_classifier(monkeypatch, verdicts):
     """Replace the harness's view-level verdict; call i returns verdicts[i]."""
     calls = []
 
-    def fake(z, spec, tols):
+    def fake(z, spec, tols, values=None):
         calls.append(spec)
-        return SimpleNamespace(verdict=verdicts[len(calls) - 1])
+        return verdicts[len(calls) - 1], 0.0, [], None
 
-    monkeypatch.setattr("geoseq.harness._classify", fake)
+    monkeypatch.setattr("geoseq.harness._verdict", fake)
     return calls
 
 
@@ -332,6 +407,32 @@ class TestEndToEnd:
         if not passed:
             assert out.detail == f"end-to-end: q-verdict {strong} but p-verdict {weak}"
             assert out.name == "exponent_inclusion"
+
+    @pytest.mark.parametrize("variant", ["zero", "bounded", "limit"])
+    def test_q_verdict_reads_the_trace_the_check_holds(self, monkeypatch, variant):
+        # the exponent check's t_means is the q-space trace around 0.0; the
+        # limit variant centres its trace elsewhere and computes it
+        held = []
+        real = membership._verdict
+
+        def verdict(z, spec, tols, values=None):
+            if spec.exponents != Exponents.constant(1.0):  # the q-verdict
+                held.append(values)
+                if values is not None:
+                    assert values == modular_trace(
+                        z, spec.lam, spec.orlicz, spec.exponents, spec.rho
+                    )
+            return real(z, spec, tols, values)
+
+        monkeypatch.setattr("geoseq.harness._verdict", verdict)
+        s = base_spec(variant=variant)
+        for trial in range(10):
+            for q in (Exponents.constant(2.0), Exponents.formula(1.0, 1.0)):
+                x = generate_member(replace(s, exponents=q), 3, 56, "held", trial).sequence
+                check_exponent_inclusion(x, Exponents.constant(1.0), q, s)
+        assert held
+        assert all(v is None for v in held) == (variant == "limit")
+        assert all(v is not None for v in held) == (variant != "limit")
 
     def test_failed_window_scan_skips_the_verdicts(self, monkeypatch):
         # a negative slack fails the first window of any instance
@@ -675,6 +776,7 @@ class TestSuiteEquivalence:
     @pytest.mark.parametrize("orlicz", ORLICZ)
     @pytest.mark.parametrize("variant, transform", [
         ("zero", "fhat"), ("limit", "fhat"), ("zero", "identity"), ("limit", "identity"),
+        ("bounded", "fhat"),
     ])
     def test_rows_and_details(self, orlicz, variant, transform):
         spec = base_spec(orlicz=self.ORLICZ[orlicz], variant=variant, transform=transform)
@@ -769,8 +871,8 @@ class TestParallelTrials:
             total = math.fsum(lhs)
             out = real(name, lhs, rhs, slack, upper)
             failed = int(abs(total) * 1e3) % 3 == 0
-            return replace(out, passed=not failed, worst_violation=total,
-                           detail=f"{name}: {total!r}" if failed else None)
+            return CheckOutcome(out.name, not failed, total,
+                                f"{name}: {total!r}" if failed else None)
 
         monkeypatch.setattr("geoseq.harness._scan_windows", scan)
         config = TrialConfig(seed=2, trials=7, length=48, tolerances=Tolerances(tol=0.0))
@@ -814,14 +916,14 @@ class TestParallelTrials:
     def test_the_parent_runs_the_first_slice(self, monkeypatch):
         parent = os.getpid()
         members = []
-        real = generate_member
+        real = _generate
 
         def member(spec, seed, length, check, trial):
             if os.getpid() == parent:
                 members.append((check, trial))
             return real(spec, seed, length, check, trial)
 
-        monkeypatch.setattr("geoseq.harness.generate_member", member)
+        monkeypatch.setattr("geoseq.harness._generate", member)
         self.suite(monkeypatch, 3, TrialConfig(seed=1, trials=7, length=48))
         # trials [0, 7 // 3) of every check; the children run [2, 4) and [4, 7)
         assert members == [
@@ -837,14 +939,14 @@ class TestParallelTrials:
         serial = self.suite(monkeypatch, 1, config)
         parent = os.getpid()
         in_parent = []
-        real = check_solidity
+        real = _solidity
 
         def solidity(*args):
             if os.getpid() == parent:
                 in_parent.append(1)
             return real(*args)
 
-        monkeypatch.setattr("geoseq.harness.check_solidity", solidity)
+        monkeypatch.setattr("geoseq.harness._solidity", solidity)
         if fault == "exit status":
             real_exit = os._exit
             monkeypatch.setattr(os, "_exit", lambda code: real_exit(7))
@@ -959,6 +1061,51 @@ class TestParallelTrials:
         # every call is made here, as in a serial run, so the subclass sees it
         self.assert_same(self.suite(monkeypatch, 3, config), serial)
         assert len(calls) == serial_calls > 0
+
+    @pytest.mark.parametrize("files, cpus", [
+        ({}, 4),
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "300000 100000\n"}, 3),
+        ({"cpu.max": "not a quota\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "100000\n"}, 4),  # no period: no quota read
+        # cgroup v2 first
+        ({"cpu.max": "max 100000\n", "cpu/cpu.cfs_quota_us": "100000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else str(v))
+    def test_worker_count_honours_the_cpu_quota(self, monkeypatch, tmp_path, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr("geoseq.harness._CGROUP", str(tmp_path))
+        _fake_cpus(monkeypatch, 4)
+        assert _worker_count(TrialConfig(trials=100)) == cpus
+        assert _worker_count(TrialConfig(trials=2)) == min(cpus, 2)
+        assert _worker_count(TrialConfig(trials=0)) == 1
+
+    def test_orphaned_worker_stops_at_the_next_trial(self, monkeypatch):
+        ran = []
+
+        def fn(trial):
+            ran.append(trial)
+            return CheckOutcome("trial", True, 0.0)
+
+        ppids = iter([100, 100, 1])  # the parent, pid 100, exits after two trials
+        monkeypatch.setattr(os, "getppid", lambda: next(ppids))
+        with pytest.raises(_ParentGone):
+            _outcomes([fn, fn], 0, 5, parent=100)
+        assert ran == [0, 1]
+
+        # the calling process's own slice never asks for its parent
+        def getppid():
+            raise AssertionError("asked for the parent pid")
+
+        monkeypatch.setattr(os, "getppid", getppid)
+        assert _outcomes([fn], 0, 2) == [[(True, 0.0, None)] * 2]
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_serial_without_fork_or_affinity(self, monkeypatch, missing):

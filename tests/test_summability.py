@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geoseq
 from geoseq import (
@@ -1743,3 +1745,76 @@ class TestStatisticsFree:
 
     def test_tail_slope_of_too_few_points_is_flat(self):
         assert summability._tail_slope([1.0, 2.0, 0.0, math.inf]) == 0.0
+
+
+def old_tail_verdict(values, W, tols):
+    """The tail rule as it was: the slope fitted first, whatever the verdict."""
+    last = values[-W:]
+    slope = summability._tail_slope(values)
+    if all(v <= tols.tol for v in last):
+        return CONVERGING, slope
+    if summability._median(last) > tols.tol and slope > summability._FLAT_SLOPE:
+        return DIVERGING, slope
+    return INCONCLUSIVE, slope
+
+
+def old_decide_vanishing(values, tols):
+    W = tols.window_count
+    verdict, slope = old_tail_verdict(values, W, tols)
+    med_last = summability._median(values[-W:])
+    med_prev = summability._median(values[-2 * W : -W])
+    if verdict == CONVERGING and not med_last <= med_prev * 1.1 + 1e-12:
+        return INCONCLUSIVE, slope
+    return verdict, slope
+
+
+# window modulars and densities: non-negative, ``inf`` beyond double range,
+# often at or near the tolerance
+trace_values = st.one_of(
+    st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1.0, math.inf]),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1e-5),
+)
+
+
+class TestLazyTailSlope:
+    """The tail rule fits its slope only on the diverging test, and decides
+    as the rule that always fitted it did."""
+
+    @given(values=st.lists(trace_values, min_size=1, max_size=80), data=st.data(),
+           tol=st.sampled_from([0.0, 1e-6, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_tail_verdict(self, values, data, tol):
+        W = data.draw(st.integers(min_value=1, max_value=len(values)))
+        tols = Tolerances(tol=tol, window_count=W)
+        verdict, slope = summability._tail_verdict(values, W, tols)
+        want_verdict, want_slope = old_tail_verdict(values, W, tols)
+        assert verdict == want_verdict
+        assert slope is None or slope == want_slope
+
+    @given(values=st.lists(trace_values, min_size=2, max_size=80), data=st.data(),
+           tol=st.sampled_from([0.0, 1e-6, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_decide_vanishing(self, values, data, tol):
+        # W < len(values): the previous W windows are not empty (a
+        # classified trace has at least 4 W)
+        W = data.draw(st.integers(min_value=1, max_value=len(values) - 1))
+        tols = Tolerances(tol=tol, window_count=W)
+        verdict, slope = summability._decide_vanishing(values, tols)
+        want_verdict, want_slope = old_decide_vanishing(values, tols)
+        assert verdict == want_verdict
+        assert slope is None or slope == want_slope
+
+    def test_slope_is_fitted_only_on_the_diverging_test(self, monkeypatch):
+        fits = []
+        real = summability._tail_slope
+        monkeypatch.setattr(summability, "_tail_slope", lambda v: fits.append(1) or real(v))
+        tols = Tolerances(tol=1e-6, window_count=3)
+        assert summability._tail_verdict([1.0] * 9 + [0.0] * 3, 3, tols) == (CONVERGING, None)
+        assert summability._tail_verdict([0.0] * 9 + [1e-7, 1e-7, 1.0], 3, tols) == (
+            INCONCLUSIVE, None
+        )
+        assert fits == []
+        values = [float(n) for n in range(1, 13)]
+        assert summability._tail_verdict(values, 3, tols) == (DIVERGING, real(values))
+        assert fits == [1]
