@@ -7,8 +7,9 @@ invariant failure).  Set GEOSEQ_LOG_LEVEL to error/warn/info/debug to
 control logging.
 
 Each command imports what it runs, inside its handler: ``fib`` loads only
-:mod:`geoseq.fibonacci`, and ``paranorm`` neither the Fibonacci transform
-(for the identity view) nor the membership verdicts.
+:mod:`geoseq.fibonacci`, ``transform`` only the file code and the
+transform, and ``paranorm`` neither the Fibonacci transform (for the
+identity view) nor the membership verdicts.
 """
 
 from __future__ import annotations
@@ -153,15 +154,24 @@ def _cmd_fib(args) -> int:
 def _cmd_transform(args) -> int:
     from .fibonacci import difference_transform
     from .fileio import parse_sequence_file, write_sequence_file
+    from .geometric import GeoRangeError
 
     x = parse_sequence_file(args.infile)
     y = difference_transform(x)
-    domain = "geometric" if args.domain == "geo" else "log"
     metadata = {"transform": "fibonacci-difference"}
+    saturated = "transform left double range; value view saturated"
+    if args.domain == "geo":
+        # the representatives are one exp pass, which also tests their range
+        try:
+            write_sequence_file(y, args.outfile, domain="geometric", metadata=metadata)
+        except GeoRangeError:
+            _logger().warning(saturated)
+            raise
+        return 0
     if not y.in_value_range:
         metadata["value_view"] = "saturated; log view is authoritative"
-        _logger().warning("transform left double range; value view saturated")
-    write_sequence_file(y, args.outfile, domain=domain, metadata=metadata)
+        _logger().warning(saturated)
+    write_sequence_file(y, args.outfile, domain="log", metadata=metadata)
     return 0
 
 

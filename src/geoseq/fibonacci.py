@@ -159,6 +159,20 @@ def difference_entry(n: int, k: int) -> float:
     return 0.0
 
 
+def _transformed_rows(u: Sequence[float], first: int) -> list:
+    """Rows ``first``.. (0 or 1) of the transform of the floats ``u``, read
+    in place; a row that is not finite raises :class:`GeoRangeError`
+    naming it."""
+    ratios = chain(_RATIOS[1:], repeat(_RATIOS[-1]))
+    inverse = chain(_INVERSE_RATIOS[1:], repeat(_INVERSE_RATIOS[-1]))
+    rows = [_RATIOS[0] * u[0]] if u and not first else []
+    rows += map(sub, map(mul, ratios, islice(u, 1, None)), map(mul, inverse, u))
+    if not all(map(math.isfinite, rows)):
+        k = next(k for k, v in enumerate(rows) if not math.isfinite(v))
+        raise GeoRangeError(f"transformed row {k + first} left double range ({rows[k]!r})")
+    return rows
+
+
 def difference_transform_log(
     u: Sequence[float], cache: Optional[FibonacciCache] = None
 ) -> list:
@@ -171,17 +185,7 @@ def difference_transform_log(
     not read (the ratios never depend on it); it stays for callers that
     pass one positionally, such as ``bench/tracing.py``.
     """
-    u = list(map(float, u))
-    if not u:
-        return []
-    ratios = chain(_RATIOS[1:], repeat(_RATIOS[-1]))
-    inverse = chain(_INVERSE_RATIOS[1:], repeat(_INVERSE_RATIOS[-1]))
-    rows = [_RATIOS[0] * u[0]]
-    rows += map(sub, map(mul, ratios, islice(u, 1, None)), map(mul, inverse, u))
-    if not all(map(math.isfinite, rows)):
-        k = next(k for k, v in enumerate(rows) if not math.isfinite(v))
-        raise GeoRangeError(f"transformed row {k} left double range ({rows[k]!r})")
-    return rows
+    return _transformed_rows(list(map(float, u)), 0)
 
 
 def difference_transform(
@@ -195,7 +199,7 @@ def difference_transform(
     range error) are lifted here; ``cache`` is not read there either.
     Representatives may still leave double range (``in_value_range``).
     """
-    return GeoSequence.from_log(difference_transform_log(x.logs))
+    return GeoSequence.from_log(_transformed_rows(x.logs, 0))
 
 
 def kernel_log_sequence(n_terms: int) -> list:

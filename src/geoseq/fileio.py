@@ -20,23 +20,16 @@ from functools import partial
 from itertools import chain, filterfalse, repeat
 from operator import sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .geometric import GeoScalar, GeoSequence
-from .orlicz import OrliczFunction
 from .record import Record
-from .summability import (
-    Exponents,
-    LambdaSequence,
-    ParanormResult,
-    SpaceSpec,
-    Tolerances,
-)
 
-if TYPE_CHECKING:  # loaded where used, so paranorm loads none of them
+if TYPE_CHECKING:  # loaded where used, so transform loads none of them
     from .harness import TrialConfig
     from .membership import MembershipReport
     from .statconv import DensityTrace
+    from .summability import ParanormResult, SpaceSpec
 
 __all__ = [
     "InputError",
@@ -59,27 +52,42 @@ def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _column(values: list) -> Iterable:
-    """Cells whose ``str`` is ``_fmt``, a column at a time: ``values`` without
-    floats, one ``map`` of ``.17g`` for floats only, over the distinct values
-    when at most half are distinct and 0.0 and -0.0 (equal dict keys) do not
-    both occur."""
+def _column(values: list) -> tuple:
+    """``(conversion, cells)``: ``conversion % cell`` is ``_fmt`` of each value.
+
+    A column without floats keeps its values, and one mixing floats with
+    other types gets ``_fmt`` of each value, both under ``%s``.  A float
+    column keeps its floats under ``%.17g`` (``'%.17g' % v`` equals
+    ``format(v, '.17g')`` for every double), unless at most half of its
+    first 64 values and of all its values are distinct and 0.0 and -0.0
+    (equal dict keys) do not both occur: then each distinct value is
+    formatted once, and the cells are those strings under ``%s``.  Either
+    way gives the same bytes; the rule only picks the cheaper one.
+    """
     kinds = set(map(type, values))
     if not any(issubclass(k, float) for k in kinds):
-        return values
+        return "%s", values
     if kinds != {float}:
-        return map(_fmt, values)
+        return "%s", map(_fmt, values)
+    head = values[:64]
+    if 2 * len(set(head)) > len(head):  # mostly distinct so far: not worth counting
+        return "%.17g", values
     table = dict.fromkeys(values)
     zero_signs = set(map(math.copysign, repeat(1.0), filterfalse(None, values)))
     if 2 * len(table) > len(values) or len(zero_signs) > 1:
-        return map("{:.17g}".format, values)
-    return map(dict(zip(table, map("{:.17g}".format, table))).__getitem__, values)
+        return "%.17g", values
+    return "%s", map(dict(zip(table, map("{:.17g}".format, table))).__getitem__, values)
 
 
-def _rows(row: str, *columns: Iterable) -> str:
-    """``row`` once per row of ``columns``, filled by one ``%`` over all cells."""
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    return (row * (len(cells) // len(columns))) % cells
+def _rows(row: str, *columns: tuple) -> str:
+    """``row`` once per row of ``columns``, ``(conversion, cells)`` pairs.
+
+    The ``{}`` fields of ``row`` take the columns' conversions, and one
+    ``%`` over all cells fills every row.
+    """
+    conversions, cells = zip(*columns)
+    flat = tuple(chain.from_iterable(zip(*cells)))
+    return (row.format(*conversions) * (len(flat) // len(columns))) % flat
 
 
 def _render_json(obj, out: list) -> None:
@@ -110,7 +118,8 @@ def _render_json(obj, out: list) -> None:
     elif isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))  # a finite sum of floats: every one finite
         if kinds == {int} or kinds == {float} and math.isfinite(sum(map(abs, obj))):
-            out.append("[" + ", ".join(map(str, _column(obj))) + "]")
+            conversion, cells = _column(obj)
+            out.append("[" + ", ".join([conversion] * len(obj)) % tuple(cells) + "]")
         else:
             out.append("[")
             for i, v in enumerate(obj):
@@ -180,34 +189,44 @@ def _parse_sequence_json(text: str, path: Path) -> GeoSequence:
 
 
 def _parse_sequence_csv(text: str, path: Path) -> GeoSequence:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """One ``map(float)`` over the value lines; lines are numbered as in the
+    file, blank ones counted, and visited one by one only to name the first
+    bad one."""
+    lines = list(map(str.strip, text.splitlines()))
+    cells = list(filter(None, lines))
+    if not cells:
         raise InputError(f"{path}: empty sequence file")
-    header = lines[0].lower()
+    first = lines.index(cells[0])
+    header = cells[0].lower()
     if header == "value":
         domain = "geometric"
     elif header == "log_value":
         domain = "log"
     else:
         raise InputError(
-            f"{path}: line 1: header must be 'value' or 'log_value', got {lines[0]!r}"
+            f"{path}: line {first + 1}: header must be 'value' or 'log_value', "
+            f"got {cells[0]!r}"
         )
-    values = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        try:
-            values.append(float(ln))
-        except ValueError as exc:
-            raise InputError(f"{path}: line {lineno}: not a number: {ln!r}") from exc
+    try:
+        values = list(map(float, cells[1:]))
+    except ValueError:
+        for lineno, ln in enumerate(lines[first + 1 :], start=first + 2):
+            if ln:
+                try:
+                    float(ln)
+                except ValueError as exc:
+                    raise InputError(f"{path}: line {lineno}: not a number: {ln!r}") from exc
+        raise
     return _build_sequence(values, domain, path)
 
 
 def _build_sequence(values: list, domain: str, path: Path) -> GeoSequence:
-    """One type pass, one conversion and the sequence's own range test;
-    the terms are visited one by one only to name the first bad one."""
+    """One type pass and the sequence's own column build; the terms are
+    visited one by one only to name the first bad one."""
     build = GeoSequence.from_log if domain == "log" else GeoSequence
     try:
         if set(map(type, values)) <= {int, float}:  # bool is neither
-            return build(list(map(float, values)))
+            return build(values)
     except (OverflowError, ValueError):
         pass
     floats = []
@@ -241,9 +260,9 @@ def write_sequence_file(
     cannot be written raises :class:`InputError`.
     """
     if domain == "log":
-        values = list(x.logs)
+        values = x.logs
     elif domain == "geometric":
-        values = list(x.values)
+        values = x.values
     else:
         raise InputError(f"domain must be 'geometric' or 'log', got {domain!r}")
     doc: dict = {"domain": domain, "values": values}
@@ -284,6 +303,9 @@ class RunConfig(Record):
     )
 
     def __init__(self):
+        from .orlicz import OrliczFunction
+        from .summability import Exponents, LambdaSequence, Tolerances
+
         self.lam = LambdaSequence.identity()
         self.orlicz = OrliczFunction.power(1.0)
         self.exponents = Exponents.constant(1.0)
@@ -295,6 +317,8 @@ class RunConfig(Record):
         self.trials = 100
 
     def space_spec(self) -> SpaceSpec:
+        from .summability import SpaceSpec
+
         return SpaceSpec(
             lam=self.lam,
             orlicz=self.orlicz,
@@ -374,7 +398,17 @@ def _check_numbers(where: str, value, depth: int) -> None:
             _check_numbers(f"{where}[{i}]", item, depth - 1)
 
 
-def _orlicz(doc) -> OrliczFunction:
+def _spec_section(name: str, doc):
+    """``_section`` of the :mod:`geoseq.summability` class ``name``, loaded
+    with the first configuration, not with this module."""
+    from . import summability
+
+    return _section(getattr(summability, name), doc)
+
+
+def _orlicz(doc):
+    from .orlicz import OrliczFunction
+
     M = _section(OrliczFunction, doc)
     if M.kind == "table":
         _check_table(M.points)
@@ -400,13 +434,13 @@ def _trials(v) -> int:
 # config key -> (RunConfig field, builder of its value), in the order built;
 # space_spec() then checks variant, transform and rho against their ranges
 _KEYS = {
-    "lambda": ("lam", partial(_section, LambdaSequence)),
+    "lambda": ("lam", partial(_spec_section, "LambdaSequence")),
     "orlicz": ("orlicz", _orlicz),
-    "exponents": ("exponents", partial(_section, Exponents)),
+    "exponents": ("exponents", partial(_spec_section, "Exponents")),
     "variant": ("variant", str),
     "transform": ("transform", str),
     "rho": ("rho", partial(_number, float)),
-    "tolerances": ("tolerances", partial(_section, Tolerances)),
+    "tolerances": ("tolerances", partial(_spec_section, "Tolerances")),
     "seed": ("seed", partial(_number, int)),
     "trials": ("trials", _trials),
 }
@@ -488,7 +522,7 @@ def _csv(header: str, *columns: list) -> bytes:
     Every field is an int, a ``.17g`` float, a bool, a fixed check name or
     ``""``, so none can need quoting and ``csv.reader`` reads them back.
     """
-    row = ",".join(["%s"] * len(columns)) + "\n"
+    row = ",".join(["{}"] * len(columns)) + "\n"
     return (header + "\n" + _rows(row, *map(_column, columns))).encode()
 
 
@@ -525,7 +559,7 @@ def _report_text(doc: dict) -> bytes:
         lines.append("n lambda_n S_n")
         trace = doc["trace"]
         lams, sums = _column(trace["lambda_n"]), _column(trace["S_n"])
-        lines[-1] += _rows("\n%s %s %s", trace["n"], lams, sums)
+        lines[-1] += _rows("\n{} {} {}", ("%s", trace["n"]), lams, sums)
     elif kind == "density":
         lines.append(f"verdict: {doc['verdict']}")
         lines.append(f"epsilon (log-view): {_fmt(doc['epsilon']['log'])}")
@@ -533,7 +567,8 @@ def _report_text(doc: dict) -> bytes:
         lines.append("n lambda_n c_n d_n")
         trace = doc["trace"]
         lams, dens = _column(trace["lambda_n"]), _column(trace["d_n"])
-        lines[-1] += _rows("\n%s %s %s %s", trace["n"], lams, trace["c_n"], dens)
+        ns, counts = ("%s", trace["n"]), ("%s", trace["c_n"])
+        lines[-1] += _rows("\n{} {} {} {}", ns, lams, counts, dens)
     elif kind == "paranorm":
         lines.append(f"rho_star: {_fmt(doc['rho_star'])}")
         lines.append(f"g: {_fmt(doc['g'])}")
@@ -566,11 +601,15 @@ def _report_text(doc: dict) -> bytes:
 
 
 def _record_dict(report) -> dict:
-    """The report dict of a membership or suite report.
+    """The report dict of a paranorm, membership or suite report.
 
     Their classes load here, not with this module: a command that emits
-    one has loaded its module already, and ``paranorm`` loads neither.
+    one has loaded its module already, and ``paranorm`` loads only its own.
     """
+    from .summability import ParanormResult
+
+    if isinstance(report, ParanormResult):
+        return paranorm_report_dict(report)
     from .membership import MembershipReport
 
     if isinstance(report, MembershipReport):
@@ -584,12 +623,7 @@ def _record_dict(report) -> dict:
 
 def emit_report(report, fmt: str) -> bytes:
     """Serialise a report (a dict or a known report record) as json, csv or text."""
-    if isinstance(report, ParanormResult):
-        doc = paranorm_report_dict(report)
-    elif isinstance(report, dict):
-        doc = report
-    else:
-        doc = _record_dict(report)
+    doc = report if isinstance(report, dict) else _record_dict(report)
     if fmt == "json":
         return render_json(doc).encode()
     if fmt == "csv":

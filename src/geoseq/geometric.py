@@ -181,6 +181,22 @@ class GeoSequence:
     __slots__ = ("_logs",)
 
     def __init__(self, terms: Iterable[Union[GeoScalar, float]]):
+        """Terms are positive representatives or :class:`GeoScalar` numbers.
+
+        Floats and ints take one type check, one range check and one
+        ``map(math.log)``; the terms are visited one by one, with the same
+        logs, otherwise and to name the first bad term.
+        """
+        terms = terms if isinstance(terms, (list, tuple)) else list(terms)
+        kinds = set(map(type, terms))
+        if kinds <= {float, int}:  # bool is neither
+            try:
+                values = terms if kinds == {float} else list(map(float, terms))
+            except OverflowError:  # an int beyond double range: the loop finds the first bad term
+                values = ()
+            if values and 0.0 < min(values) and sum(values) < math.inf:  # no NaN
+                self._logs = tuple(map(math.log, values))
+                return
         logs = []
         for i, t in enumerate(terms):
             if isinstance(t, GeoScalar):
@@ -197,7 +213,7 @@ class GeoSequence:
     @classmethod
     def from_log(cls, u: Iterable[float]) -> "GeoSequence":
         obj = cls.__new__(cls)
-        raw = list(u)
+        raw = u if isinstance(u, (list, tuple)) else list(u)
         obj._logs = tuple(map(float, raw))
         if not math.isfinite(sum(map(abs, obj._logs))):  # else every term is finite
             for i, v in enumerate(obj._logs):

@@ -405,9 +405,9 @@ def windowed_logs(x: GeoSequence, transform: str) -> list:
     if transform == "identity":
         return x.to_log()
     if transform == "fhat":
-        from .fibonacci import difference_transform_log
+        from .fibonacci import _transformed_rows
 
-        return difference_transform_log(x.to_log())[1:]
+        return _transformed_rows(x.logs, 1)
     raise ValueError(f"unknown transform {transform!r}")
 
 

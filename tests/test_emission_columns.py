@@ -1,14 +1,16 @@
 """Reports formatted a column at a time equal the per-cell renderer, byte for byte.
 
-``emit_report`` formats each report column with one ``map`` (over the
-distinct values of a column with few of them) and joins the rows with one
-row template.  The per-cell renderer below is the form it replaced, kept
+``emit_report`` gives each report column a conversion in one row template
+(``%.17g`` over the floats themselves, or ``%s`` over strings formatted
+once per distinct value in a column with few of them) and fills every row
+with one ``%``.  The per-cell renderer below is the form it replaced, kept
 here as the reference: every cell through ``_fmt``, one row at a time.
 """
 
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -22,9 +24,11 @@ from geoseq import (
     run_suite,
     stat_converges,
     stat_density,
+    write_sequence_file,
 )
 from geoseq.fileio import (
     InputError,
+    _column,
     density_report_dict,
     membership_report_dict,
     paranorm_report_dict,
@@ -231,6 +235,30 @@ def _random_floats(seed: int, m: int) -> list:
 COLUMNS.update({f"random {s}": _random_floats(s, 50) for s in range(6)})
 
 
+def _distinct(seed: int, m: int) -> list:
+    rng = random.Random(seed)
+    return [rng.uniform(-1e3, 1e3) for _ in range(m)]
+
+
+# longer than the 64 values whose distinct count decides first whether a
+# float column keeps its floats under %.17g or is formatted per distinct value
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_BEEF))[0]
+COLUMNS.update({
+    "mostly distinct, with specials": _distinct(1, 120) + SPECIAL + [math.nan, -math.nan],
+    "few distinct, with specials, no minus zero":
+        [0.0, math.inf, -math.inf, TINY, -2.5e-310, 1.0, math.nan] * 30,
+    "few distinct, with both zeros": [0.0, -0.0, 1.5, -math.inf] * 40,
+    "few distinct, minus zero last": [0.0, 1.5] * 60 + [-0.0],
+    "distinct head, few distinct overall": _distinct(2, 64) + [1.0, -0.0] * 300,
+    "repeated head, distinct tail": [2.0] * 64 + _distinct(3, 200),
+    "one nan object, few distinct": [math.nan, 1.0, NAN_PAYLOAD] * 40,
+    "distinct nan objects": [float("nan") for _ in range(40)] + [1.0] * 40,
+    "subnormals, few distinct": [TINY * (k % 5) for k in range(150)],
+    "subnormals and huge, mostly distinct": [TINY * k for k in range(70)] + [
+        HUGE / k for k in range(1, 70)] + [-HUGE, math.inf],
+})
+
+
 def membership_doc(lams: list, sums: list) -> dict:
     return {
         "kind": "membership",
@@ -279,6 +307,17 @@ class TestColumns:
                       "worst_violation": v} for k, v in enumerate(col)],
         }
         assert_same(doc, doc)
+
+    def test_paranorm(self, name):
+        for v in COLUMNS[name][:12]:
+            g_geo = GeoScalar.from_log(v) if math.isfinite(v) else None
+            res = ParanormResult(v, -v, g_geo)
+            assert_same(res, paranorm_report_dict(res))
+
+    def test_cells_under_their_conversion(self, name):
+        col = COLUMNS[name]
+        conversion, cells = _column(col)
+        assert [conversion % cell for cell in cells] == list(map(_fmt, col))
 
     def test_json_list(self, name):
         col = COLUMNS[name]
@@ -344,3 +383,42 @@ class TestReports:
         for fmt in ("csv", "text"):
             with pytest.raises(InputError):
                 emit_report({"kind": "other"}, fmt)
+
+
+def test_percent_format_is_format_over_random_bit_patterns():
+    """``'%.17g' % v == format(v, '.17g')``: what lets float columns keep their floats."""
+    rng = random.Random(17)
+    bits = [rng.getrandbits(64) for _ in range(100_000)]
+    values = list(struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)))
+    values += SPECIAL + [-v for v in SPECIAL] + [math.nan, -math.nan, NAN_PAYLOAD]
+    values += [TINY * k for k in range(1, 1000)]  # subnormals with few digits
+    assert ("%.17g," * len(values)) % tuple(values) == "".join(
+        format(v, ".17g") + "," for v in values)
+
+
+class TestSequenceFiles:
+    """``write_sequence_file`` against the per-cell renderer, in both domains."""
+
+    LOGS = {
+        "random": [random.Random(9).uniform(-700, 700) for _ in range(300)],
+        "few distinct": [float(k % 3) - 1.0 for k in range(200)],
+        "subnormal representatives": [-745.0, -740.0, -709.0] * 30 + [0.0, -0.0],
+        "largest representatives": [709.78, 709.0, 1e-300, -1e-300] * 30,
+        "single": [0.5],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOGS))
+    @pytest.mark.parametrize("domain", ["geometric", "log"])
+    def test_same_bytes(self, tmp_path, name, domain):
+        x = from_log(self.LOGS[name])
+        values = list(x.values if domain == "geometric" else x.logs)
+        for metadata in (None, {"transform": "fibonacci-difference"}):
+            path = tmp_path / "seq.json"
+            write_sequence_file(x, path, domain=domain, metadata=metadata)
+            doc = {"domain": domain, "values": values}
+            if metadata:
+                doc["metadata"] = metadata
+            out: list = []
+            _ref_render_json(doc, out)
+            assert path.read_text() == "".join(out) + "\n"

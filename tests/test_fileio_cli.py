@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -124,6 +125,14 @@ class TestSequenceFiles:
         with pytest.raises(InputError, match="line 3"):
             parse_sequence_file(p)
 
+    def test_csv_line_numbers_count_blank_lines(self, tmp_path):
+        p = write(tmp_path / "h2.csv", "value\n\n1.0\n\noops\n")
+        with pytest.raises(InputError, match=r"line 5: not a number: 'oops'$"):
+            parse_sequence_file(p)
+        p = write(tmp_path / "g2.csv", "\n  \nvalues\n1.0\n")
+        with pytest.raises(InputError, match=r"line 3: header must be 'value' or 'log_value'"):
+            parse_sequence_file(p)
+
     def test_round_trip_to_last_digit(self, tmp_path):
         logs = [0.1 + 0.2, -1e-17, 3.141592653589793, 50.0, -49.99999999999999]
         x = from_log(logs)
@@ -136,6 +145,106 @@ class TestSequenceFiles:
         p = tmp_path / "rt2.json"
         write_sequence_file(x, p, domain="geometric")
         assert parse_sequence_file(p).values == x.values
+
+
+def _ref_build(values, domain, path):
+    """The per-term build the column path replaced, kept as the reference:
+    the logs a sequence file's values give, or the InputError naming the
+    first bad one."""
+    floats = []
+    for i, v in enumerate(values):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise InputError(f"{path}: index {i}: not a number: {v!r}")
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise InputError(f"{path}: index {i}: number out of double range") from None
+    for i, v in enumerate(floats):
+        if domain == "log" and not math.isfinite(v):
+            raise InputError(f"{path}: index {i}: log value must be finite")
+        if domain != "log" and not (math.isfinite(v) and v > 0.0):
+            raise InputError(
+                f"{path}: index {i}: geometric values must be positive finite, got {v!r}"
+            )
+    return tuple(floats) if domain == "log" else tuple(map(math.log, floats))
+
+
+def _ref_csv(text, path):
+    """The per-line CSV reader, lines numbered as in the file, blank ones counted."""
+    numbered = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
+        raise InputError(f"{path}: empty sequence file")
+    (k, header), rest = numbered[0], numbered[1:]
+    domain = {"value": "geometric", "log_value": "log"}.get(header.lower())
+    if domain is None:
+        raise InputError(
+            f"{path}: line {k}: header must be 'value' or 'log_value', got {header!r}"
+        )
+    values = []
+    for k, ln in rest:
+        try:
+            values.append(float(ln))
+        except ValueError:
+            raise InputError(f"{path}: line {k}: not a number: {ln!r}") from None
+    return _ref_build(values, domain, path)
+
+
+def _outcome(read, *args):
+    """The log bits a reader gives, or its error message."""
+    try:
+        return [u.hex() for u in read(*args)]
+    except InputError as exc:
+        return str(exc)
+
+
+class TestColumnParsing:
+    """Sequence files read a column at a time give the per-term readers' logs
+    bit for bit, and their first error word for word."""
+
+    NUMBERS = [1.0, 2.5, 1e-300, 5e-324, 1.7976931348623157e308, 3, 10 ** 20, 0.5,
+               709.5, -3.25, -1e-10]
+    BAD = [0.0, -0.0, -1.0, 0, -7, float("inf"), float("-inf"), float("nan"), 10 ** 400,
+           True, False, None, "2.5", [1.0], {"v": 1}]
+
+    def _values(self, rng, n):
+        values = [rng.choice(self.NUMBERS) * rng.choice([1, 1, 1, -1]) for _ in range(n)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            values.insert(rng.randrange(n + 1), rng.choice(self.BAD))
+        return values
+
+    @pytest.mark.parametrize("domain", ["geometric", "log"])
+    def test_json(self, tmp_path, domain):
+        rng = random.Random(f"json-{domain}")
+        p = tmp_path / "s.json"
+        for trial in range(400):
+            values = self._values(rng, rng.randrange(0, 30))
+            text = json.dumps({"domain": domain, "values": values})
+            p.write_text(text)
+            want = _outcome(_ref_build, json.loads(text)["values"], domain, p)
+            got = _outcome(lambda: parse_sequence_file(p).logs)
+            assert got == want, (trial, values)
+
+    CELLS = ["1.0", " 2.5 ", "1e-300", "5e-324", "1e308", "3", "0.5", "-3.25", "709.5",
+             "1_000", "+4", ".5", "1E2"]
+    BAD_CELLS = ["0", "-0.0", "-1", "inf", "-inf", "nan", "1e400", "oops", "0x10", "1,5",
+                 "--1", "1.0.0"]
+
+    @pytest.mark.parametrize("header", ["value", "log_value", "LOG_VALUE", "Value "])
+    def test_csv(self, tmp_path, header):
+        rng = random.Random(f"csv-{header}")
+        p = tmp_path / "s.csv"
+        for trial in range(400):
+            cells = [rng.choice(self.CELLS) for _ in range(rng.randrange(0, 20))]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                cells.insert(rng.randrange(len(cells) + 1), rng.choice(self.BAD_CELLS))
+            lines = [header] + cells
+            for _ in range(rng.choice([0, 1, 3])):  # blank lines anywhere
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t"]))
+            text = "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+            p.write_text(text)
+            want = _outcome(_ref_csv, text, p)
+            got = _outcome(lambda: parse_sequence_file(p).logs)
+            assert got == want, (trial, text)
 
 
 class TestConfig:
@@ -574,6 +683,21 @@ class TestCli:
             b"WARNING:geoseq.cli:transform left double range; value view saturated\n",
         ]
         assert self.stderr_of(argv, level) == b"".join(warnings[2 - lines:])
+
+    def test_saturated_geometric_transform_warns_then_aborts(self, tmp_path):
+        seq = write(tmp_path / "s.json", '{"domain":"log","values":[0,800,0,800,1]}')
+        out = tmp_path / "t.json"
+        argv = ["transform", "--in", seq, "--out", str(out), "--domain", "geo"]
+        env = dict(_env_with_package_path(), GEOSEQ_LOG_LEVEL="warn")
+        proc = subprocess.run([sys.executable, "-m", "geoseq", *argv],
+                              capture_output=True, env=env)
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            b"WARNING:geoseq.cli:transform left double range; value view saturated\n"
+            b"geoseq: numeric range abort: term 2: representative exp(-1200.0)"
+            b" is out of double range\n"
+        )
+        assert not out.exists()
 
     def test_log_level_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GEOSEQ_LOG_LEVEL", "debug")

@@ -61,6 +61,55 @@ class TestConstruction:
             GeoSequence.from_log([0.0, 1.0, math.nan])
 
 
+def _ref_sequence_logs(terms):
+    """The per-term ``GeoSequence`` constructor the column path replaced."""
+    logs = []
+    for i, t in enumerate(terms):
+        if isinstance(t, GeoScalar):
+            logs.append(t.log)
+            continue
+        v = float(t)
+        if not math.isfinite(v) or v <= 0.0:
+            raise ValueError(
+                f"term {i}: geometric values must be positive finite reals, got {t!r}"
+            )
+        logs.append(math.log(v))
+    return tuple(logs)
+
+
+def _built(build, terms):
+    """The log bits ``build(terms)`` gives, or its exception's type and text."""
+    try:
+        return [u.hex() for u in build(terms)]
+    except (ValueError, OverflowError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class _Half(float):
+    pass
+
+
+class TestColumnConstruction:
+    """``GeoSequence(terms)`` in one type check, range check and log map gives
+    the per-term constructor's logs bit for bit, and its first error."""
+
+    # the largest doubles make the range check's sum overflow, which takes the loop
+    GOOD = [1.0, 2.5, 5e-324, 1e-300, 1.7976931348623157e308, 1e308, 7, 10 ** 300, 0.5]
+    BAD = [0.0, -0.0, -2.0, -3, 0, math.inf, -math.inf, math.nan, 10 ** 400, True, False,
+           "2.5", "x", None, GeoScalar(3.0), _Half(0.5), _Half(-1.0)]
+
+    def test_against_the_per_term_loop(self):
+        rng = random.Random(21)
+        for trial in range(3000):
+            terms = [rng.choice(self.GOOD) for _ in range(rng.randrange(0, 12))]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                terms.insert(rng.randrange(len(terms) + 1), rng.choice(self.BAD))
+            want = _built(_ref_sequence_logs, terms)
+            for form in (list, tuple, iter):
+                got = _built(lambda t: GeoSequence(t).logs, form(terms))
+                assert got == want, (trial, terms)
+
+
 class TestExamples:
     def test_gadd(self):
         assert gadd(gs(2), gs(3)).log == pytest.approx(5.0, abs=1e-12)

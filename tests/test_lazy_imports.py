@@ -185,9 +185,11 @@ def _footprint(argv, orlicz, tmp_path):
         "lambda": {"kind": "half"}, "orlicz": orlicz, "transform": "identity",
         "variant": "zero" if argv == "paranorm" else "limit",
     }))
-    args = ["fib", "--n", "3"] if argv == "fib" else [
-        argv, "--in", str(seq), "--config", str(cfg), "--out", str(tmp_path / "report"),
-    ]
+    report = str(tmp_path / "report")
+    args = {
+        "fib": ["fib", "--n", "3"],
+        "transform": ["transform", "--in", str(seq), "--out", report, "--domain", "geo"],
+    }.get(argv, [argv, "--in", str(seq), "--config", str(cfg), "--out", report])
     script = textwrap.dedent(f"""
         import json, sys
         before = set(sys.modules)
@@ -211,6 +213,9 @@ def _footprint(argv, orlicz, tmp_path):
 @pytest.mark.parametrize("command, orlicz, modules, names", [
     ("fib", None, {"geoseq.fileio", "geoseq.summability", "geoseq.orlicz", "dataclasses"},
      set()),
+    # the file code without the run configurations and reports it never reads
+    ("transform", None,
+     {"geoseq.summability", "geoseq.orlicz", "geoseq.membership", "dataclasses"}, set()),
     ("paranorm", POWER,
      {"geoseq.fibonacci", "geoseq.membership", "geoseq.orlicz_checks", "fractions"},
      VERIFY_ONLY | MEMBERSHIP),
@@ -218,7 +223,7 @@ def _footprint(argv, orlicz, tmp_path):
      {"geoseq.fibonacci", "geoseq.membership", "geoseq.orlicz_checks", "fractions"},
      VERIFY_ONLY | MEMBERSHIP),
     ("analyze", POWER, {"geoseq.orlicz_checks"}, VERIFY_ONLY),
-], ids=["fib", "paranorm", "paranorm-table", "analyze"])
+], ids=["fib", "transform", "paranorm", "paranorm-table", "analyze"])
 def test_command_compiles_only_what_it_runs(command, orlicz, modules, names, tmp_path):
     loaded, defined = _footprint(command, orlicz, tmp_path)
     assert loaded & modules == set()
