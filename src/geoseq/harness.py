@@ -9,9 +9,13 @@ rounding error.  The boundary row is implied and never windowed.
 
 Each check verifies a finite, exact-given-arithmetic inequality on every
 window of every generated instance, plus an end-to-end membership
-consequence where the claim has one.  All randomness flows from a single
-seed through named per-trial substreams, so two runs of the same
-configuration produce identical reports.
+consequence where the claim has one.  :data:`_CHECKS` lists the checks
+in report order, each with its skip rule and its trial function
+``(suite, trial) -> CheckOutcome``; :func:`run_suite` builds one
+:class:`_Suite` (each check's derived spaces, built once) and runs every
+entry's trials on it.  All randomness flows from a single seed through
+named per-trial substreams, so two runs of the same configuration
+produce identical reports.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import math
 import os
 import random
 import threading
+from collections import namedtuple
 from dataclasses import replace
+from functools import partial
 from itertools import chain, repeat
 from operator import gt, mul, sub, truediv
 from typing import Optional, Sequence
@@ -90,10 +96,11 @@ class TrialConfig(FrozenRecord):
         spec: Optional[SpaceSpec] = None,
         tolerances: Optional[Tolerances] = None,
     ):
-        if trials < 0:
-            raise ValueError("trials must be >= 0")
-        if length < 8:
-            raise ValueError("length must be >= 8")
+        for what, n, least in ("trials", trials, 0), ("length", length, 8):
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"{what} must be an integer, got {n!r}")
+            if n < least:
+                raise ValueError(f"{what} must be >= {least}")
         spec = _default_spec() if spec is None else spec
         # solidity windows the identity view: one window and one exponent per term
         for what, seq in ("custom lambda", spec.lam), ("exponent list", spec.exponents):
@@ -390,12 +397,8 @@ def _delta2_inclusion(
     if delta2 is None:
         delta2 = delta2_constant(orlicz)
     if not delta2.satisfied:
-        return CheckOutcome(
-            "delta2_inclusion",
-            False,
-            math.inf,
-            "refused: the Orlicz function fails the doubling condition",
-        )
+        detail = "refused: the Orlicz function fails the doubling condition"
+        return CheckOutcome("delta2_inclusion", False, math.inf, detail)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if orlicz.eval(delta) > epsilon + 1e-15:
@@ -700,151 +703,177 @@ def _run_trials(fns: Sequence, trials: int, w: int) -> list:
     return outcomes
 
 
-def run_suite(config: TrialConfig) -> SuiteReport:
-    """Run every inequality and inclusion check under one seed.
+# M(delta) <= epsilon below the doubling check's small-argument threshold
+_D2_EPSILON = 0.1
 
-    Individual trial errors are recorded as failures, not raised; an
-    unsatisfied doubling condition, or a truncation too short for the
-    consistency check's verdict, skips that check with a reason.  The
-    trials are split over the CPUs (see ``_worker_count`` and
-    ``_run_trials``); two runs of an identical configuration produce
-    identical reports.
-    """
-    spec = config.spec
-    N = config.length
-    tols = config.tolerances
 
-    # each check's spaces, built once per suite
-    unit = Exponents.constant(1.0)
-    linear_specs = [  # p(k) = 1, 1.5 and the mixed 1 + 1/k, in turn
-        replace(spec, exponents=p)
-        for p in (unit, Exponents.constant(1.5), Exponents.formula(1.0, 1.0))
-    ]
-    solidity_member_spec = replace(spec, transform="identity", variant="zero")
-    solidity_spec = replace(spec, transform="identity")
-    limit_spec = replace(spec, variant="limit")
-    # q(k) = 2, and q(k) = p(k) + 1/k, against p(k) = 1
-    exponent_qs = [Exponents.constant(2.0), Exponents.formula(1.0, 1.0)]
-    exponent_specs = [replace(spec, exponents=q) for q in exponent_qs]
-    # the space of both statistical checks: stat_density windows the fhat view
-    density_spec = replace(spec, exponents=unit, variant="limit", transform="fhat")
+class _Suite(Record):
+    """What the trials of one suite run read, built once from its
+    :class:`TrialConfig`: each check's derived spaces and exponent
+    profiles, the doubling report, the small-argument threshold ``delta``
+    (NaN, with the reason in ``no_delta``, when there is none), and the
+    reasons to skip the doubling and consistency checks (None to run)."""
 
-    epsilons = [(eps_log, GeoScalar.from_log(eps_log)) for eps_log in (0.1, 1.0, 2.0)]
+    __slots__ = (
+        "seed", "length", "spec", "tols", "unit", "linear_specs", "solidity_spec",
+        "limit_spec", "exponent_qs", "density_spec", "epsilons", "d2_report", "delta",
+        "no_delta", "no_doubling", "too_short",
+    )
 
-    def linear(trial: int) -> CheckOutcome:
-        rand = _rng(config.seed, "linear_combination", trial).random
-        x = GeoSequence.from_log([-5.0 + 10.0 * rand() for _ in range(N)])  # uniform(-5, 5)
-        y = GeoSequence.from_log([-5.0 + 10.0 * rand() for _ in range(N)])
-        a = -3.0 + 6.0 * rand()  # uniform(-3, 3)
-        b = -3.0 + 6.0 * rand()
-        rho1 = 0.5 + 1.5 * rand()  # uniform(0.5, 2)
-        rho2 = 0.5 + 1.5 * rand()
-        return check_linear_combination(
-            x, y, a, b, linear_specs[trial % len(linear_specs)], rho1, rho2
-        )
+    def __init__(self, config: TrialConfig):
+        self.seed, self.length, self.tols = config.seed, config.length, config.tolerances
+        spec = self.spec = config.spec
+        unit = self.unit = Exponents.constant(1.0)
+        self.linear_specs = [  # p(k) = 1, 1.5 and the mixed 1 + 1/k, in turn
+            replace(spec, exponents=p)
+            for p in (unit, Exponents.constant(1.5), Exponents.formula(1.0, 1.0))
+        ]
+        # solidity draws vanishing members; its bound reads no variant
+        self.solidity_spec = replace(spec, transform="identity", variant="zero")
+        self.limit_spec = replace(spec, variant="limit")
+        # q(k) = 2, and q(k) = p(k) + 1/k, against p(k) = 1
+        self.exponent_qs = [Exponents.constant(2.0), Exponents.formula(1.0, 1.0)]
+        # the space of both statistical checks: stat_density windows the fhat view
+        self.density_spec = replace(spec, exponents=unit, variant="limit", transform="fhat")
+        self.epsilons = [(eps_log, GeoScalar.from_log(eps_log)) for eps_log in (0.1, 1.0, 2.0)]
 
-    def solidity(trial: int) -> CheckOutcome:
-        rng = _rng(config.seed, "solidity", trial)
-        _, z = _generate(solidity_member_spec, config.seed, N, "solidity_member", trial)
-        if trial % 2 == 0:
-            rand = rng.random
-            alphas = [-1.0 + 2.0 * rand() for _ in z]  # uniform(-1, 1)
-        else:
-            # 0/1 mask in log-view: the step-space (monotone) consequence
-            alphas = list(map(float, _bits(rng, len(z))))  # randint(0, 1)
-        return _solidity(z, alphas, solidity_spec, _WINDOW_SLACK)
-
-    def delta2(trial: int) -> CheckOutcome:
-        sample, z = _generate(limit_spec, config.seed, N, "delta2_member", trial)
-        if no_delta is not None:
-            raise DegenerateOrliczError(no_delta)
-        return _delta2_inclusion(
-            z, spec.orlicz, limit_spec, delta, d2_eps, sample.ell.log, d2_report, tols,
-            _WINDOW_SLACK,
-        )
-
-    def exponents(trial: int) -> CheckOutcome:
-        _, z = _generate(exponent_specs[trial % 2], config.seed, N, "exponent_member", trial)
-        return _exponent_inclusion(z, unit, exponent_qs[trial % 2], spec, tols, _WINDOW_SLACK)
-
-    def density(trial: int) -> CheckOutcome:
-        rand = _rng(config.seed, "density_bound", trial).random
-        x = GeoSequence.from_log([-3.0 + 6.0 * rand() for _ in range(N)])  # uniform(-3, 3)
-        ell = GeoScalar.from_log(-1.0 + 2.0 * rand())  # uniform(-1, 1)
-        epsilon = GeoScalar.from_log(0.1 + (2.0 - 0.1) * rand())  # uniform(0.1, 2)
-        # statconv.modular_density_bound on every window at once, on one fhat view
-        z = windowed_logs(x, "fhat")
-        lhs = modular_trace(z, spec.lam, spec.orlicz, unit, spec.rho, ell.log)
-        m_eps = spec.orlicz.eval(epsilon.log / spec.rho)
-        rhs = [m_eps * d for d in _density(z, spec.lam, ell, epsilon).densities]
-        return _scan_windows("density_bound", lhs, rhs, _WINDOW_SLACK, upper=False)
-
-    def consistency(trial: int) -> CheckOutcome:
-        _, z = _generate(density_spec, config.seed, N, "consistency_member", trial)
-        verdict, center, _, _ = _verdict(z, density_spec, tols)
-        if verdict != CONVERGING:
-            return CheckOutcome(
-                "stat_consistency",
-                False,
-                math.inf,
-                f"generated member classified {verdict}",
-            )
-        ell = GeoScalar.from_log(center)
-        for eps_log, epsilon in epsilons:
-            verdict = stat_converges(_density(z, spec.lam, ell, epsilon), tols)
-            if verdict != CONVERGING:
-                return CheckOutcome(
-                    "stat_consistency",
-                    False,
-                    math.inf,
-                    f"density verdict {verdict} at ln eps = {eps_log}",
+        self.d2_report, self.delta, self.no_delta, self.no_doubling = None, math.nan, None, None
+        try:
+            self.d2_report = delta2_constant(spec.orlicz)
+            if not self.d2_report.satisfied:
+                self.no_doubling = (
+                    "skipped: the configured Orlicz function fails the doubling condition"
                 )
-        return CheckOutcome("stat_consistency", True, 0.0)
+        except Exception as exc:
+            self.no_doubling = f"skipped: {exc}"
+        if self.no_doubling is None:
+            try:  # one value for all trials; without one, each trial fails
+                self.delta = small_argument_threshold(spec.orlicz, _D2_EPSILON)
+            except DegenerateOrliczError as exc:
+                self.no_delta = str(exc)
+        # every consistency member has N - 1 fhat windows; too few, and the
+        # membership verdict can only answer inconclusive
+        short = _short_truncation(config.length - 1, self.tols)
+        self.too_short = None if short is None else f"skipped: {short}"
 
-    try:
-        d2_report = delta2_constant(spec.orlicz)
-        d2_skip = None if d2_report.satisfied else (
-            "skipped: the configured Orlicz function fails the doubling condition"
-        )
-    except Exception as exc:
-        d2_skip = f"skipped: {exc}"
-    if d2_skip is None:
-        d2_eps = 0.1
-        try:  # one value for all trials; without one, each trial fails
-            delta, no_delta = small_argument_threshold(spec.orlicz, d2_eps), None
-        except DegenerateOrliczError as exc:
-            delta, no_delta = math.nan, str(exc)
 
-    # every consistency member has N - 1 fhat windows; too few, and the
-    # membership verdict can only answer inconclusive
-    short = _short_truncation(N - 1, tols)
+def _linear_trial(suite: _Suite, trial: int) -> CheckOutcome:
+    """Convexity of M, then |s + t|**p <= B (|s|**p + |t|**p) for p <= H (Maddox 1967)."""
+    N, rand = suite.length, _rng(suite.seed, "linear_combination", trial).random
+    x = GeoSequence.from_log([-5.0 + 10.0 * rand() for _ in range(N)])  # uniform(-5, 5)
+    y = GeoSequence.from_log([-5.0 + 10.0 * rand() for _ in range(N)])
+    a = -3.0 + 6.0 * rand()  # uniform(-3, 3)
+    b = -3.0 + 6.0 * rand()
+    rho1 = 0.5 + 1.5 * rand()  # uniform(0.5, 2)
+    rho2 = 0.5 + 1.5 * rand()
+    return check_linear_combination(x, y, a, b, suite.linear_specs[trial % 3], rho1, rho2)
 
-    plan = [  # (name, trial function, reason to skip)
-        ("linear_combination", linear, None),
-        ("solidity", solidity, None),
-        ("delta2_inclusion", delta2, d2_skip),
-        ("exponent_inclusion", exponents, None),
-        ("density_bound", density, None),
-        ("stat_consistency", consistency, None if short is None else f"skipped: {short}"),
-    ]
-    fns = [fn for _, fn, skip in plan if skip is None]
+
+def _solidity_trial(suite: _Suite, trial: int) -> CheckOutcome:
+    """M is non-decreasing and |a_k z_k| <= |z_k|, so no term of the modular grows."""
+    rng, spec = _rng(suite.seed, "solidity", trial), suite.solidity_spec
+    _, z = _generate(spec, suite.seed, suite.length, "solidity_member", trial)
+    if trial % 2 == 0:
+        rand = rng.random
+        alphas = [-1.0 + 2.0 * rand() for _ in z]  # uniform(-1, 1)
+    else:
+        # 0/1 mask in log-view: the step-space (monotone) consequence
+        alphas = list(map(float, _bits(rng, len(z))))  # randint(0, 1)
+    return _solidity(z, alphas, spec, _WINDOW_SLACK)
+
+
+def _delta2_trial(suite: _Suite, trial: int) -> CheckOutcome:
+    """M(t) <= eps up to delta, M(t) <= K M(2) t / delta beyond (Maddox 1986; false for t >> 1)."""
+    sample, z = _generate(suite.limit_spec, suite.seed, suite.length, "delta2_member", trial)
+    if suite.no_delta is not None:
+        raise DegenerateOrliczError(suite.no_delta)
+    return _delta2_inclusion(
+        z, suite.spec.orlicz, suite.limit_spec, suite.delta, _D2_EPSILON, sample.ell.log,
+        suite.d2_report, suite.tols, _WINDOW_SLACK,
+    )
+
+
+def _exponent_trial(suite: _Suite, trial: int) -> CheckOutcome:
+    """t**mu_k <= t for t >= 1; below 1, t**mu_k <= t**mu, and Jensen for the concave t**mu."""
+    # a member of the q-space: the draw reads only the spec's variant and transform
+    _, z = _generate(suite.spec, suite.seed, suite.length, "exponent_member", trial)
+    q = suite.exponent_qs[trial % 2]
+    return _exponent_inclusion(z, suite.unit, q, suite.spec, suite.tols, _WINDOW_SLACK)
+
+
+def _density_trial(suite: _Suite, trial: int) -> CheckOutcome:
+    """Chebyshev: M(|t_k|/rho) >= M(eps/rho) where |t_k| >= eps, and >= 0 elsewhere."""
+    spec, rand = suite.spec, _rng(suite.seed, "density_bound", trial).random
+    x = GeoSequence.from_log([-3.0 + 6.0 * rand() for _ in range(suite.length)])  # uniform(-3, 3)
+    ell = GeoScalar.from_log(-1.0 + 2.0 * rand())  # uniform(-1, 1)
+    epsilon = GeoScalar.from_log(0.1 + (2.0 - 0.1) * rand())  # uniform(0.1, 2)
+    # statconv.modular_density_bound on every window at once, on one fhat view
+    z = windowed_logs(x, "fhat")
+    lhs = modular_trace(z, spec.lam, spec.orlicz, suite.unit, spec.rho, ell.log)
+    m_eps = spec.orlicz.eval(epsilon.log / spec.rho)
+    rhs = [m_eps * d for d in _density(z, spec.lam, ell, epsilon).densities]
+    return _scan_windows("density_bound", lhs, rhs, _WINDOW_SLACK, upper=False)
+
+
+def _consistency_trial(suite: _Suite, trial: int) -> CheckOutcome:
+    """Strong summability implies statistical convergence to the same limit (Connor 1988)."""
+    density_spec, tols = suite.density_spec, suite.tols
+    _, z = _generate(density_spec, suite.seed, suite.length, "consistency_member", trial)
+    verdict, center, _, _ = _verdict(z, density_spec, tols)
+    if verdict != CONVERGING:
+        detail = f"generated member classified {verdict}"
+        return CheckOutcome("stat_consistency", False, math.inf, detail)
+    ell = GeoScalar.from_log(center)
+    for eps_log, epsilon in suite.epsilons:
+        verdict = stat_converges(_density(z, suite.spec.lam, ell, epsilon), tols)
+        if verdict != CONVERGING:
+            detail = f"density verdict {verdict} at ln eps = {eps_log}"
+            return CheckOutcome("stat_consistency", False, math.inf, detail)
+    return CheckOutcome("stat_consistency", True, 0.0)
+
+
+# one entry of _CHECKS: the check's name, the _Suite slot holding its reason
+# to skip (None: never skipped), and its trial function (suite, trial) -> outcome
+_Check = namedtuple("_Check", ("name", "skip", "trial"))
+
+
+# every check of the suite, in report order
+_CHECKS = (
+    _Check("linear_combination", None, _linear_trial),
+    _Check("solidity", None, _solidity_trial),
+    _Check("delta2_inclusion", "no_doubling", _delta2_trial),
+    _Check("exponent_inclusion", None, _exponent_trial),
+    _Check("density_bound", None, _density_trial),
+    _Check("stat_consistency", "too_short", _consistency_trial),
+)
+
+
+def run_suite(config: TrialConfig) -> SuiteReport:
+    """Run every check of :data:`_CHECKS` under one seed.
+
+    A :class:`_Suite` holds what the trials read, built once.  Individual
+    trial errors are recorded as failures, not raised; an unsatisfied
+    doubling condition, or a truncation too short for the consistency
+    check's verdict, skips that check with a reason.  The trials are
+    split over the CPUs (see ``_worker_count`` and ``_run_trials``); two
+    runs of an identical configuration produce identical reports.
+    """
+    suite = _Suite(config)
+    skips = [entry.skip and getattr(suite, entry.skip) for entry in _CHECKS]
+    fns = [partial(entry.trial, suite) for entry, skip in zip(_CHECKS, skips) if skip is None]
     outcomes = iter(_run_trials(fns, config.trials, _worker_count(config)))
-    checks: list = []
-    rows: list = []
-    for name, _, skip in plan:
+    checks, rows = [], []
+    for (name, _, _), skip in zip(_CHECKS, skips):
         if skip is not None:
             checks.append(SuiteCheck(name, 0, 0, 0.0, skip, None))
             continue
-        failures = 0
-        worst = 0.0
-        first = None
+        failures, worst, first = 0, 0.0, None
         for trial, (passed, violation, detail) in enumerate(next(outcomes)):
             if violation is None:  # the trial raised
-                rows.append((name, trial, False, math.inf))
-            else:
-                if violation > worst:
-                    worst = violation
-                rows.append((name, trial, passed, violation))
+                violation = math.inf
+            elif violation > worst:
+                worst = violation
+            rows.append((name, trial, passed, violation))
             if not passed:
                 failures += 1
                 if first is None:

@@ -5,6 +5,8 @@ import os
 import random
 import threading
 from dataclasses import replace
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,7 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
-from geoseq import membership
+from geoseq import harness, membership
 from geoseq.fibonacci import fib_ratio
 from geoseq.harness import (
     CheckOutcome,
@@ -558,6 +560,52 @@ class TestRunSuite:
             TrialConfig(trials=-1)
         with pytest.raises(ValueError):
             TrialConfig(length=4)
+        # a count that is not an int is an input error, not a failed trial
+        for what, bad in [("trials", 2.0), ("length", 56.0), ("trials", True),
+                          ("length", True)]:
+            with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad!r}"):
+                TrialConfig(**{what: bad})
+
+    def test_each_stream_belongs_to_one_check(self, monkeypatch):
+        # the documented substream rule: every named stream is drawn by the
+        # trials of one _CHECKS entry only
+        _fake_cpus(monkeypatch, 1)  # serial: every draw is seen here
+        running, drawn = [], {}
+        real_rng = harness._rng
+
+        def rng(seed, check, trial):
+            drawn.setdefault(check, set()).add(running[-1])
+            return real_rng(seed, check, trial)
+
+        def tagged(entry):
+            def trial(suite, t):
+                running.append(entry.name)
+                return entry.trial(suite, t)
+            return entry._replace(trial=trial)
+
+        monkeypatch.setattr(harness, "_rng", rng)
+        monkeypatch.setattr(harness, "_CHECKS", tuple(map(tagged, harness._CHECKS)))
+        rep = run_suite(TrialConfig(seed=1, trials=2, length=56))
+        assert rep.all_passed and all(c.skipped is None for c in rep.checks)
+        assert drawn == {
+            "linear_combination": {"linear_combination"},
+            "solidity": {"solidity"},
+            "solidity_member": {"solidity"},
+            "delta2_member": {"delta2_inclusion"},
+            "exponent_member": {"exponent_inclusion"},
+            "density_bound": {"density_bound"},
+            "consistency_member": {"stat_consistency"},
+        }
+
+    def test_readme_claims_table_lists_every_check(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("\n## Verification suite\n", 1)[1].split("\n## ", 1)[0]
+        lines = section.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        rows = list(takewhile(lambda line: line.startswith("|"), lines[start:]))  # one table
+        assert rows[0].split("|")[1].strip().lower() == "check"
+        checks = [row.split("|")[1].strip().strip("`") for row in rows[2:]]
+        assert checks == [entry.name for entry in harness._CHECKS]
 
     def test_window_slack_is_fixed(self):
         assert TrialConfig().describe()["slack"] == 1e-12
