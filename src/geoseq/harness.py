@@ -110,7 +110,7 @@ class TrialConfig(FrozenRecord):
                     f" the suite length {length}"
                 )
         tolerances = Tolerances() if tolerances is None else tolerances
-        self._freeze(seed, trials, length, spec, tolerances)
+        super().__init__(seed, trials, length, spec, tolerances)
 
     def describe(self) -> dict:
         return {
@@ -155,9 +155,6 @@ class MemberSample(FrozenRecord):
     """
 
     __slots__ = ("sequence", "target", "ell")
-
-    def __init__(self, sequence: GeoSequence, target: tuple, ell: Optional[GeoScalar]):
-        self._freeze(sequence, target, ell)
 
 
 def _reconstruct_logs(target: Sequence[float], transform: str, anchor: float) -> list:
@@ -229,14 +226,7 @@ class CheckOutcome(Record):
     """Result of one inequality check over all windows of one instance."""
 
     __slots__ = ("name", "passed", "worst_violation", "detail")
-
-    def __init__(
-        self, name: str, passed: bool, worst_violation: float, detail: Optional[str] = None
-    ):
-        self.name = name
-        self.passed = passed
-        self.worst_violation = worst_violation
-        self.detail = detail
+    _defaults = {"detail": None}
 
 
 def _scan_windows(
@@ -474,22 +464,7 @@ class SuiteCheck(Record):
     """Aggregate of one named check across all trials."""
 
     __slots__ = ("name", "trials", "failures", "worst_violation", "skipped", "first_failure")
-
-    def __init__(
-        self,
-        name: str,
-        trials: int,
-        failures: int,
-        worst_violation: float,
-        skipped: Optional[str] = None,
-        first_failure: Optional[str] = None,
-    ):
-        self.name = name
-        self.trials = trials
-        self.failures = failures
-        self.worst_violation = worst_violation
-        self.skipped = skipped
-        self.first_failure = first_failure
+    _defaults = {"skipped": None, "first_failure": None}
 
     @property
     def passed(self) -> bool:
@@ -505,11 +480,6 @@ class SuiteReport(Record):
     :data:`_SUITE_ROW` tuples."""
 
     __slots__ = ("config", "checks", "rows")
-
-    def __init__(self, config: dict, checks: list, rows: list):
-        self.config = config
-        self.checks = checks
-        self.rows = rows
 
     @property
     def all_passed(self) -> bool:

@@ -63,24 +63,7 @@ class MembershipReport(Record):
         "limit_estimate",
         "reason",
     )
-
-    def __init__(
-        self,
-        verdict: str,
-        window_values: list,
-        lambda_values: list,
-        tail_slope: float,
-        params_used: dict,
-        limit_estimate: Optional[GeoScalar] = None,
-        reason: Optional[str] = None,
-    ):
-        self.verdict = verdict
-        self.window_values = window_values
-        self.lambda_values = lambda_values
-        self.tail_slope = tail_slope
-        self.params_used = params_used
-        self.limit_estimate = limit_estimate
-        self.reason = reason
+    _defaults = {"limit_estimate": None, "reason": None}
 
 
 def _tail_slope(values: Sequence[float]) -> float:

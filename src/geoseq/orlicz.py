@@ -162,16 +162,7 @@ class OrliczFunction(_KindRecord):
             raise ValueError(f"Orlicz functions take non-negative arguments, got {t!r}")
         if t == 0.0:
             return 0.0
-        if self.kind == "power":
-            return _pow_sat(t, self.p)
-        if self.kind == "exp_minus_one":
-            try:
-                return math.expm1(t)
-            except OverflowError:
-                return math.inf
-        if self.kind == "x_log1p":
-            return t * math.log1p(t)
-        return self._eval_table(t)
+        return self._batch((t,))[0]
 
     __call__ = eval
 
@@ -179,26 +170,33 @@ class OrliczFunction(_KindRecord):
         """``[self.eval(t) for t in ts]`` for floats t >= 0, bit for bit.
 
         One dispatch on ``kind`` per list instead of one per term, for every
-        family, tables included.  A list that overflows somewhere is redone
-        through :meth:`eval`, which saturates to ``inf``.  Only a subclass
-        that overrides :meth:`eval` is evaluated term by term through
-        ``self.eval``, so a batch never bypasses an overriding ``eval``.
+        family, tables included.  Only a subclass that overrides :meth:`eval`
+        is evaluated term by term through ``self.eval``, so a batch never
+        bypasses an overriding ``eval``.
         """
         if type(self).eval is not OrliczFunction.eval:
             return list(map(self.eval, ts))
-        if self.kind == "table":
-            return list(map(self._eval_table, ts))
-        try:
-            if self.kind == "power":
-                p = self.p
-                return list(ts) if p == 1.0 else list(map(pow, ts, repeat(p)))
-            if self.kind == "x_log1p":
-                return list(map(mul, ts, map(math.log1p, ts)))
-            if self.kind == "exp_minus_one":
+        return self._batch(ts)
+
+    def _batch(self, ts: Sequence[float]) -> list:
+        """M at each float t >= 0, one formula per family, saturating to
+        ``inf`` beyond double range; calls no overridable hook."""
+        if self.kind == "power":
+            p = self.p
+            if p == 1.0:
+                return list(ts)
+            try:
+                return list(map(pow, ts, repeat(p)))
+            except OverflowError:
+                return list(map(_pow_sat, ts, repeat(p)))
+        if self.kind == "x_log1p":
+            return list(map(mul, ts, map(math.log1p, ts)))
+        if self.kind == "exp_minus_one":
+            try:
                 return list(map(math.expm1, ts))
-        except OverflowError:
-            pass
-        return list(map(self.eval, ts))
+            except OverflowError:
+                return [math.inf if t > _LN_MAX else math.expm1(t) for t in ts]
+        return list(map(self._eval_table, ts))
 
     def derivative_many(self, ts: Sequence[float]) -> list:
         """M'(t+), the right derivative, at each float t >= 0; ``inf`` beyond range.
@@ -280,9 +278,6 @@ class ScaleBracket(FrozenRecord):
     """
 
     __slots__ = ("lo", "hi", "g_hi", "probes")
-
-    def __init__(self, lo: float, hi: float, g_hi: Optional[float], probes: int):
-        self._freeze(lo, hi, g_hi, probes)
 
 
 def _zeroin(

@@ -38,11 +38,7 @@ class OrliczDiagnostics(FrozenRecord):
     ``failure_kind`` "monotone" or "convex" and ``witness`` (s, t, lhs, rhs)."""
 
     __slots__ = ("passed", "failure_kind", "witness")
-
-    def __init__(
-        self, passed: bool, failure_kind: Optional[str] = None, witness: Optional[tuple] = None
-    ):
-        self._freeze(passed, failure_kind, witness)
+    _defaults = {"failure_kind": None, "witness": None}
 
 
 def log_grid(lo: float = 1e-6, hi: float = 1e6, per_decade: int = 60) -> list:
@@ -96,17 +92,7 @@ class Delta2Report(FrozenRecord):
     """
 
     __slots__ = ("satisfied", "K", "analytic", "grid_description", "growth", "clipped")
-
-    def __init__(
-        self,
-        satisfied: bool,
-        K: float,
-        analytic: Optional[bool],
-        grid_description: str,
-        growth: float,
-        clipped: int = 0,
-    ):
-        self._freeze(satisfied, K, analytic, grid_description, growth, clipped)
+    _defaults = {"clipped": 0}
 
 
 # the closed-form doubling verdict of each built-in family; tables have none

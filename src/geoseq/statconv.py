@@ -48,20 +48,6 @@ class DensityTrace(Record):
 
     __slots__ = ("counts", "densities", "lambda_values", "epsilon", "ell")
 
-    def __init__(
-        self,
-        counts: list,
-        densities: list,
-        lambda_values: list,
-        epsilon: GeoScalar,
-        ell: GeoScalar,
-    ):
-        self.counts = counts
-        self.densities = densities
-        self.lambda_values = lambda_values
-        self.epsilon = epsilon
-        self.ell = ell
-
     @property
     def n_windows(self) -> int:
         return len(self.counts)
@@ -95,13 +81,7 @@ def _density(
     counts = window_sums(list(flags), lam)  # bools, so the counts are ints
     lam_values = lam.head(len(z))
     densities = list(map(truediv, counts, lam_values))
-    return DensityTrace(
-        counts=counts,
-        densities=densities,
-        lambda_values=lam_values,
-        epsilon=epsilon,
-        ell=ell,
-    )
+    return DensityTrace(counts, densities, lam_values, epsilon, ell)
 
 
 def stat_converges(trace: DensityTrace, tols: Tolerances = Tolerances()) -> str:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, repeat
 from operator import sub, truediv
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .geometric import GEO_ZERO, GeoScalar, GeoSequence
 from .orlicz import (
@@ -362,7 +362,7 @@ class Tolerances(FrozenRecord):
             raise ValueError(f"window_count must be an integer >= 1, got {n!r}")
         if not cap > 0.0:  # NaN fails too
             raise ValueError(f"bound_cap must be > 0, got {bound_cap!r}")
-        self._freeze(tol_f, n, cap)
+        super().__init__(tol_f, n, cap)
 
     def describe(self) -> dict:
         return dict(zip(self.__slots__, self._values()))
@@ -380,17 +380,7 @@ class ParanormResult(FrozenRecord):
     """
 
     __slots__ = ("rho_star", "g", "g_geo", "probes", "bracket", "constraint_at_hi")
-
-    def __init__(
-        self,
-        rho_star: float,
-        g: float,
-        g_geo: Optional[GeoScalar],
-        probes: int = 0,
-        bracket: Optional[Tuple[float, float]] = None,
-        constraint_at_hi: Optional[float] = None,
-    ):
-        self._freeze(rho_star, g, g_geo, probes, bracket, constraint_at_hi)
+    _defaults = {"probes": 0, "bracket": None, "constraint_at_hi": None}
 
 
 def windowed_logs(x: GeoSequence, transform: str) -> list:

@@ -127,6 +127,43 @@ _BATCH_INPUTS = (
 _TABLE = OrliczFunction.table([(0, 0), (0.5, 0.2), (1, 1), (2, 3.5), (4, 10)])
 
 
+def _per_term(M: OrliczFunction, t: float) -> float:
+    """M(t) written out one term at a time for each family, the reference
+    that both ``eval`` and ``eval_many`` must match bit for bit."""
+    if t == 0.0:
+        return 0.0
+    try:
+        if M.kind == "power":
+            return t ** M.p
+        if M.kind == "exp_minus_one":
+            return math.expm1(t)
+    except OverflowError:
+        return math.inf
+    if M.kind == "x_log1p":
+        return t * math.log1p(t)
+    return M._eval_table(t)
+
+
+_BIG = sys.float_info.max
+# 5e-324 to inf and NaN: every 8th power of two, every 5th power of ten,
+# and each family's overflow edge with its two neighbours
+_WIDE_INPUTS = sorted(
+    {2.0 ** e for e in range(-1074, 1024, 8)}
+    | {10.0 ** e for e in range(-320, 309, 5)}
+    | {
+        math.nextafter(t, d)
+        for t in (5e-324, sys.float_info.min, 1.0, math.log(_BIG), _BIG ** 0.5,
+                  _BIG ** (1 / 3.5), _BIG ** (1 / 1.0000001), _BIG)
+        for d in (0.0, t, math.inf)
+    }
+    - {0.0}
+) + [math.nan]
+# the four powers include p just above 1, whose overflow edge is just below _BIG
+_FORMULA_CASES = [OrliczFunction.power(p) for p in (1.0, 2.0, 3.5, 1.0000001)] + [
+    XLOG, EXPM1, _TABLE, OrliczFunction.table(TestEval.TABLES[2])
+]
+
+
 @dataclass(frozen=True)
 class ShiftedOrlicz(OrliczFunction):
     """A user subclass whose ``eval`` differs from the built-in family."""
@@ -169,6 +206,14 @@ class TestEvalMany:
         want = [M.eval(t) for t in ts]
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert got[0] == 0.0 and not any(map(math.isnan, got))
+
+    @pytest.mark.parametrize("M", _FORMULA_CASES, ids=lambda M: f"{M.kind}{M.p or ''}")
+    def test_eval_and_eval_many_are_the_per_term_formula(self, M):
+        want = [repr(_per_term(M, t)) for t in _WIDE_INPUTS]
+        assert [repr(M.eval(t)) for t in _WIDE_INPUTS] == want
+        assert list(map(repr, M.eval_many(_WIDE_INPUTS))) == want
+        # one term per batch: no neighbour's overflow decides its path
+        assert [repr(M.eval_many([t])[0]) for t in _WIDE_INPUTS] == want
 
     def test_overflow_saturates_like_eval(self):
         assert POWER2.eval_many([1.0, 1e200, 3.0]) == [1.0, math.inf, 9.0]

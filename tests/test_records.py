@@ -1,11 +1,14 @@
 """The plain record classes behave as the dataclasses they replace did."""
 
 import copy
+import importlib
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
+import geoseq
 from geoseq import (
     GEO_ZERO,
     Delta2Report,
@@ -22,6 +25,7 @@ from geoseq import (
 from geoseq.harness import CheckOutcome, SuiteCheck, _default_spec
 from geoseq.orlicz import ScaleBracket
 from geoseq.orlicz_checks import OrliczDiagnostics
+from geoseq.record import Record
 from geoseq.statconv import DensityTrace
 
 FROZEN = [
@@ -114,3 +118,55 @@ def test_trial_config_validates_as_before():
         TrialConfig(trials=-1)
     with pytest.raises(ValueError, match="length must be >= 8"):
         TrialConfig(length=7)
+
+
+# a mutable and a frozen record, each with its fields that have no default
+@pytest.mark.parametrize(
+    "cls, given",
+    [(CheckOutcome, ("scan", False, 1.0)), (ParanormResult, (2.5, 2.5, None))],
+    ids=["mutable", "frozen"],
+)
+def test_one_constructor_binds_positions_names_and_defaults(cls, given):
+    slots = cls.__slots__
+    values = given + tuple(cls._defaults[name] for name in slots[len(given):])
+    named = dict(zip(slots, values))
+    record = cls(*values)
+    assert record._values() == values
+    assert cls(**named) == record
+    assert cls(*values[:2], **dict(zip(slots[2:], values[2:]))) == record
+    assert cls(*given) == record
+    # a keyword for the last field, and the defaulted ones between left out
+    assert cls(*given[:-1], **{slots[len(given) - 1]: given[-1], slots[-1]: values[-1]}) == record
+    first, required = slots[0], slots[len(given) - 1]
+    what = cls.__name__
+    with pytest.raises(TypeError, match=f"^{what} takes {len(slots)} fields but"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match=f"^{what} got an unknown field 'nope'$"):
+        cls(*values, nope=0)
+    with pytest.raises(TypeError, match=f"^{what} got field '{first}' twice$"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"^{what} is missing field '{required}'$"):
+        cls(*given[:-1])
+
+
+def _geoseq_records() -> set:
+    """Every Record subclass that a module of the geoseq package defines."""
+    package = Path(geoseq.__file__).parent
+    for path in package.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):  # __main__ runs the CLI
+            importlib.import_module(f"geoseq.{path.stem}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("geoseq."):
+                found.add(sub)
+    return found
+
+
+def test_only_records_that_validate_or_derive_fields_write_an_init():
+    records = _geoseq_records()
+    written = {cls.__name__ for cls in records if "__init__" in vars(cls)}
+    assert written == {"Tolerances", "TrialConfig", "RunConfig", "_Suite"}
+    for cls in records:  # the constructor fills left-out fields from the end, in slot order
+        assert tuple(cls._defaults) == cls.__slots__[len(cls.__slots__) - len(cls._defaults):]
