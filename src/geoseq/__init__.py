@@ -49,8 +49,6 @@ _EXPORTS = {
         "Delta2Report",
         "delta2_constant",
         "luxemburg_norm",
-        "solve_scale",
-        "validate_on_grid",
     ),
     "summability": (
         "Exponents",
@@ -61,7 +59,6 @@ _EXPORTS = {
         "modular_window",
         "paranorm",
         "vp_mean",
-        "window",
         "window_trace",
         "windowed_logs",
     ),

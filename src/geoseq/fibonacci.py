@@ -67,11 +67,7 @@ _INVERSE_RATIOS = _rounded_ratios(inverse=True)
 
 
 class FibonacciCache:
-    """Grow-only cache of exact Fibonacci numbers.
-
-    The float ratios come from tables derived once from the exact
-    integers, so asking for a ratio never grows the cache.
-    """
+    """Grow-only cache of exact Fibonacci numbers."""
 
     def __init__(self):
         self._values = [1, 1]
@@ -90,18 +86,6 @@ class FibonacciCache:
         self._ensure(n)
         return self._values[n]
 
-    def ratio(self, k: int) -> float:
-        """f(k) / f(k+1), correctly rounded; lies in (0, 1]."""
-        if k < 0:
-            raise ValueError(f"index must be >= 0, got {k}")
-        return _RATIOS[min(k, len(_RATIOS) - 1)]
-
-    def inverse_ratio(self, k: int) -> float:
-        """f(k+1) / f(k), correctly rounded; lies in [1, 2]."""
-        if k < 0:
-            raise ValueError(f"index must be >= 0, got {k}")
-        return _INVERSE_RATIOS[min(k, len(_INVERSE_RATIOS) - 1)]
-
 
 _CACHE = FibonacciCache()
 
@@ -112,11 +96,20 @@ def fib(n: int) -> int:
 
 
 def fib_ratio(k: int) -> float:
-    return _CACHE.ratio(k)
+    """f(k) / f(k+1), correctly rounded; lies in (0, 1]."""
+    return _tabled(_RATIOS, k)
 
 
 def fib_inverse_ratio(k: int) -> float:
-    return _CACHE.inverse_ratio(k)
+    """f(k+1) / f(k), correctly rounded; lies in [1, 2]."""
+    return _tabled(_INVERSE_RATIOS, k)
+
+
+def _tabled(table: tuple, k: int) -> float:
+    """Entry k of a ratio table, frozen at its last entry beyond it."""
+    if k < 0:
+        raise ValueError(f"index must be >= 0, got {k}")
+    return table[min(k, len(table) - 1)]
 
 
 def cassini(n: int) -> int:

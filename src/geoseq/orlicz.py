@@ -7,9 +7,10 @@ with M(0) = 0.  Built-in families:
 * ``exp_minus_one``   M(t) = e**t - 1
 * ``x_log1p``         M(t) = t * ln(1 + t)
 * ``table(points)``   piecewise-linear through given knots (convexity is
-  then checkable exactly on the slopes; deliberately invalid tables may
-  be constructed so the diagnostics of :mod:`geoseq.orlicz_checks` have
-  something to catch)
+  then checkable exactly on the slopes, which a config's table must pass;
+  a non-convex or non-monotone table stays constructible here, so the
+  tests can reach :class:`DegenerateOrliczError` and the scale solver's
+  monotonicity check with one)
 
 Evaluations saturate to ``inf`` beyond double range instead of raising,
 which keeps the monotone constraint maps used by the norm and paranorm
@@ -167,7 +168,11 @@ class OrliczFunction(_KindRecord):
     __call__ = eval
 
     def eval_many(self, ts: Sequence[float]) -> list:
-        """``[self.eval(t) for t in ts]`` for floats t >= 0, bit for bit.
+        """``[self.eval(t) for t in ts]`` for floats t >= 0, bit for bit,
+        except at t = -0.0: there ``power(1)``, odd integer powers and
+        ``exp_minus_one`` give -0.0 where :meth:`eval` gives 0.0.  Both
+        equal zero, and no library caller passes -0.0: each passes
+        ``abs(...)``, a positive grid or a difference ``x - y`` with x >= y.
 
         One dispatch on ``kind`` per list instead of one per term, for every
         family, tables included.  Only a subclass that overrides :meth:`eval`
@@ -225,7 +230,7 @@ class OrliczFunction(_KindRecord):
             try:
                 return list(map(math.exp, ts))
             except OverflowError:
-                return [math.exp(t) if t <= _LN_MAX else math.inf for t in ts]
+                return [math.inf if t > _LN_MAX else math.exp(t) for t in ts]
         xs, slopes = self._abscissae, self._slopes
         last = len(slopes) - 1  # the final segment continues beyond the last knot
         return [slopes[min(bisect_right(xs, t) - 1, last)] for t in ts]

@@ -1,85 +1,25 @@
 """Checks of an Orlicz function and the Luxemburg norm of a finite sequence.
 
-Grid validation of monotonicity and convexity, the numeric doubling
-(Delta_2) constant, the small-argument threshold, and the Luxemburg norm
-with the bare scale solver under it.  The verification harness and the
-tests use them; no analysis command does, so they live apart from
+The numeric doubling (Delta_2) constant, the small-argument threshold,
+and the Luxemburg norm.  The verification harness and the tests use
+them; no analysis command does, so they live apart from
 :mod:`geoseq.orlicz`, which every such command compiles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .orlicz import (
-    _MAX_PROBES,
-    DegenerateOrliczError,
-    OrliczFunction,
-    _fsum_sat,
-    bracket_scale,
-)
+from .orlicz import DegenerateOrliczError, OrliczFunction, _fsum_sat, bracket_scale
 from .record import FrozenRecord
 
 __all__ = [
-    "OrliczDiagnostics",
     "Delta2Report",
-    "log_grid",
-    "validate_on_grid",
     "delta2_constant",
     "luxemburg_norm",
-    "solve_scale",
     "small_argument_threshold",
 ]
-
-
-class OrliczDiagnostics(FrozenRecord):
-    """Result of grid validation; carries the first violation found:
-    ``failure_kind`` "monotone" or "convex" and ``witness`` (s, t, lhs, rhs)."""
-
-    __slots__ = ("passed", "failure_kind", "witness")
-    _defaults = {"failure_kind": None, "witness": None}
-
-
-def log_grid(lo: float = 1e-6, hi: float = 1e6, per_decade: int = 60) -> list:
-    """Logarithmically spaced positive grid, ``per_decade`` points per decade."""
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    decades = math.log10(hi / lo)
-    count = max(2, int(round(decades * per_decade)) + 1)
-    step = decades / (count - 1)
-    return [lo * 10.0 ** (i * step) for i in range(count)]
-
-
-def validate_on_grid(M: OrliczFunction, grid: Sequence[float]) -> OrliczDiagnostics:
-    """Check monotonicity and midpoint convexity of M on a sorted positive grid.
-
-    Diagnostics, not exceptions: the first violation beyond a relative
-    1e-12 slack is reported with its witness pair.
-    """
-    grid = [float(g) for g in grid]
-    if any(g <= 0 for g in grid) or any(
-        grid[i] >= grid[i + 1] for i in range(len(grid) - 1)
-    ):
-        raise ValueError("grid must be sorted and strictly positive")
-    vals = [M.eval(g) for g in grid]
-    for i in range(len(grid) - 1):
-        slack = 1e-12 * max(1.0, abs(vals[i]))
-        if vals[i + 1] < vals[i] - slack:
-            return OrliczDiagnostics(
-                False, "monotone", (grid[i], grid[i + 1], vals[i], vals[i + 1])
-            )
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            mid = 0.5 * (grid[i] + grid[j])
-            lhs = M.eval(mid)
-            rhs = 0.5 * (vals[i] + vals[j])
-            if math.isinf(rhs):
-                continue
-            slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
-            if lhs > rhs + slack:
-                return OrliczDiagnostics(False, "convex", (grid[i], grid[j], lhs, rhs))
-    return OrliczDiagnostics(True)
 
 
 class Delta2Report(FrozenRecord):
@@ -97,6 +37,11 @@ class Delta2Report(FrozenRecord):
 
 # the closed-form doubling verdict of each built-in family; tables have none
 _DELTA2_ANALYTIC = {"power": True, "exp_minus_one": False, "x_log1p": True}
+# the default grid of delta2_constant, 60 log-spaced points per decade over
+# [1e-6, 1e6] (exponent i * (1/60): i / 60 rounds differently for some i,
+# and K would move in its last bits), and the description its reports carry
+_GRID = tuple(1e-6 * 10.0 ** (i * (1.0 / 60.0)) for i in range(721))
+_GRID_DESCRIPTION = "log-spaced [1e-06, 1e+06], 60 points/decade"
 
 
 def delta2_constant(
@@ -109,8 +54,7 @@ def delta2_constant(
     trending upward and the condition is judged unsatisfied.
     """
     if grid is None:
-        grid = log_grid()
-        desc = "log-spaced [1e-06, 1e+06], 60 points/decade"
+        grid, desc = _GRID, _GRID_DESCRIPTION
     else:
         grid = [float(g) for g in grid]
         desc = f"user grid, {len(grid)} points"
@@ -155,23 +99,9 @@ def delta2_constant(
     )
 
 
-def solve_scale(
-    constraint: Callable[[float], float], rel_tol: float, max_iter: int = _MAX_PROBES
-) -> float:
-    """inf{r > 0 : constraint(r) <= 1} for a constraint non-increasing in r.
-
-    The admissible end ``hi`` of :func:`bracket_scale`: within ``rel_tol``
-    (relative) above the infimum, ``inf`` when not even the largest finite
-    double is admissible, and 0.0 when the smallest positive double is.
-    Raises :class:`ScaleSolverError` when the constraint increases with r
-    or ``max_iter`` probes do not reach ``rel_tol``.
-    """
-    return bracket_scale(constraint, rel_tol, max_iter).hi
-
-
 def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
-    """inf{rho > 0 : sum M(|x_k| / rho) <= 1}, by :func:`solve_scale` to a
-    relative 1e-12.
+    """inf{rho > 0 : sum M(|x_k| / rho) <= 1}: the admissible end ``hi`` of
+    :func:`~geoseq.orlicz.bracket_scale` at a relative 1e-12.
 
     The constraint map is non-increasing in rho because M is
     non-decreasing; that monotonicity is checked at every probe (raises
@@ -189,7 +119,7 @@ def luxemburg_norm(x: Sequence[float], M: OrliczFunction) -> float:
     def constraint(rho: float) -> float:
         return _fsum_sat(M.eval_many([m / rho for m in mags]))
 
-    rho = solve_scale(constraint, 1e-12)
+    rho = bracket_scale(constraint, 1e-12).hi
     if math.isinf(rho):
         raise ArithmeticError("no admissible scale below the largest double")
     return rho

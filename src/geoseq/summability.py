@@ -53,7 +53,6 @@ __all__ = [
     "SpaceSpec",
     "Tolerances",
     "ParanormResult",
-    "window",
     "vp_mean",
     "windowed_logs",
     "window_sums",
@@ -201,23 +200,6 @@ class LambdaSequence(_KindRecord):
 def _window_start(n: int, lam_n: float) -> int:
     """The first index of I(n), given lam(n)."""
     return max(0, math.ceil(n - lam_n + 1.0 - 1e-12))
-
-
-def window(n: int, lam: LambdaSequence) -> range:
-    """Module-level convenience for :meth:`LambdaSequence.window`."""
-    return lam.window(n)
-
-
-def vp_mean(x: Sequence[float], n: int, lam: LambdaSequence) -> float:
-    """Windowed mean (1/lam(n)) * sum of x over I(n).
-
-    The input list is 1-indexed data: ``x[0]`` holds the term with index
-    1, matching the classical convention that windowed sums start at 1.
-    """
-    if n < 1 or n > len(x):
-        raise ValueError(f"window index {n} out of range for {len(x)} terms")
-    ks = lam.window(n)
-    return math.fsum(float(x[k - 1]) for k in ks) / lam.at(n)
 
 
 _EXPONENTS = {"constant": ("value",), "list": ("values",), "formula": ("c", "d")}
@@ -520,6 +502,21 @@ def _window_means(values: Sequence, lam: LambdaSequence) -> list:
     """:func:`window_sums` divided by lam(n), read from the window plan."""
     head = lam._window_plan(len(values))[2]
     return list(map(truediv, window_sums(values, lam), head))
+
+
+def vp_mean(x: Sequence[float], n: int, lam: LambdaSequence) -> float:
+    """Windowed mean (1/lam(n)) * sum of x over I(n): the last of the
+    window means of ``x[:n]``, as floats.
+
+    The input list is 1-indexed data: ``x[0]`` holds the term with index
+    1, matching the classical convention that windowed sums start at 1.
+    The sum is exact and rounded once, as :func:`window_sums` makes it: a
+    window sum beyond double range is ``inf``, and a NaN among ``x[:n]``,
+    or ``inf`` and ``-inf`` in one window up to n, raises ``ValueError``.
+    """
+    if n < 1 or n > len(x):
+        raise ValueError(f"window index {n} out of range for {len(x)} terms")
+    return _window_means(list(map(float, x[:n])), lam)[-1]
 
 
 def modular_mean(

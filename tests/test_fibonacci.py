@@ -133,16 +133,15 @@ class TestFrozenRatios:
 
     def test_ratios_equal_exact_division(self):
         f = exact_fib(3002)
-        c = FibonacciCache()
         for k in range(3001):
-            assert c.ratio(k) == f[k] / f[k + 1]
-            assert c.inverse_ratio(k) == f[k + 1] / f[k]
+            assert fib_ratio(k) == f[k] / f[k + 1]
+            assert fib_inverse_ratio(k) == f[k + 1] / f[k]
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            FibonacciCache().ratio(-1)
-        with pytest.raises(ValueError):
-            FibonacciCache().inverse_ratio(-1)
+        with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+            fib_ratio(-1)
+        with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+            fib_inverse_ratio(-1)
 
     def test_long_transform_keeps_the_cache_small(self):
         rng = random.Random(5)

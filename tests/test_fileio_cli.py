@@ -708,6 +708,8 @@ class TestCli:
         [
             ([[0, 0], [1, 0.5], [2, 5], [3, 0.2], [4, 6]], "paranorm"),  # not convex
             ([[0, 0], [1, 0], [2, 1]], "verify"),  # M = 0 on (0, 1]
+            ([[0, 0], [1, 2], [2, 1]], "verify"),  # decreasing on [1, 2]
+            ([[0, 0], [1, 10], [2, 11]], "paranorm"),  # concave
         ],
     )
     def test_invalid_table_is_input_error(self, tmp_path, capsys, points, command):

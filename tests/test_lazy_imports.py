@@ -12,8 +12,7 @@ import pytest
 
 import geoseq
 
-# every name ``geoseq`` exported when it imported its submodules eagerly, by
-# the submodule that defines it
+# every name ``geoseq`` exports, by the submodule that defines it
 EXPORTED = {
     "geometric": [
         "GEO_IDENTITY", "GEO_ZERO", "GeoRangeError", "GeoScalar", "GeoSequence",
@@ -26,11 +25,11 @@ EXPORTED = {
     ],
     "orlicz": ["DegenerateOrliczError", "OrliczFunction", "ScaleSolverError"],
     "orlicz_checks": [
-        "Delta2Report", "delta2_constant", "luxemburg_norm", "solve_scale", "validate_on_grid",
+        "Delta2Report", "delta2_constant", "luxemburg_norm",
     ],
     "summability": [
         "Exponents", "LambdaSequence", "ParanormResult", "SpaceSpec", "Tolerances",
-        "modular_window", "paranorm", "vp_mean", "window", "window_trace", "windowed_logs",
+        "modular_window", "paranorm", "vp_mean", "window_trace", "windowed_logs",
     ],
     "membership": [
         "BOUNDED", "CONVERGING", "DIVERGING", "INCONCLUSIVE", "MembershipReport",
@@ -54,7 +53,7 @@ HEAVY = ["geoseq.harness", "geoseq.statconv", "statistics", "logging", "fraction
 
 
 def test_names_are_counted():
-    assert len(NAMES) == 66 and len({name for _, name in NAMES}) == 66
+    assert len(NAMES) == 63 and len({name for _, name in NAMES}) == 63
 
 
 @pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
@@ -88,7 +87,7 @@ def test_submodules_are_attributes():
 # still imports from the old module, moved names it no longer serves)
 OLD_HOMES = [
     ("orlicz", "orlicz_checks", ["delta2_constant", "small_argument_threshold"],
-     ["luxemburg_norm", "solve_scale", "Delta2Report", "log_grid"]),
+     ["luxemburg_norm", "Delta2Report"]),
     ("summability", "membership", ["CONVERGING", "classify_membership"],
      ["MembershipReport", "BOUNDED", "INCONCLUSIVE"]),
 ]
@@ -162,8 +161,8 @@ def test_verify_loads_the_harness(tmp_path):
 
 # what only verify and the tests run, and the membership verdicts, by name
 VERIFY_ONLY = {
-    "OrliczDiagnostics", "log_grid", "validate_on_grid", "Delta2Report", "delta2_constant",
-    "small_argument_threshold", "luxemburg_norm", "solve_scale", "suite_report_dict",
+    "_GRID", "Delta2Report", "delta2_constant", "small_argument_threshold", "luxemburg_norm",
+    "suite_report_dict",
 }
 MEMBERSHIP = {
     "CONVERGING", "MembershipReport", "classify_membership", "_decide_vanishing",

@@ -1,4 +1,4 @@
-"""Orlicz families, grid diagnostics, doubling constants, Luxemburg norm."""
+"""Orlicz families, the scale solver, doubling constants, Luxemburg norm."""
 
 import math
 import random
@@ -6,8 +6,6 @@ import sys
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from geoseq import (
     DegenerateOrliczError,
@@ -15,11 +13,14 @@ from geoseq import (
     ScaleSolverError,
     delta2_constant,
     luxemburg_norm,
-    solve_scale,
-    validate_on_grid,
 )
 from geoseq.orlicz import ScaleBracket, _zeroin, bracket_scale
-from geoseq.orlicz_checks import Delta2Report, log_grid, small_argument_threshold
+from geoseq.orlicz_checks import (
+    _GRID,
+    _GRID_DESCRIPTION,
+    Delta2Report,
+    small_argument_threshold,
+)
 
 POWER2 = OrliczFunction.power(2.0)
 EXPM1 = OrliczFunction.exp_minus_one()
@@ -215,6 +216,18 @@ class TestEvalMany:
         # one term per batch: no neighbour's overflow decides its path
         assert [repr(M.eval_many([t])[0]) for t in _WIDE_INPUTS] == want
 
+    @pytest.mark.parametrize("M, want", [
+        (OrliczFunction.power(1.0), "-0.0"), (OrliczFunction.power(3.0), "-0.0"),
+        (EXPM1, "-0.0"), (POWER2, "0.0"), (OrliczFunction.power(2.5), "0.0"),
+        (XLOG, "0.0"), (_TABLE, "0.0"),
+    ], ids=["power1", "power3", "exp_minus_one", "power2", "power2.5", "x_log1p", "table"])
+    def test_negative_zero_keeps_the_formulas_sign(self, M, want):
+        # eval returns 0.0 at -0.0; the batch gives what its formula gives
+        # (list(ts), t ** 3.0 and expm1 keep the sign), an equal zero
+        got = M.eval_many([-0.0])[0]
+        assert repr(M.eval(-0.0)) == "0.0" and got == 0.0
+        assert repr(got) == want
+
     def test_overflow_saturates_like_eval(self):
         assert POWER2.eval_many([1.0, 1e200, 3.0]) == [1.0, math.inf, 9.0]
         assert EXPM1.eval_many([0.0, 800.0]) == [0.0, math.inf]
@@ -234,39 +247,6 @@ class TestEvalMany:
         ts = [0.0, 0.5, 1.5, 1e200]
         assert M.eval_many(ts) == [2.0 * OrliczFunction(kind, p, points).eval(t) for t in ts]
         assert M.calls[0] == len(ts)
-
-
-class TestValidate:
-    def test_power_passes(self):
-        assert validate_on_grid(POWER2, log_grid(1e-3, 1e3, 10)).passed
-
-    def test_x_log1p_passes(self):
-        # t log1p(t) has strictly positive second derivative
-        assert validate_on_grid(XLOG, log_grid(1e-3, 1e3, 10)).passed
-
-    def test_decreasing_table_fails_with_witness(self):
-        M = OrliczFunction.table([(0, 0), (1, 2), (2, 1)])
-        diag = validate_on_grid(M, [0.5, 1.0, 1.5, 2.0])
-        assert not diag.passed
-        assert diag.failure_kind == "monotone"
-        assert diag.witness is not None
-
-    def test_concave_table_fails_convexity(self):
-        M = OrliczFunction.table([(0, 0), (1, 10), (2, 11)])
-        diag = validate_on_grid(M, [0.25, 0.75, 1.0, 1.5, 2.0])
-        assert not diag.passed
-        assert diag.failure_kind == "convex"
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            validate_on_grid(POWER2, [1.0, 0.5])
-        with pytest.raises(ValueError):
-            validate_on_grid(POWER2, [-1.0, 0.5])
-
-    @given(p=st.floats(min_value=1.0, max_value=6.0))
-    @settings(max_examples=50, deadline=None)
-    def test_power_family_always_valid(self, p):
-        assert validate_on_grid(OrliczFunction.power(p), log_grid(1e-2, 1e2, 8)).passed
 
 
 class TestDelta2:
@@ -339,7 +319,7 @@ class TestDelta2:
     def scalar_reference(M, grid=None):
         """The doubling report by one scalar ``eval`` pair per grid point."""
         if grid is None:
-            grid, desc = log_grid(), "log-spaced [1e-06, 1e+06], 60 points/decade"
+            grid, desc = _GRID, _GRID_DESCRIPTION
         else:
             grid, desc = [float(g) for g in grid], f"user grid, {len(grid)} points"
         ratios, clipped = [], 0
@@ -365,7 +345,7 @@ class TestDelta2:
         analytic = {"power": True, "exp_minus_one": False, "x_log1p": True}.get(M.kind)
         return Delta2Report(satisfied, K, analytic, desc, growth, clipped)
 
-    @pytest.mark.parametrize("grid", [None, USER_GRID], ids=["log_grid", "user_grid"])
+    @pytest.mark.parametrize("grid", [None, USER_GRID], ids=["default_grid", "user_grid"])
     @pytest.mark.parametrize("M", FAMILIES, ids=repr)
     def test_batch_report_equals_the_scalar_loop(self, M, grid):
         try:
@@ -479,17 +459,17 @@ class TestLuxemburgNorm:
 
 class TestSolveScale:
     def test_bisects_to_the_infimum(self):
-        assert solve_scale(lambda r: 3.0 / r, 1e-12) == pytest.approx(3.0, rel=1e-12)
+        assert bracket_scale(lambda r: 3.0 / r, 1e-12).hi == pytest.approx(3.0, rel=1e-12)
 
     def test_no_admissible_scale_is_inf(self):
-        assert solve_scale(lambda r: 2.0, 1e-12, max_iter=20) == math.inf
+        assert bracket_scale(lambda r: 2.0, 1e-12, max_iter=20).hi == math.inf
 
     def test_every_scale_admissible_is_zero(self):
-        assert solve_scale(lambda r: 0.5, 1e-12) == 0.0
+        assert bracket_scale(lambda r: 0.5, 1e-12).hi == 0.0
 
     def test_increasing_constraint_raises(self):
         with pytest.raises(ScaleSolverError):
-            solve_scale(lambda r: r, 1e-12)
+            bracket_scale(lambda r: r, 1e-12)
 
     @pytest.mark.parametrize("root", [5e-324 * 7, 3e-300, 1e-150, 0.3, 2.7, 3e150, 1.5e308])
     def test_whole_double_range(self, root):
@@ -508,7 +488,6 @@ class TestSolveScale:
         res = bracket_scale(constraint, 1e-12)
         assert constraint(res.lo) > 1.0 >= constraint(res.hi) == res.g_hi
         assert res.hi - res.lo <= 1e-12 * res.hi
-        assert solve_scale(constraint, 1e-12) == res.hi
 
     def test_unbracketed_ends(self):
         assert bracket_scale(lambda r: 2.0, 1e-12) == ScaleBracket(
@@ -533,7 +512,7 @@ class TestSolveScale:
     def test_max_iter_exhausted_raises(self):
         # the step function needs about 40 probes
         with pytest.raises(ScaleSolverError, match="20 probes"):
-            solve_scale(lambda r: 2.0 if r < 3.0 else 0.5, 1e-11, max_iter=20)
+            bracket_scale(lambda r: 2.0 if r < 3.0 else 0.5, 1e-11, max_iter=20)
 
 
 class TestZeroin:
@@ -614,6 +593,16 @@ class TestDerivativeMany:
         assert EXPM1.derivative_many(big) == [math.inf] * 3
         assert XLOG.derivative_many([math.inf]) == [math.inf]
         assert OrliczFunction.power(3.5).derivative_many(big)[1:] == [math.inf] * 2
+
+    @pytest.mark.parametrize("M", KINDS, ids=lambda M: f"{M.kind}{M.p or ''}")
+    def test_batch_equals_each_term_alone(self, M):
+        # an overflowing neighbour sends the batch to its saturating path,
+        # where NaN must stay NaN (e**t at 1000 and at NaN: inf and NaN)
+        ts = [1000.0, math.nan, 0.5, 1e300, 0.0]
+        want = [repr(M.derivative_many([t])[0]) for t in ts]
+        assert list(map(repr, M.derivative_many(ts))) == want
+        if M.kind == "exp_minus_one":
+            assert want[:2] == ["inf", "nan"]
 
 
 class TestSmallArgumentThreshold:

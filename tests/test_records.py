@@ -24,7 +24,6 @@ from geoseq import (
 )
 from geoseq.harness import CheckOutcome, SuiteCheck, _default_spec
 from geoseq.orlicz import ScaleBracket
-from geoseq.orlicz_checks import OrliczDiagnostics
 from geoseq.record import Record
 from geoseq.statconv import DensityTrace
 
@@ -34,7 +33,6 @@ FROZEN = [
     ParanormResult(2.5, 2.5, GeoScalar.from_log(2.5), probes=3, bracket=(2.0, 2.5)),
     TrialConfig(seed=3, trials=2, length=40),
     MemberSample(from_log([0.5, -0.25]), (0.5, -0.25), GeoScalar.from_log(0.5)),
-    OrliczDiagnostics(False, "convex", (1.0, 2.0, 3.0, 2.5)),
     Delta2Report(True, 4.0, True, "user grid, 3 points", 1.0),
 ]
 MUTABLE = [
@@ -56,8 +54,9 @@ def test_repr_lists_the_fields_in_order():
         "CheckOutcome(name='scan', passed=False, worst_violation=1.0,"
         " detail='window 2: 2.0 > 1.0')"
     )
-    assert repr(OrliczDiagnostics(True)) == (
-        "OrliczDiagnostics(passed=True, failure_kind=None, witness=None)"
+    assert repr(Delta2Report(True, 2.0, None, "grid", 1.0)) == (
+        "Delta2Report(satisfied=True, K=2.0, analytic=None, grid_description='grid',"
+        " growth=1.0, clipped=0)"
     )
 
 
@@ -103,7 +102,6 @@ def test_defaults_as_before():
     assert CheckOutcome("scan", True, 0.0).detail is None
     assert SuiteCheck("scan", 1, 0, 0.0) == SuiteCheck("scan", 1, 0, 0.0, None, None)
     assert Delta2Report(True, 2.0, None, "grid", 1.0).clipped == 0
-    assert OrliczDiagnostics(False) == OrliczDiagnostics(False, None, None)
 
 
 def test_suite_records_keep_their_properties():

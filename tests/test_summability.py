@@ -38,18 +38,16 @@ from geoseq import (
     kernel_log_sequence,
     modular_window,
     paranorm,
-    solve_scale,
     stat_converges,
     stat_density,
     vp_mean,
-    window,
     window_trace,
     windowed_logs,
 )
 from geoseq import membership as summability
 from geoseq import summability as summability_mod
 from geoseq.harness import _default_spec, generate_member
-from geoseq.orlicz import _fsum_sat, _pow_sat
+from geoseq.orlicz import _fsum_sat, _pow_sat, bracket_scale
 from geoseq.membership import _estimate_limit
 from geoseq.summability import modular_mean, modular_trace, window_sums
 
@@ -72,17 +70,17 @@ def spec(lam="identity", M=P1, p=E1, variant="zero", transform="identity", rho=1
 
 class TestLambdaSequence:
     def test_identity_window_example(self):
-        assert list(window(4, LambdaSequence.identity())) == [1, 2, 3, 4]
+        assert list(LambdaSequence.identity().window(4)) == [1, 2, 3, 4]
 
     def test_half_window_example(self):
         lam = LambdaSequence.half()
         assert lam.at(4) == 2.0
-        assert list(window(4, lam)) == [3, 4]
+        assert list(lam.window(4)) == [3, 4]
 
     def test_first_window(self):
         for lam in (LambdaSequence.identity(), LambdaSequence.half(), LambdaSequence.sqrt()):
             assert lam.at(1) == 1.0
-            assert list(window(1, lam)) == [1]
+            assert list(lam.window(1)) == [1]
 
     def test_sqrt_values_are_ceilings(self):
         lam = LambdaSequence.sqrt()
@@ -100,7 +98,7 @@ class TestLambdaSequence:
     def test_windows_never_reach_index_zero(self):
         for lam in (LambdaSequence.identity(), LambdaSequence.half(), LambdaSequence.sqrt()):
             for n in range(1, 100):
-                assert min(window(n, lam)) >= 1
+                assert min(lam.window(n)) >= 1
 
     def test_custom_validation(self):
         LambdaSequence.custom([1, 2, 3, 4])
@@ -145,6 +143,56 @@ class TestVpMean:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             vp_mean([1, 2], 3, LambdaSequence.identity())
+
+    @staticmethod
+    def fsum_reference(x, n, lam):
+        """The mean as one ``math.fsum`` over the window's floats."""
+        return math.fsum(float(x[k - 1]) for k in lam.window(n)) / lam.at(n)
+
+    # a custom lambda of 10 entries, shorter than the 40 terms given
+    LAMBDAS = [
+        LambdaSequence.identity(), LambdaSequence.half(), LambdaSequence.sqrt(),
+        LambdaSequence.custom([1, 2, 2, 3, 3, 4, 4.5, 5, 6, 7]),
+    ]
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=lambda lam: lam.kind)
+    def test_equals_the_per_window_fsum_bit_for_bit(self, lam):
+        rng = random.Random(31)
+        top = len(lam.values) if lam.kind == "custom" else 40
+        for _ in range(20):
+            # magnitudes 1e-20..1e20, so a naive running sum would cancel
+            x = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(40)]
+            for n in range(1, top + 1):
+                assert repr(vp_mean(x, n, lam)) == repr(self.fsum_reference(x, n, lam))
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=lambda lam: lam.kind)
+    def test_int_input_is_read_as_floats(self, lam):
+        rng = random.Random(32)
+        x = [rng.choice((-1, 1)) * rng.randrange(2 ** rng.randint(1, 80)) for _ in range(40)]
+        x[:3] = [2 ** 53 + 1, 2 ** 60 + 3, -(2 ** 70) - 1]
+        top = len(lam.values) if lam.kind == "custom" else 40
+        for n in range(1, top + 1):
+            assert repr(vp_mean(x, n, lam)) == repr(self.fsum_reference(x, n, lam))
+        # float(2**53 + 1) is 2**53, so the sum is 2**53 + 1, rounded to 2**53;
+        # the exact integer mean would be 2**52 + 1
+        assert vp_mean([2 ** 53 + 1, 1], 2, LambdaSequence.identity()) == 2.0 ** 52
+
+    def test_nan_raises(self):
+        half = LambdaSequence.half()
+        with pytest.raises(ValueError, match="NaN"):
+            vp_mean([1.0, math.nan, 2.0], 3, half)
+        # I(3) = {2, 3} under half windows: a NaN before it raises too
+        with pytest.raises(ValueError, match="NaN"):
+            vp_mean([math.nan, 1.0, 2.0], 3, half)
+
+    def test_overflowing_window_is_inf(self):
+        identity = LambdaSequence.identity()
+        with pytest.raises(OverflowError):
+            math.fsum([1e308] * 3)
+        assert vp_mean([1e308] * 3, 3, identity) == math.inf
+        assert vp_mean([-1e308] * 3, 3, identity) == -math.inf
+        # math.fsum raises on this intermediate overflow; the exact sum does not
+        assert vp_mean([1e308, 1e308, -1e308], 3, identity) == 1e308 / 3
 
 
 class TestExponents:
@@ -643,7 +691,7 @@ class TestParanorm:
             x = from_log([rng.uniform(-scale, scale) for _ in range(m + 1)])
             unrooted, rooted = constraints(windowed_logs(x, s.transform), s)
             res = paranorm(x, s, rel_tol=rel_tol)
-            rho = solve_scale(rooted, rel_tol, 200)
+            rho = bracket_scale(rooted, rel_tol, 200).hi
             # both scales are admissible and rel_tol below them is not; the
             # per-window root can round a sum a few ulps above 1 down to
             # 1.0, so the rooted scale may sit that far above 1 unrooted
@@ -1430,7 +1478,7 @@ class TestParanormPreparation:
         def constraint(r):
             return max(modular_trace(z, s.lam, s.orlicz, s.exponents, r))
 
-        rho = solve_scale(constraint, 1e-11, 200)
+        rho = bracket_scale(constraint, 1e-11, 200).hi
         return rho, rho ** (s.exponents.inf / s.exponents.H)
 
     def test_matches_per_probe_constraint_bit_for_bit(self):
