@@ -29,7 +29,7 @@ from collections import namedtuple
 from dataclasses import replace
 from functools import partial
 from itertools import chain, repeat
-from operator import gt, mul, sub, truediv
+from operator import add, ge, gt, le, mul, sub, truediv
 from typing import Optional, Sequence
 
 from .fibonacci import _RATIOS
@@ -46,7 +46,6 @@ from .summability import (
     Tolerances,
     _modular_terms,
     _window_means,
-    modular_trace,
     windowed_logs,
 )
 
@@ -249,6 +248,69 @@ def _scan_windows(
     return CheckOutcome(name, False, worst, detail)
 
 
+# relative margin of a rounded per-term bound (see _decide): at most nine
+# roundings of relative error 2**-53 lie between a term test and its window
+_MARGIN = 2.0 ** -40
+# a column whose float sum is at most _HUGE and whose nonzero terms are at
+# least _TINY times twice its length has every window sum in double range
+# and every nonzero window mean normal (lam(n) < 2n)
+_HUGE, _TINY = 2.0 ** 1000, 2.0 ** -960
+
+
+def _in_range(column: Sequence[float]) -> bool:
+    """Every window of ``column``, non-negative terms, sums within double
+    range to a normal or zero mean; False for a NaN or infinite term."""
+    least = _TINY * (2 * len(column))
+    return sum(column) <= _HUGE and min(filter(None, column), default=least) >= least
+
+
+def _fits(lam: LambdaSequence, m: int) -> bool:
+    """No window I(n), n <= m, holds more terms than lam(n).
+
+    A formula kind's I(n) holds exactly lam(n) terms; a custom lambda's
+    may hold one more, since a window starts up to 1e-12 early
+    (:func:`~geoseq.summability._window_start`).  A lambda that overrides
+    ``window`` is asked for the windows the window sums would read.
+    """
+    if lam.kind != "custom" and type(lam).window is LambdaSequence.window:
+        return True
+    head = lam._window_plan(m)[2]
+    return all(map(le, map(sub, range(1, m + 1), lam._starts(m)), head))
+
+
+def _decide(
+    name: str, summed: tuple, bound: Optional[list], sides, lam: LambdaSequence,
+    slack: float, upper: bool = True,
+) -> CheckOutcome:
+    """:func:`_scan_windows` on ``sides()``'s (lhs, rhs) windows, decided
+    term by term where the check's proof is per term.
+
+    ``summed`` holds the term columns the windows sum, the left side's
+    first; ``bound[k]`` is term k's bound in the check's proof, rounded
+    with the margin the check counts (None: no per-term proof).  When
+    every left term holds its bound (<= for ``upper``, else >=), every
+    window holds with no violation above 0.0, and the outcome is the
+    scan's for that case: passed, worst 0.0.  The windows are summed and
+    scanned instead when a term fails or a guard declines: ``slack`` < 0
+    (it fails windows that hold), a column or the bound out of
+    :func:`_in_range` (a NaN or infinite term, a window sum that could
+    leave double range, a subnormal window mean, where relative rounding
+    bounds fail), or a window with more terms than lam(n)
+    (:func:`_fits`; it breaks the Delta-2 bound's epsilon, added once
+    per window).
+    """
+    terms = summed[0]
+    if (
+        bound is not None
+        and slack >= 0.0
+        and all(map(le if upper else ge, terms, bound))
+        and all(map(_in_range, (*summed, bound)))
+        and _fits(lam, len(terms))
+    ):
+        return CheckOutcome(name, True, 0.0)
+    return _scan_windows(name, *sides(), slack, upper)
+
+
 def _end_to_end(
     outcome: CheckOutcome, z: Sequence[float], strong: SpaceSpec, weak: SpaceSpec,
     tols: Tolerances, labels: tuple, strong_trace: Optional[list] = None,
@@ -288,7 +350,12 @@ def check_linear_combination(
     With combined scale rho3 = max(2|a| rho1, 2|b| rho2), every window
     satisfies  S(a|>x (+) b|>y; rho3) <= B [S(x; rho1) + S(y; rho2)]
     where B = max(1, 2**(H-1)); convexity and monotonicity of M give the
-    per-term estimate, and B >= 1 absorbs the exponent split.
+    per-term estimate, and B >= 1 absorbs the exponent split.  The
+    estimate is tested term by term (:func:`_decide`) against
+    B (1 - 2**-40) times the sum of the two right terms: the margin
+    covers the three roundings of that bound, the two of the left window
+    mean and the four of the right side (the two means, their sum, the
+    product with B).
     """
     if rho1 <= 0 or rho2 <= 0:
         raise ValueError("component scales must be positive")
@@ -298,16 +365,22 @@ def check_linear_combination(
         raise ValueError("sequences must share a truncation length")
     z3 = [a * p + b * q for p, q in zip(zx, zy)]
     rho3 = max(2.0 * abs(a) * rho1, 2.0 * abs(b) * rho2)
-    B = spec.exponents.B
-    lam, M, exps = spec.lam, spec.orlicz, spec.exponents
+    lam, M, B = spec.lam, spec.orlicz, spec.exponents.B
+    ps = spec.exponents._over(range(1, len(z3) + 1))
     if rho3 == 0.0:
-        lhs = [0.0] * len(z3)  # both scalars vanish: the combination is the geometric zero
+        c = [0.0] * len(z3)  # both scalars vanish: the combination is the geometric zero
     else:
-        lhs = modular_trace(z3, lam, M, exps, rho3)
-    s1 = modular_trace(zx, lam, M, exps, rho1)
-    s2 = modular_trace(zy, lam, M, exps, rho2)
-    rhs = [B * (a1 + a2) for a1, a2 in zip(s1, s2)]
-    return _scan_windows("linear_combination", lhs, rhs, slack)
+        c = _modular_terms(z3, ps, M, rho3, 0.0)
+    t1 = _modular_terms(zx, ps, M, rho1, 0.0)
+    t2 = _modular_terms(zy, ps, M, rho2, 0.0)
+    bound = list(map(mul, map(add, t1, t2), repeat(B * (1.0 - _MARGIN))))
+
+    def sides():
+        lhs = _window_means(c, lam)
+        s1, s2 = _window_means(t1, lam), _window_means(t2, lam)
+        return lhs, [B * (a1 + a2) for a1, a2 in zip(s1, s2)]
+
+    return _decide("linear_combination", (c, t1, t2), bound, sides, lam, slack)
 
 
 def check_solidity(
@@ -321,7 +394,11 @@ def check_solidity(
     ``y_member`` is an element of the windowed space itself (identity
     view); the scalars must satisfy |ln alpha_k| <= 1, i.e. geometric
     magnitude at most e.  Masks of 0/1 log-views exercise the monotone
-    (step-space) consequence.
+    (step-space) consequence.  The two sides are the same rounded
+    operations on their terms: a correctly rounded window sum is
+    monotone, and so is the division by one lam(n), so a left term at
+    most its right term on every index gives every window, with no
+    margin (:func:`_decide`).
     """
     return _solidity(
         list(y_member.logs), [alpha.log for alpha in alphas], spec, slack
@@ -340,10 +417,15 @@ def _solidity(
         raise ValueError(
             f"scalar {i}: geometric magnitude exceeds e (|log| = {abs(a[i])})"
         )
-    scaled = list(map(mul, a, z))
-    lhs = modular_trace(scaled, spec.lam, spec.orlicz, spec.exponents, spec.rho)
-    rhs = modular_trace(z, spec.lam, spec.orlicz, spec.exponents, spec.rho)
-    return _scan_windows("solidity", lhs, rhs, slack)
+    lam, M, rho = spec.lam, spec.orlicz, spec.rho
+    ps = spec.exponents._over(range(1, len(z) + 1))
+    left = _modular_terms(list(map(mul, a, z)), ps, M, rho, 0.0)
+    right = _modular_terms(z, ps, M, rho, 0.0)
+
+    def sides():
+        return _window_means(left, lam), _window_means(right, lam)
+
+    return _decide("solidity", (left, right), right, sides, lam, slack)
 
 
 def check_delta2_inclusion(
@@ -363,8 +445,14 @@ def check_delta2_inclusion(
     With t_k = |z_k - ln(ell)| / rho and delta chosen so M(t) <= epsilon
     for t <= delta, every window satisfies
         mean M(t_k)  <=  epsilon + K M(2) delta**-1 * mean t_k,
-    K the doubling constant.  End to end, a truncation that converges in
-    the raw sense must converge in the M-modular sense.
+    K the doubling constant: per term, M(t_k) <= epsilon + K M(2) t_k / delta.
+    That is tested term by term (:func:`_decide`) with the bound scaled
+    by 1 - 2**-40, which covers its three roundings, the two of the left
+    window mean and the four of the right side (mean t_k takes two, the
+    product and the sum one each).  It needs epsilon >= 0, and no window
+    with more terms than lam(n), since epsilon is added once per window.
+    End to end, a truncation that converges in the raw sense must
+    converge in the M-modular sense.
     """
     center = ell.log if ell is not None else 0.0
     z = windowed_logs(x, spec.transform)
@@ -398,10 +486,18 @@ def _delta2_inclusion(
     raw = OrliczFunction.power(1.0)
     K = delta2.K
     factor = K * orlicz.eval(2.0) / delta
-    lhs = modular_trace(z, spec.lam, orlicz, unit, spec.rho, center)
-    s_raw = modular_trace(z, spec.lam, raw, unit, spec.rho, center)
-    rhs = [epsilon + factor * s for s in s_raw]
-    outcome = _scan_windows("delta2_inclusion", lhs, rhs, slack)
+    lam, ones = spec.lam, [1.0] * len(z)
+    m_terms = _modular_terms(z, ones, orlicz, spec.rho, center)
+    t_terms = _modular_terms(z, ones, raw, spec.rho, center)
+    bound = None  # a negative epsilon bounds no term
+    if epsilon >= 0.0:
+        bound = [(epsilon + factor * t) * (1.0 - _MARGIN) for t in t_terms]
+
+    def sides():
+        lhs = _window_means(m_terms, lam)
+        return lhs, [epsilon + factor * s for s in _window_means(t_terms, lam)]
+
+    outcome = _decide("delta2_inclusion", (m_terms, t_terms), bound, sides, lam, slack)
     variant = spec.variant if spec.variant != "bounded" else "zero"
     raw_spec = replace(spec, orlicz=raw, exponents=unit, variant=variant)
     m_spec = replace(spec, orlicz=orlicz, exponents=unit, variant=variant)
@@ -773,16 +869,38 @@ def _exponent_trial(suite: _Suite, trial: int) -> CheckOutcome:
 
 def _density_trial(suite: _Suite, trial: int) -> CheckOutcome:
     """Chebyshev: M(|t_k|/rho) >= M(eps/rho) where |t_k| >= eps, and >= 0 elsewhere."""
-    spec, rand = suite.spec, _rng(suite.seed, "density_bound", trial).random
+    rand = _rng(suite.seed, "density_bound", trial).random
     x = GeoSequence.from_log([-3.0 + 6.0 * rand() for _ in range(suite.length)])  # uniform(-3, 3)
     ell = GeoScalar.from_log(-1.0 + 2.0 * rand())  # uniform(-1, 1)
     epsilon = GeoScalar.from_log(0.1 + (2.0 - 0.1) * rand())  # uniform(0.1, 2)
-    # statconv.modular_density_bound on every window at once, on one fhat view
-    z = windowed_logs(x, "fhat")
-    lhs = modular_trace(z, spec.lam, spec.orlicz, suite.unit, spec.rho, ell.log)
-    m_eps = spec.orlicz.eval(epsilon.log / spec.rho)
-    rhs = [m_eps * d for d in _density(z, spec.lam, ell, epsilon).densities]
-    return _scan_windows("density_bound", lhs, rhs, _WINDOW_SLACK, upper=False)
+    return _density_bound(windowed_logs(x, "fhat"), suite.spec, ell, epsilon, _WINDOW_SLACK)
+
+
+def _density_bound(
+    z: Sequence[float], spec: SpaceSpec, ell: GeoScalar, epsilon: GeoScalar, slack: float
+) -> CheckOutcome:
+    """:func:`~geoseq.statconv.modular_density_bound` on every window at
+    once, on x's fhat view ``z``: the unit-exponent modular mean of the
+    residuals is at least M(ln(eps)/rho) times the exceedance density.
+
+    Per term, M(t_k) >= M(eps/rho) where |z_k - ln(ell)| >= ln(eps).
+    That is tested term by term (:func:`_decide`) against M(eps/rho)
+    (1 + 2**-40), which covers its one rounding, the two of the left
+    window mean and the two of the right side (the density and the
+    product).
+    """
+    lam, center, eps_c = spec.lam, ell.log, epsilon.log
+    terms = _modular_terms(z, [1.0] * len(z), spec.orlicz, spec.rho, center)
+    m_eps = spec.orlicz.eval(eps_c / spec.rho)
+    least = m_eps * (1.0 + _MARGIN)
+    # the exceedances statconv._density counts
+    bound = [least if abs(zk - center) >= eps_c else 0.0 for zk in z]
+
+    def sides():
+        lhs = _window_means(terms, lam)
+        return lhs, [m_eps * d for d in _density(z, lam, ell, epsilon).densities]
+
+    return _decide("density_bound", (terms,), bound, sides, lam, slack, upper=False)
 
 
 def _consistency_trial(suite: _Suite, trial: int) -> CheckOutcome:

@@ -5,6 +5,7 @@ import os
 import random
 import threading
 from dataclasses import replace
+from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from geoseq import (
     window_trace,
     windowed_logs,
 )
-from geoseq import harness, membership
+from geoseq import harness, membership, summability
 from geoseq.fibonacci import fib_ratio
 from geoseq.harness import (
     CheckOutcome,
@@ -48,7 +49,8 @@ from geoseq.harness import (
     _solidity,
     _worker_count,
 )
-from geoseq.orlicz_checks import delta2_constant, small_argument_threshold
+from geoseq.fileio import config_from_dict
+from geoseq.orlicz_checks import Delta2Report, delta2_constant, small_argument_threshold
 from geoseq.statconv import modular_density_bound, stat_converges, stat_density
 from geoseq.summability import modular_trace
 
@@ -846,6 +848,272 @@ class TestSuiteEquivalence:
         assert rep.checks[2].first_failure == f"trial 0: {missing}"
 
 
+def _declining(name, summed, bound, sides, lam, slack, upper=True):
+    """``harness._decide`` with a guard that always declines: the window scan."""
+    return _scan_windows(name, *sides(), slack, upper)
+
+
+def _outcome(fn):
+    """repr of fn()'s outcome, or the error it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+# a custom lambda of every suite length (the CLI's custom config)
+CUSTOM = LambdaSequence.custom([n // 3 + 1 for n in range(1, 121)])
+ONE_OVER = LambdaSequence.custom([n - 0.9999e-12 for n in range(1, 57)])  # |I(n)| = n
+
+
+class TestPerTermDecision:
+    """linear_combination, solidity, delta2_inclusion and density_bound,
+    decided term by term, report what the window scan reports."""
+
+    @staticmethod
+    def same(monkeypatch, fn) -> str:
+        decided = _outcome(fn)
+        with monkeypatch.context() as m:
+            m.setattr("geoseq.harness._decide", _declining)
+            scanned = _outcome(fn)
+        assert decided == scanned
+        return decided
+
+    TRIALS = (harness._linear_trial, harness._solidity_trial, harness._delta2_trial,
+              harness._density_trial)
+    LAMBDAS = {"identity": LambdaSequence.identity(), "half": LambdaSequence.half(),
+               "sqrt": LambdaSequence.sqrt(), "custom": CUSTOM}
+
+    def suite_draws(self, monkeypatch, config, trials=range(8)):
+        suite = harness._Suite(config)
+        return [self.same(monkeypatch, partial(fn, suite, trial))
+                for fn in self.TRIALS for trial in trials]
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("orlicz", TestSuiteEquivalence.ORLICZ)
+    def test_suite_draws(self, monkeypatch, orlicz, lam):
+        spec = base_spec(orlicz=TestSuiteEquivalence.ORLICZ[orlicz], lam=self.LAMBDAS[lam])
+        self.suite_draws(monkeypatch, TrialConfig(seed=3, trials=8, length=56, spec=spec))
+
+    @pytest.mark.parametrize("exponents", [
+        Exponents.constant(1.5), Exponents.formula(1.5, -0.5),
+        Exponents.from_list([1 + (k % 4) / 4 for k in range(120)]),
+    ])
+    @pytest.mark.parametrize("orlicz", ["power2", "x_log1p", "exp_minus_one"])
+    def test_suite_draws_under_every_exponent_kind(self, monkeypatch, orlicz, exponents):
+        spec = base_spec(orlicz=TestSuiteEquivalence.ORLICZ[orlicz], exponents=exponents)
+        self.suite_draws(monkeypatch, TrialConfig(seed=4, trials=8, length=56, spec=spec))
+
+    def test_failing_delta2_trials(self, monkeypatch):
+        # rho = 0.05 under power(3): a fifth of the delta2 trials fail a window
+        spec = base_spec(orlicz=OrliczFunction.power(3.0), rho=0.05)
+        got = self.suite_draws(monkeypatch, TrialConfig(seed=1, trials=8, length=56, spec=spec))
+        assert any("passed=False" in out for out in got)
+
+    SPECS = {"fhat": base_spec(), "identity": base_spec(transform="identity"),
+             "custom": base_spec(lam=CUSTOM, exponents=Exponents.formula(1.0, 1.0))}
+
+    @pytest.mark.parametrize("slack", [1e-12, 0.0, -1.0])
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("z", [
+        [0.5 * (-1) ** k / (k + 1) for k in range(56)],
+        [1e154] * 56,  # terms of 1e308: window sums overflow, means fit
+        [1e154 * (k % 3) for k in range(56)],
+        [1e-160] * 56,  # subnormal terms
+        [1e-160 if k % 2 else 1.0 for k in range(56)],
+        [1e200 if k == 7 else 0.25 for k in range(56)],  # one infinite term
+        [0.0] * 56,
+        [0.5] * 56,
+    ], ids=["alternating", "overflow", "overflow_mixed", "subnormal", "subnormal_mixed",
+            "inf", "zero", "flat"])
+    def test_adversarial_columns(self, monkeypatch, z, spec, slack):
+        spec = self.SPECS[spec]
+        x = from_log(z)
+        y = from_log(z[::-1])
+        alphas = [GeoScalar.from_log((-1) ** k * 0.75) for k in range(56)]
+        same = partial(self.same, monkeypatch)
+        for a, b in ((0.5, -1.5), (2.0, 2.0), (0.0, 0.0)):  # (0, 0): rho3 = 0
+            same(lambda: check_linear_combination(x, y, a, b, spec, 0.8, 1.3, slack))
+        same(lambda: check_solidity(x, alphas, spec, slack))
+        mask = [GeoScalar.from_log(1.0)] * 56  # equal terms on both sides
+        equal = same(lambda: check_solidity(x, mask, spec, slack))
+        assert slack < 0.0 or equal == repr(CheckOutcome("solidity", True, 0.0))
+        limit = replace(spec, variant="limit")
+        for epsilon in (0.1, 1.7e308):  # the second bounds terms of 1e308
+            same(lambda: check_delta2_inclusion(
+                x, spec.orlicz, limit, 0.3, epsilon, ell=GeoScalar.from_log(0.25),
+                slack=slack))
+        view = windowed_logs(x, spec.transform)
+        for eps_log in (0.5, 0.25, 1e154):
+            same(lambda: harness._density_bound(
+                view, spec, GeoScalar.from_log(0.0), GeoScalar.from_log(eps_log), slack))
+
+    def test_window_sum_overflow_is_scanned(self, monkeypatch):
+        # every term M(1e154) = 1e308 holds its bound 1.7e308, but two of
+        # them in one window sum to inf: the window scan finds the failure
+        z = [1e154] * 56
+        out = self.same(monkeypatch, lambda: harness._delta2_inclusion(
+            z, OrliczFunction.power(2.0), base_spec(variant="limit"), 0.5, 1.7e308, 0.0,
+            None, Tolerances(), 1e-12))
+        assert out == repr(CheckOutcome(
+            "delta2_inclusion", False, math.inf, "window 3: inf > 1.7e+308"))
+
+    def test_density_term_at_the_threshold(self, monkeypatch):
+        # |z - ln ell| = ln eps exactly: the term equals M(eps/rho), inside
+        # the margin, and the two sides round c M(eps/rho) / lam(n) apart
+        outs = set()
+        for lam in self.LAMBDAS.values():
+            for eps_log in (0.3, 0.5, 0.7, 1.1):
+                z = [eps_log if k % 3 else 0.0 for k in range(56)]
+                for M in (OrliczFunction.power(2.0), OrliczFunction.x_log1p()):
+                    s = base_spec(orlicz=M, lam=lam)
+                    outs.add(self.same(monkeypatch, lambda: harness._density_bound(
+                        z, s, GeoScalar.from_log(0.0), GeoScalar.from_log(eps_log), 1e-12)))
+        assert repr(CheckOutcome("density_bound", True, 0.0)) in outs
+        assert any("worst_violation=0.0," not in out for out in outs)
+
+    def test_subnormal_window_mean(self, monkeypatch):
+        # M(eps/rho) = 3 * 2**-1074: the margin rounds away, and window 6
+        # (five of six terms at it) rounds 15/6 down on the left, 3 * (5/6) up
+        # on the right
+        eps = 3 * 5e-324
+        z = [eps] * 5 + [0.0] * 51
+        spec = base_spec(orlicz=OrliczFunction.power(1.0), lam=LambdaSequence.identity())
+        out = self.same(monkeypatch, lambda: harness._density_bound(
+            z, spec, GeoScalar.from_log(0.0), GeoScalar.from_log(eps), 1e-12))
+        assert out == repr(CheckOutcome("density_bound", True, 5e-324))
+
+    def test_delta2_term_at_its_bound(self, monkeypatch):
+        # K M(2) t / delta below an ulp of epsilon: each term is epsilon,
+        # and 3 * 0.1 / 3 rounds above 0.1, so window 3 exceeds it
+        report = Delta2Report(True, 2.0 ** -1000, None, "", None)
+        M = OrliczFunction.power(1.0)
+        spec = base_spec(orlicz=M, variant="limit", transform="identity",
+                         lam=LambdaSequence.identity())
+        out = self.same(monkeypatch, lambda: harness._delta2_inclusion(
+            [0.1] * 56, M, spec, 0.05, 0.1, 0.0, report, Tolerances(), 1e-12))
+        assert out.startswith("CheckOutcome(name='delta2_inclusion', passed=True,")
+        assert "worst_violation=0.0," not in out
+
+    @pytest.mark.parametrize("values", [
+        [float(n) if n < 3 else n - 5e-13 for n in range(1, 57)],
+        [n - 0.9999e-12 for n in range(1, 57)],
+    ])
+    def test_custom_lambda_just_below_an_integer(self, monkeypatch, values):
+        lam = LambdaSequence.custom(values)
+        spec = base_spec(lam=lam, variant="limit", transform="identity")
+        for z in ([0.5 * (-1) ** k / (k + 1) for k in range(56)], [0.3] * 56):
+            x = from_log(z)
+            for check in (
+                lambda: check_delta2_inclusion(x, spec.orlicz, spec, 0.3, 0.1),
+                lambda: check_solidity(x, [GeoScalar.from_log(0.5)] * 56, spec),
+                lambda: check_linear_combination(x, x, 1.0, -0.5, spec, 1.0, 2.0),
+                lambda: harness._density_bound(
+                    z, spec, GeoScalar.from_log(0.0), GeoScalar.from_log(0.3), 1e-12),
+            ):
+                self.same(monkeypatch, check)
+
+    class Wider(LambdaSequence):
+        """half windows, each one term longer than lam(n) where it can be."""
+
+        def window(self, n):
+            w = LambdaSequence.window(self, n)
+            return range(max(1, w.start - 1), n + 1)
+
+    class Windowed(LambdaSequence):
+        def window(self, n):
+            return LambdaSequence.window(self, n)
+
+    @pytest.mark.parametrize("lam", [
+        ONE_OVER, Windowed("custom", ONE_OVER.values), Wider("half"),
+    ], ids=["custom", "windowed_custom", "wider_half"])
+    def test_window_longer_than_lambda_breaks_the_epsilon(self, monkeypatch, lam):
+        # terms at their bound epsilon (1 - 2**-40) in a window of more than
+        # lam(n) terms average above epsilon, so the scan reports a violation
+        # the term test cannot see (custom: I(1) holds one term and lam(1) =
+        # 1 - 0.9999e-12); a lambda that overrides window is asked for it
+        K = 2.0 ** -1000  # no room from K M(2) t / delta: the bound is epsilon
+        report = Delta2Report(True, K, None, "", None)
+        z = [1.0 - 2.0 ** -40] * 56
+        spec = base_spec(lam=lam, orlicz=OrliczFunction.power(1.0), variant="limit",
+                         transform="identity")
+        out = self.same(monkeypatch, lambda: harness._delta2_inclusion(
+            z, spec.orlicz, spec, 0.5, 1.0, 0.0, report, Tolerances(), 1e-12))
+        assert out.startswith("CheckOutcome(name='delta2_inclusion', ")
+        assert "worst_violation=0.0," not in out
+
+    def test_negative_epsilon_is_scanned(self, monkeypatch):
+        # epsilon < 0 bounds no term: with lam(n) = n - 0.5, I(n) holds
+        # n - 1 terms, so the windows add (n - 1) epsilon / lam(n) > epsilon,
+        # and terms t <= (epsilon + f t)(1 - 2**-40), f = 1 + 10 * 2**-40,
+        # still give windows 2 and 3 above epsilon + f mean t
+        lam = LambdaSequence.custom([1.0] + [n - 0.5 for n in range(2, 57)])
+        M = OrliczFunction.power(1.0)
+        spec = base_spec(lam=lam, orlicz=M, variant="limit", transform="identity")
+        delta = 1e-16
+        report = Delta2Report(True, (1.0 + 10 * 2.0 ** -40) * delta / 2.0, None, "", None)
+        out = self.same(monkeypatch, lambda: harness._delta2_inclusion(
+            [6.5e-5] * 56, M, spec, delta, -5e-16, 0.0, report, Tolerances(), 1e-12))
+        assert out.startswith("CheckOutcome(name='delta2_inclusion', passed=True,")
+        assert "worst_violation=0.0," not in out
+        # at x = 0 every window exceeds epsilon by -epsilon
+        zero = self.same(monkeypatch, lambda: check_delta2_inclusion(
+            from_log([0.0] * 56), OrliczFunction.power(2.0), base_spec(variant="limit"),
+            1e-9, -1e-16))
+        assert "worst_violation=1e-16," in zero
+
+
+class TestNoHiddenFailure:
+    """The per-term decision passes no trial the window scan fails, and it
+    skips the window sums of passing trials."""
+
+    def test_delta2_failures_at_a_small_rho(self):
+        doc = {"rho": 0.05, "lambda": {"kind": "half"}, "orlicz": {"kind": "power", "p": 3}}
+        config = config_from_dict(doc, "rho").trial_config(length=56, seed=1)
+        d2 = run_suite(config).checks[2]
+        assert (d2.name, d2.trials, d2.failures, d2.worst_violation, d2.first_failure) == (
+            "delta2_inclusion", 100, 21, 1907.2221606031771,
+            "trial 2: window 1: 2863.195344865096 > 1958.0291265136223",
+        )
+
+    def test_passing_trials_sum_no_window(self, monkeypatch):
+        real_sums, real_decide = summability.window_sums, harness._decide
+        calls = {"all": 0, "sides": 0, "decide": 0}
+        in_sides = []
+
+        def window_sums(values, lam):
+            calls["all"] += 1
+            calls["sides"] += bool(in_sides)
+            return real_sums(values, lam)
+
+        def decide(name, summed, bound, sides, lam, slack, upper=True):
+            calls["decide"] += 1
+
+            def counted():
+                in_sides.append(name)
+                try:
+                    return sides()
+                finally:
+                    in_sides.pop()
+
+            return real_decide(name, summed, bound, counted, lam, slack, upper)
+
+        monkeypatch.setattr("geoseq.summability.window_sums", window_sums)
+        monkeypatch.setattr("geoseq.statconv.window_sums", window_sums)
+        monkeypatch.setattr("geoseq.harness._decide", decide)
+        _fake_cpus(monkeypatch, 1)
+        config = TrialConfig(seed=1, trials=2, length=56)
+        assert run_suite(config).all_passed
+        # per trial: delta2's two verdicts, the exponent check's three means
+        # and its p-verdict, the consistency verdict and three densities
+        assert calls == {"all": 2 * 10, "sides": 0, "decide": 2 * 4}
+        monkeypatch.setattr("geoseq.harness._decide", _declining)
+        calls["all"] = 0
+        run_suite(config)
+        # scanned, the four checks sum 3 + 2 + 2 + 2 columns per trial
+        assert calls["all"] == 2 * (10 + 9)
+
+
 def _fake_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
@@ -922,7 +1190,12 @@ class TestParallelTrials:
             return CheckOutcome(out.name, not failed, total,
                                 f"{name}: {total!r}" if failed else None)
 
+        def decide(name, summed, bound, sides, lam, slack, upper=True):
+            # every window scanned: a per-term pass would not reach scan
+            return scan(name, *sides(), slack, upper)
+
         monkeypatch.setattr("geoseq.harness._scan_windows", scan)
+        monkeypatch.setattr("geoseq.harness._decide", decide)
         config = TrialConfig(seed=2, trials=7, length=48, tolerances=Tolerances(tol=0.0))
         serial = self.suite(monkeypatch, 1, config)
         parallel = self.suite(monkeypatch, 3, config)
